@@ -95,3 +95,163 @@ def test_dump_is_deterministic(tmp_path):
     dump_config(config, first)
     dump_config(config, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# rejection table: one violating config per rule, each naming its field path
+
+_AXIS = {"name": "gamma", "lo": 0.0, "hi": 1.0, "cells": 3}
+
+
+def _with(section, **values):
+    """Nest values under a dotted section: _with("fit.surrogate", n=1)."""
+    payload = dict(values)
+    for key in reversed(section.split(".")) if section else ():
+        payload = {key: payload}
+    return payload
+
+
+REJECTED = [
+    # root
+    ("", {"bogus": 1}),
+    ("version", {"version": 2}),
+    ("version", {"version": "1"}),
+    ("seed", {"seed": -1}),
+    ("seed", {"seed": 2**64}),
+    ("seed", {"seed": 1.5}),
+    ("seed", {"seed": "7"}),
+    ("horizon", {"horizon": 0}),
+    ("horizon", {"horizon": 2.5}),
+    # graph
+    ("graph", _with("graph", bogus=1)),
+    ("graph.family", _with("graph", family="lattice")),
+    ("graph.n", _with("graph", n=1)),
+    ("graph.n", _with("graph", n=20.5)),
+    ("graph.m", _with("graph", m=0)),
+    ("graph.k", _with("graph", k=1)),
+    ("graph.rewire_prob", _with("graph", rewire_prob=-0.1)),
+    ("graph.rewire_prob", _with("graph", rewire_prob=1.1)),
+    ("graph.edge_prob", _with("graph", edge_prob=1.5)),
+    ("graph.cluster_ratios", _with("graph", cluster_ratios=[1.0])),
+    ("graph.cluster_ratios", _with("graph", cluster_ratios=[0.5, 0.3, 0.2])),
+    ("graph.cluster_ratios", _with("graph", cluster_ratios=[0.0, 1.0])),
+    ("graph.cluster_ratios", _with("graph", cluster_ratios=0.7)),
+    ("graph.intra_prob", _with("graph", intra_prob=2.0)),
+    ("graph.inter_prob", _with("graph", inter_prob=-1.0)),
+    ("graph.ensure_self_loops", _with("graph", ensure_self_loops=1)),
+    ("graph.weight_rounds", _with("graph", weight_rounds=-1)),
+    ("graph.weight_rounds", _with("graph", weight_rounds=41)),
+    ("graph.weight_rounds", _with("graph", weight_rounds=1.5)),
+    # population
+    ("population", _with("population", bogus=1)),
+    ("population.positive_fraction", _with("population", positive_fraction=-0.1)),
+    ("population.positive_fraction", _with("population", positive_fraction=1.5)),
+    ("population.positive_fraction", _with("population", positive_fraction="half")),
+    ("population.cluster_positive_fractions", _with("population", cluster_positive_fractions=[0.5])),
+    ("population.cluster_positive_fractions", _with("population", cluster_positive_fractions=[0.2, 0.3, 0.5])),
+    ("population.cluster_positive_fractions", _with("population", cluster_positive_fractions=[0.5, 1.5])),
+    ("population.cluster_positive_fractions", _with("population", cluster_positive_fractions="x")),
+    ("population.stubborn_fraction", _with("population", stubborn_fraction=1.1)),
+    ("population.susceptibility", _with("population", susceptibility=-0.5)),
+    # params
+    ("params", _with("params", bogus=1)),
+    ("params.lambda", _with("params", **{"lambda": 0.0})),
+    ("params.lambda", _with("params", **{"lambda": -1.0})),
+    ("params.gamma", _with("params", gamma=-1.0)),
+    ("params.mu", _with("params", mu="high")),
+    ("params.sigma", _with("params", sigma=-1.0)),
+    # simulate
+    ("simulate", _with("simulate", bogus=1)),
+    ("simulate.mode", _with("simulate", mode="average")),
+    ("simulate.write_agents", _with("simulate", write_agents="no")),
+    # sweep
+    ("sweep", _with("sweep", bogus=1)),
+    ("sweep.axes", _with("sweep", axes=[_AXIS, dict(_AXIS, name="mu"), dict(_AXIS, name="r", hi=0.5)])),
+    ("sweep.axes.0", _with("sweep", axes=[dict(_AXIS, bogus=1)])),
+    ("sweep.axes.0", _with("sweep", axes=[{"name": "gamma", "lo": 0.0, "hi": 1.0}])),
+    ("sweep.axes.0", _with("sweep", axes=[dict(_AXIS, name="theta")])),
+    ("sweep.axes.0", _with("sweep", axes=[dict(_AXIS, lo="low")])),
+    ("sweep.axes.0", _with("sweep", axes=[dict(_AXIS, hi=None)])),
+    ("sweep.axes.0", _with("sweep", axes=[dict(_AXIS, cells=0)])),
+    ("sweep.axes.1", _with("sweep", axes=[_AXIS, dict(_AXIS, cells=2.5)])),
+    ("sweep.replicates", _with("sweep", replicates=0)),
+    ("sweep.statistics", _with("sweep", statistics=[])),
+    ("sweep.statistics", _with("sweep", statistics=["D_max", "entropy"])),
+    # fit
+    ("fit", _with("fit", bogus=1)),
+    ("fit.data", _with("fit", data=5)),
+    ("fit.label", _with("fit", label=["a"])),
+    ("fit.preprocess", _with("fit.preprocess", bogus=1)),
+    ("fit.preprocess.window", _with("fit.preprocess", window=[0])),
+    ("fit.preprocess.window", _with("fit.preprocess", window=[0, 1.5])),
+    ("fit.preprocess.smooth", _with("fit.preprocess", smooth=0)),
+    ("fit.preprocess.fill", _with("fit.preprocess", fill="mean")),
+    ("fit.space", _with("fit.space", bogus=[0.0, 1.0, 3])),
+    ("fit.space.mu", _with("fit.space", mu=[0.0, 1.0])),
+    ("fit.space.mu", _with("fit.space", mu=[0.0, 1.0, 3, 4])),
+    ("fit.space.mu", _with("fit.space", mu=[0.0, 1.0, 2.5])),
+    ("fit.space.mu", _with("fit.space", mu=["lo", 1.0, 3])),
+    ("fit.space", _with("fit.space", mu=[0.0, 1.0, 1])),
+    ("fit.pinned", _with("fit.pinned", bogus=1.0)),
+    ("fit.pinned.gamma", _with("fit.pinned", gamma="five")),
+    ("fit.with_stubbornness", _with("fit", with_stubbornness="yes please")),
+    ("fit.p_max", _with("fit", p_max=0.0)),
+    ("fit.p_max", _with("fit", p_max=0.6)),
+    ("fit.surrogate", _with("fit.surrogate", bogus=1)),
+    ("fit.surrogate.n", _with("fit.surrogate", n=1)),
+    ("fit.surrogate.n", _with("fit.surrogate", n=50.5)),
+    ("fit.surrogate.cluster_ratios", _with("fit.surrogate", cluster_ratios=[1.0])),
+    ("fit.surrogate.cluster_ratios", _with("fit.surrogate", cluster_ratios=[-0.3, 1.3])),
+    ("fit.surrogate.cluster_positive_fractions", _with("fit.surrogate", cluster_positive_fractions=None)),
+    ("fit.surrogate.cluster_positive_fractions", _with("fit.surrogate", cluster_positive_fractions=[0.3, 0.7, 0.5])),
+    ("fit.surrogate.cluster_positive_fractions", _with("fit.surrogate", cluster_positive_fractions=[0.3, 1.7])),
+    ("fit.surrogate.intra_prob", _with("fit.surrogate", intra_prob=1.5)),
+    ("fit.surrogate.lambda", _with("fit.surrogate", **{"lambda": 0.0})),
+    ("fit.surrogate.sigma", _with("fit.surrogate", sigma=-0.1)),
+    ("fit.replicates", _with("fit", replicates=0)),
+    ("fit.mode", _with("fit", mode="average")),
+    ("fit.noise_weight", _with("fit", noise_weight=-1.0)),
+    ("fit.restarts", _with("fit", restarts=0)),
+    ("fit.anneal_iters", _with("fit", anneal_iters=-1)),
+    ("fit.anneal_iters", _with("fit", anneal_iters=10.5)),
+    ("fit.initial_temp", _with("fit", initial_temp=0.0)),
+    ("fit.cooling", _with("fit", cooling=0.0)),
+    ("fit.cooling", _with("fit", cooling=1.0)),
+    ("fit.neighborhood_volume", _with("fit", neighborhood_volume=0.0)),
+    ("fit.neighborhood_volume", _with("fit", neighborhood_volume=1.0)),
+    # identify
+    ("identify", _with("identify", bogus=1)),
+    ("identify.grid", _with("identify", grid=3)),
+    ("identify.q_min", _with("identify", q_min=0.0)),
+    ("identify.q_max", _with("identify", q_max=-0.01)),
+    ("identify.points", _with("identify", points=0)),
+    ("identify.bootstrap", _with("identify", bootstrap=0)),
+]
+
+
+@pytest.mark.parametrize("path, payload", REJECTED, ids=[
+    f"{path or 'root'}-{i}" for i, (path, _) in enumerate(REJECTED)
+])
+def test_each_rule_rejects_with_its_field_path(tmp_path, path, payload):
+    with pytest.raises(ConfigError) as caught:
+        load_config(write_yaml(tmp_path, payload))
+    message = str(caught.value)
+    assert f"config field {path}" in message
+    if "bogus" in str(payload):
+        assert "bogus" in message
+
+
+@pytest.mark.parametrize("command, payload, flags", [
+    ("gen-graph", _with("graph", k=1), []),
+    ("simulate", {"bogus": 1}, []),
+    ("sweep", _with("sweep", axes=[dict(_AXIS, cells=0)]), []),
+    ("fit", _with("fit.surrogate", n=1), []),
+    ("identify", _with("identify", points=0), []),
+    ("gen-graph", {}, ["--seed", str(2**64)]),
+])
+def test_rejected_config_exits_2(tmp_path, capsys, command, payload, flags):
+    from gsm_degroot.cli import main
+
+    config = write_yaml(tmp_path, payload)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out"), *flags]) == 2
+    assert "error" in capsys.readouterr().err
