@@ -28,15 +28,15 @@ from .analysis import (
     write_heatmap_csv,
     write_long_csv,
 )
-from .config import ConfigError, dump_config, load_config
+from .config import ConfigError, build, dump_config, load_config, param_space
 from .dynamics import ModelParams, OpinionOverflowError, PopulationSpec, simulate
 from .fitting import (
     FitConfig,
     FitError,
-    ParamSpace,
     fit,
     identifiability,
     read_grid_csv,
+    write_anneal_trace_csv,
     write_chi_csv,
     write_fit_csv,
     write_grid_csv,
@@ -60,40 +60,6 @@ EXIT_NUMERIC = 3
 EXIT_OPTIMIZATION = 4
 
 
-def _graph_spec(config: dict, seed: int) -> GraphGenSpec:
-    g = config["graph"]
-    return GraphGenSpec(
-        family=g["family"],
-        n=g["n"],
-        seed=seed,
-        m=g["m"],
-        k=g["k"],
-        rewire_prob=g["rewire_prob"],
-        edge_prob=g["edge_prob"],
-        cluster_ratios=tuple(g["cluster_ratios"]),
-        intra_prob=g["intra_prob"],
-        inter_prob=g["inter_prob"],
-        ensure_self_loops=g["ensure_self_loops"],
-        weight_rounds=g["weight_rounds"],
-    )
-
-
-def _population_spec(config: dict) -> PopulationSpec:
-    p = config["population"]
-    fractions = p["cluster_positive_fractions"]
-    return PopulationSpec(
-        positive_fraction=p["positive_fraction"],
-        cluster_positive_fractions=tuple(fractions) if fractions is not None else None,
-        stubborn_fraction=p["stubborn_fraction"],
-        susceptibility=p["susceptibility"],
-    )
-
-
-def _model_params(config: dict) -> ModelParams:
-    p = config["params"]
-    return ModelParams(lam=p["lambda"], gamma=p["gamma"], mu=p["mu"], sigma=p["sigma"])
-
-
 def _prepare_outdir(args: argparse.Namespace, config: dict) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -104,7 +70,7 @@ def _prepare_outdir(args: argparse.Namespace, config: dict) -> Path:
 
 def cmd_gen_graph(args: argparse.Namespace, config: dict) -> int:
     out = _prepare_outdir(args, config)
-    spec = _graph_spec(config, derive_seed(config["seed"], "graph"))
+    spec = build(GraphGenSpec, config, seed=derive_seed(config["seed"], "graph"))
     graph = generate(spec)
     save_edge_list(graph, out / "edges.csv")
     report = validate(graph)
@@ -127,9 +93,9 @@ def cmd_gen_graph(args: argparse.Namespace, config: dict) -> int:
 def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
     out = _prepare_outdir(args, config)
     seed = config["seed"]
-    params = _model_params(config)
-    graph = generate(_graph_spec(config, derive_seed(seed, "graph")))
-    population = _population_spec(config).build(
+    params = build(ModelParams, config)
+    graph = generate(build(GraphGenSpec, config, seed=derive_seed(seed, "graph")))
+    population = build(PopulationSpec, config).build(
         graph.n, rng_from(seed, "population"), params.mu, params.sigma, clusters=graph.clusters
     )
     trajectory = simulate(
@@ -153,11 +119,11 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
         print("error: sweep.axes is empty", file=sys.stderr)
         return EXIT_CONFIG
     spec = SweepSpec(
-        graph=_graph_spec(config, 0),
-        population=_population_spec(config),
-        params=_model_params(config),
+        graph=build(GraphGenSpec, config, seed=0),
+        population=build(PopulationSpec, config),
+        params=build(ModelParams, config),
         horizon=config["horizon"],
-        axes=[SweepAxis(a["name"], a["lo"], a["hi"], a["cells"]) for a in section["axes"]],
+        axes=[SweepAxis(**axis) for axis in section["axes"]],
         replicates=section["replicates"],
         statistics=tuple(section["statistics"]),
         seed=config["seed"],
@@ -179,20 +145,6 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def _param_space(section: dict) -> ParamSpace:
-    bounds: dict[str, tuple[float, float]] = {}
-    resolution: dict[str, int] = {}
-    for axis, (lo, hi, cells) in section["space"].items():
-        if axis in section["pinned"]:
-            continue  # pinning overrides the default search axis
-        bounds[axis] = (float(lo), float(hi))
-        resolution[axis] = int(cells)
-    if section["with_stubbornness"] and "p" not in bounds and "p" not in section["pinned"]:
-        bounds["p"] = (0.0, float(section["p_max"]))
-        resolution["p"] = 4
-    return ParamSpace(bounds=bounds, resolution=resolution, pinned=dict(section["pinned"]))
-
-
 def cmd_fit(args: argparse.Namespace, config: dict) -> int:
     out = _prepare_outdir(args, config)
     section = config["fit"]
@@ -204,28 +156,12 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> int:
     window = tuple(prep["window"]) if prep["window"] is not None else None
     series = preprocess(series, window=window, smooth=prep["smooth"], fill=prep["fill"])
 
-    surrogate = section["surrogate"]
-    fit_config = FitConfig(
-        n=surrogate["n"],
-        cluster_ratios=tuple(surrogate["cluster_ratios"]),
-        cluster_positive_fractions=tuple(surrogate["cluster_positive_fractions"]),
-        intra_prob=surrogate["intra_prob"],
-        lam=surrogate["lambda"],
-        sigma=surrogate["sigma"],
-        replicates=section["replicates"],
-        mode=section["mode"],
-        noise_weight=section["noise_weight"],
-        restarts=section["restarts"],
-        anneal_iters=section["anneal_iters"],
-        initial_temp=section["initial_temp"],
-        cooling=section["cooling"],
-        neighborhood_volume=section["neighborhood_volume"],
-        seed=config["seed"],
-    )
-    result = fit(series.values, _param_space(section), fit_config, jobs=args.jobs)
+    fit_config = build(FitConfig, config, seed=config["seed"])
+    result = fit(series.values, param_space(config), fit_config, jobs=args.jobs)
     label = section["label"] or Path(section["data"]).stem
     write_fit_csv(result, out / "fit.csv", label)
     write_grid_csv(result.grid, out / "grid.csv")
+    write_anneal_trace_csv(result, out / "anneal_trace.csv")
     best = result.full_best()
     print("best: " + " ".join(f"{name}={best[name]:.6g}" for name in sorted(best)))
     print(f"error={result.error:.6g} scale={result.scale:.6g}")
@@ -285,11 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-        if args.seed is not None and not 0 <= args.seed < 2**64:
-            raise ConfigError(f"--seed must be a 64-bit non-negative integer, got {args.seed}")
-        config = load_config(args.config)
-        if args.seed is not None:
-            config["seed"] = args.seed
+        config = load_config(args.config, seed=args.seed)
         return COMMANDS[args.command](args, config)
     except OpinionOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)

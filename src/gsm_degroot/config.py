@@ -1,268 +1,180 @@
-"""Run configuration: versioned schema, defaults, loading, resolution.
+"""Run configuration: defaults, loading, checking, resolution.
 
-A run config is one YAML document validated against SCHEMA. Unset keys take
-the defaults below; command-line flags override the seed. The resolved
-config (defaults merged in) is written next to every command's outputs so
-any run can be reproduced from its own artifacts.
+A run config is one YAML document. The keys of its graph, population and
+params sections, and the search and surrogate keys of its fit section, are
+the fields of GraphGenSpec, PopulationSpec, ModelParams and FitConfig:
+their defaults, types and rules come from those dataclasses (the YAML key
+`lambda` is the field `lam`). The keys that only the command line reads
+are listed here with their types and rules. Unset keys take the defaults;
+the --seed flag overrides the seed. The resolved config (defaults merged
+in) is written next to every command's outputs so any run can be
+reproduced from its own artifacts.
 """
 
 from __future__ import annotations
 
 import copy
+import types
+import typing
+from dataclasses import fields
 
-import jsonschema
 import yaml
+
+from .analysis import STATISTICS, SweepAxis
+from .dynamics import MODES, ModelParams, PopulationSpec
+from .fitting import AXIS_ORDER, DEFAULT_BOUNDS, DEFAULT_RESOLUTION, FitConfig, ParamSpace
+from .graph import GraphGenSpec
+from .ingest import FILLS
+from .rules import Rule
 
 CONFIG_VERSION = 1
 
 
 class ConfigError(ValueError):
-    """Missing, malformed, or schema-violating configuration."""
+    """Missing, malformed, or rule-breaking configuration."""
 
+
+# The dataclass each section's keys are fields of. FitConfig spans two
+# sections; seeds come from the top-level seed, never from a section.
+_SECTIONS = {
+    "graph": GraphGenSpec,
+    "population": PopulationSpec,
+    "params": ModelParams,
+    "fit": FitConfig,
+    "fit.surrogate": FitConfig,
+}
+_SURROGATE = ("n", "cluster_ratios", "cluster_positive_fractions", "intra_prob", "lam", "sigma")
+_KEYS = {"lam": "lambda"}  # a Python keyword cannot name a field
+
+
+def _fields_in(section: str) -> dict:
+    """The dataclass fields a section holds, by their config key."""
+    cls = _SECTIONS[section]
+    surrogate = section == "fit.surrogate"
+    return {
+        _KEYS.get(f.name, f.name): f
+        for f in fields(cls)
+        if f.name != "seed" and (cls is not FitConfig or (f.name in _SURROGATE) == surrogate)
+    }
+
+
+def _leaf(hint, **rule) -> tuple:
+    return hint, Rule(**rule) if rule else None
+
+
+def _shape_of(cls, keys: dict) -> dict:
+    """Type hint and rule of each field of cls, by config key."""
+    hints = typing.get_type_hints(cls)
+    return {key: (hints[f.name], f.metadata.get("rule")) for key, f in keys.items()}
+
+
+def _section(tree: dict, section: str) -> dict:
+    for part in section.split("."):
+        tree = tree[part]
+    return tree
+
+
+# Type and rule of every key; a list shape holds the shape of its items.
+# The keys only the command line reads are spelled out here, the dataclass
+# sections (left empty) are filled in from their fields below.
+_SHAPE = {
+    "version": _leaf(int, among=(CONFIG_VERSION,)),
+    "seed": _leaf(int, ge=0, le=2**64 - 1),
+    "graph": {},
+    "population": {},
+    "params": {},
+    "horizon": _leaf(int, ge=1),
+    "simulate": {"mode": _leaf(str, among=MODES), "write_agents": _leaf(bool)},
+    "sweep": {
+        "axes": [_shape_of(SweepAxis, {f.name: f for f in fields(SweepAxis)})],
+        "replicates": _leaf(int, ge=1),
+        "statistics": _leaf(list[str], among=STATISTICS),
+    },
+    "fit": {
+        "data": _leaf(str | None),
+        "label": _leaf(str | None),
+        "preprocess": {
+            "window": _leaf(tuple[int | str, int | str] | None),
+            "smooth": _leaf(int, ge=1),
+            "fill": _leaf(str, among=FILLS),
+        },
+        "space": {axis: _leaf(tuple[float, float, int]) for axis in AXIS_ORDER},
+        "pinned": {axis: _leaf(float) for axis in AXIS_ORDER},
+        "with_stubbornness": _leaf(bool),
+        "p_max": _leaf(float, gt=0.0, le=0.5),
+        "surrogate": {},
+    },
+    "identify": {
+        "grid": _leaf(str | None),
+        "q_min": _leaf(float, gt=0.0),
+        "q_max": _leaf(float, gt=0.0),
+        "points": _leaf(int, ge=1),
+        "bootstrap": _leaf(int, ge=1),
+    },
+}
 
 DEFAULTS = {
     "version": CONFIG_VERSION,
     "seed": 0,
-    "graph": {
-        "family": "barabasi-albert",
-        "n": 100,
-        "m": 3,
-        "k": 6,
-        "rewire_prob": 0.1,
-        "edge_prob": 0.1,
-        "cluster_ratios": [0.7, 0.3],
-        "intra_prob": 0.5,
-        "inter_prob": 0.1,
-        "ensure_self_loops": False,
-        "weight_rounds": 10,
-    },
-    "population": {
-        "positive_fraction": 0.5,
-        "cluster_positive_fractions": None,
-        "stubborn_fraction": 0.0,
-        "susceptibility": 1.0,
-    },
-    "params": {
-        "lambda": 1.0,
-        "gamma": 0.0,
-        "mu": 0.0,
-        "sigma": 1.0,
-    },
+    "graph": {},
+    "population": {},
+    "params": {},
     "horizon": 300,
-    "simulate": {
-        "mode": "stochastic",
-        "write_agents": False,
-    },
-    "sweep": {
-        "axes": [],
-        "replicates": 5,
-        "statistics": ["D_max", "D_max_inf"],
-    },
+    "simulate": {"mode": "stochastic", "write_agents": False},
+    "sweep": {"axes": [], "replicates": 5, "statistics": ["D_max", "D_max_inf"]},
     "fit": {
         "data": None,
         "label": None,
         "preprocess": {"window": None, "smooth": 1, "fill": "zero"},
-        "space": {
-            "mu": [-500.0, 500.0, 6],
-            "gamma": [0.0, 50.0, 6],
-            "r": [0.0, 0.5, 6],
-        },
+        "space": {axis: [lo, hi, DEFAULT_RESOLUTION] for axis, (lo, hi) in DEFAULT_BOUNDS.items()},
         "pinned": {},
         "with_stubbornness": False,
         "p_max": 0.5,
-        "surrogate": {
-            "n": 100,
-            "cluster_ratios": [0.7, 0.3],
-            "cluster_positive_fractions": [0.3, 0.7],
-            "intra_prob": 0.5,
-            "lambda": 0.01,
-            "sigma": 1.0,
-        },
-        "replicates": 5,
-        "mode": "stochastic",
-        "noise_weight": 1.0,
-        "restarts": 5,
-        "anneal_iters": 2000,
-        "initial_temp": 10.0,
-        "cooling": 0.95,
-        "neighborhood_volume": 0.001,
+        "surrogate": {},
     },
-    "identify": {
-        "grid": None,
-        "q_min": 1e-4,
-        "q_max": 1e-2,
-        "points": 9,
-        "bootstrap": 10,
-    },
+    "identify": {"grid": None, "q_min": 1e-4, "q_max": 1e-2, "points": 9, "bootstrap": 10},
 }
 
-_AXIS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name", "lo", "hi", "cells"],
-    "properties": {
-        "name": {"enum": ["mu", "gamma", "r", "beta", "alpha", "network-size", "family-param"]},
-        "lo": {"type": "number"},
-        "hi": {"type": "number"},
-        "cells": {"type": "integer", "minimum": 1},
-    },
-}
 
-_SPACE_AXIS = {
-    "type": "array",
-    "minItems": 3,
-    "maxItems": 3,
-    "prefixItems": [{"type": "number"}, {"type": "number"}, {"type": "integer", "minimum": 2}],
-}
+def _fill_dataclass_sections() -> None:
+    for section, cls in _SECTIONS.items():
+        keys = _fields_in(section)
+        _section(_SHAPE, section).update(_shape_of(cls, keys))
+        _section(DEFAULTS, section).update(
+            {key: list(f.default) if isinstance(f.default, tuple) else f.default for key, f in keys.items()}
+        )
 
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["version"],
-    "properties": {
-        "version": {"const": CONFIG_VERSION},
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        "graph": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "family": {"enum": ["barabasi-albert", "sbm", "watts-strogatz", "erdos-renyi"]},
-                "n": {"type": "integer", "minimum": 2},
-                "m": {"type": "integer", "minimum": 1},
-                "k": {"type": "integer", "minimum": 2},
-                "rewire_prob": {"type": "number", "minimum": 0, "maximum": 1},
-                "edge_prob": {"type": "number", "minimum": 0, "maximum": 1},
-                "cluster_ratios": {
-                    "type": "array", "minItems": 2, "maxItems": 2,
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                },
-                "intra_prob": {"type": "number", "minimum": 0, "maximum": 1},
-                "inter_prob": {"type": "number", "minimum": 0, "maximum": 1},
-                "ensure_self_loops": {"type": "boolean"},
-                "weight_rounds": {"type": "integer", "minimum": 0, "maximum": 40},
-            },
-        },
-        "population": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "positive_fraction": {"type": ["number", "null"], "minimum": 0, "maximum": 1},
-                "cluster_positive_fractions": {
-                    "type": ["array", "null"], "minItems": 2, "maxItems": 2,
-                    "items": {"type": "number", "minimum": 0, "maximum": 1},
-                },
-                "stubborn_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-                "susceptibility": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-        "params": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "lambda": {"type": "number", "exclusiveMinimum": 0},
-                "gamma": {"type": "number", "minimum": 0},
-                "mu": {"type": "number"},
-                "sigma": {"type": "number", "minimum": 0},
-            },
-        },
-        "horizon": {"type": "integer", "minimum": 1},
-        "simulate": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["stochastic", "expected"]},
-                "write_agents": {"type": "boolean"},
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "axes": {"type": "array", "maxItems": 2, "items": _AXIS_SCHEMA},
-                "replicates": {"type": "integer", "minimum": 1},
-                "statistics": {
-                    "type": "array", "minItems": 1,
-                    "items": {"enum": ["D_max", "D_max_inf", "X_min_final", "X_max_final", "event_fraction_curve"]},
-                },
-            },
-        },
-        "fit": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "data": {"type": ["string", "null"]},
-                "label": {"type": ["string", "null"]},
-                "preprocess": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "window": {
-                            "type": ["array", "null"], "minItems": 2, "maxItems": 2,
-                            "items": {"type": ["integer", "string"]},
-                        },
-                        "smooth": {"type": "integer", "minimum": 1},
-                        "fill": {"enum": ["zero", "previous"]},
-                    },
-                },
-                "space": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "mu": _SPACE_AXIS, "gamma": _SPACE_AXIS, "r": _SPACE_AXIS, "p": _SPACE_AXIS,
-                    },
-                },
-                "pinned": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "mu": {"type": "number"}, "gamma": {"type": "number"},
-                        "r": {"type": "number"}, "p": {"type": "number"},
-                    },
-                },
-                "with_stubbornness": {"type": "boolean"},
-                "p_max": {"type": "number", "exclusiveMinimum": 0, "maximum": 0.5},
-                "surrogate": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "n": {"type": "integer", "minimum": 2},
-                        "cluster_ratios": {
-                            "type": "array", "minItems": 2, "maxItems": 2,
-                            "items": {"type": "number", "exclusiveMinimum": 0},
-                        },
-                        "cluster_positive_fractions": {
-                            "type": "array", "minItems": 2, "maxItems": 2,
-                            "items": {"type": "number", "minimum": 0, "maximum": 1},
-                        },
-                        "intra_prob": {"type": "number", "minimum": 0, "maximum": 1},
-                        "lambda": {"type": "number", "exclusiveMinimum": 0},
-                        "sigma": {"type": "number", "minimum": 0},
-                    },
-                },
-                "replicates": {"type": "integer", "minimum": 1},
-                "mode": {"enum": ["stochastic", "expected"]},
-                "noise_weight": {"type": "number", "minimum": 0},
-                "restarts": {"type": "integer", "minimum": 1},
-                "anneal_iters": {"type": "integer", "minimum": 0},
-                "initial_temp": {"type": "number", "exclusiveMinimum": 0},
-                "cooling": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "neighborhood_volume": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-            },
-        },
-        "identify": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "grid": {"type": ["string", "null"]},
-                "q_min": {"type": "number", "exclusiveMinimum": 0},
-                "q_max": {"type": "number", "exclusiveMinimum": 0},
-                "points": {"type": "integer", "minimum": 1},
-                "bootstrap": {"type": "integer", "minimum": 1},
-            },
-        },
-    },
-}
+
+_fill_dataclass_sections()
+
+
+def build(cls, config: dict, **given):
+    """An instance of cls with the fields its sections of config hold.
+
+    given supplies the fields no section holds, such as seed.
+    """
+    for section, owner in _SECTIONS.items():
+        if owner is cls:
+            values = _section(config, section)
+            for key, f in _fields_in(section).items():
+                given[f.name] = tuple(values[key]) if isinstance(values[key], list) else values[key]
+    return cls(**given)
+
+
+def param_space(config: dict) -> ParamSpace:
+    """The fit search box: space axes not pinned, plus p if requested."""
+    section = config["fit"]
+    bounds: dict[str, tuple[float, float]] = {}
+    resolution: dict[str, int] = {}
+    for axis, (lo, hi, cells) in section["space"].items():
+        if axis in section["pinned"]:
+            continue  # pinning overrides the default search axis
+        bounds[axis] = (float(lo), float(hi))
+        resolution[axis] = int(cells)
+    if section["with_stubbornness"] and "p" not in bounds and "p" not in section["pinned"]:
+        bounds["p"] = (0.0, float(section["p_max"]))
+        resolution["p"] = 4
+    return ParamSpace(bounds=bounds, resolution=resolution, pinned=dict(section["pinned"]))
 
 
 def _merge(base, override):
@@ -274,12 +186,12 @@ def _merge(base, override):
     return copy.deepcopy(override)
 
 
-def load_config(path) -> dict:
-    """Read a YAML config, merge in the defaults, and validate the result.
+def load_config(path, seed: int | None = None) -> dict:
+    """Read a YAML config, merge in the defaults, and check the result.
 
-    Validation runs on the resolved document so partial configs never have
-    to repeat required fields; unknown keys survive the merge and are still
-    rejected by the schema.
+    seed, when given, replaces the config's seed before the check. Checks
+    run on the resolved document so partial configs never have to repeat
+    required fields; unknown keys survive the merge and are still rejected.
     """
     with open(path) as fh:
         try:
@@ -290,17 +202,81 @@ def load_config(path) -> dict:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    if seed is not None:
+        raw["seed"] = seed
     merged = _merge(DEFAULTS, raw)
     validate_config(merged)
     return merged
 
 
-def validate_config(raw: dict) -> None:
+def validate_config(config: dict) -> None:
+    """Raise ConfigError naming the first field of a resolved config that is
+    unknown, of the wrong type, or breaks a rule of the dataclass it feeds."""
+    _check(config, _SHAPE, "")
+    sweep = config["sweep"]
+    if len(sweep["axes"]) > 2:
+        raise _error("sweep.axes", f"holds at most 2 axes, got {len(sweep['axes'])}")
+    if not sweep["statistics"]:
+        raise _error("sweep.statistics", "needs at least one statistic")
+    for axis, (_, _, cells) in config["fit"]["space"].items():
+        if cells < 2:  # pinned axes too, which the search box leaves out
+            raise _error(f"fit.space.{axis}", f"needs at least 2 cells, got {cells}")
+    for i, axis in enumerate(sweep["axes"]):
+        _attempt(f"sweep.axes.{i}", SweepAxis, **axis)
+    for section, cls in _SECTIONS.items():
+        _attempt(section, build, cls, config)
+    _attempt("fit.space", param_space, config)
+
+
+def _attempt(path: str, make, *args, **kwargs) -> None:
+    """Call make; report its TypeError or ValueError at path."""
     try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = ".".join(str(part) for part in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {where}: {exc.message}") from exc
+        make(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise _error(path, str(exc)) from exc
+
+
+def _error(path: str, reason: str) -> ConfigError:
+    return ConfigError(f"config field {path}: {reason}")
+
+
+def _check(value, shape, path: str) -> None:
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise _error(path, f"expected a mapping, got {value!r}")
+        for key, item in value.items():
+            where = f"{path}.{key}" if path else str(key)
+            if key not in shape:
+                raise _error(where, "unknown key")
+            _check(item, shape[key], where)
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            raise _error(path, f"expected a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check(item, shape[0], f"{path}.{i}")
+    else:
+        hint, rule = shape
+        if not _matches(value, hint):
+            raise _error(path, f"expected {hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
+        reason = rule and rule.violation(value)
+        if reason:
+            raise _error(path, reason)
+
+
+def _matches(value, hint) -> bool:
+    """Whether a YAML value fits a type hint; YAML spells a tuple as a list."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_matches(value, arg) for arg in args)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            return False
+        if origin is list:
+            return all(_matches(item, args[0]) for item in value)
+        return len(value) == len(args) and all(map(_matches, value, args))
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def dump_config(config: dict, path) -> None:

@@ -21,6 +21,7 @@ from typing import Union
 import numpy as np
 
 from .graph import WeightedDigraph, validate
+from .rules import check_rules, ruled
 
 OVERFLOW_LIMIT = 1e12
 
@@ -47,18 +48,13 @@ class ModelParams:
     normal distribution used to draw initial opinions.
     """
 
-    lam: float = 1.0
-    gamma: float = 0.0
+    lam: float = ruled(1.0, gt=0.0)
+    gamma: float = ruled(0.0, ge=0.0)
     mu: float = 0.0
-    sigma: float = 1.0
+    sigma: float = ruled(1.0, ge=0.0)
 
     def __post_init__(self) -> None:
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam!r}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma!r}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be non-negative, got {self.sigma!r}")
+        check_rules(self)
 
 
 @dataclass
@@ -108,25 +104,17 @@ class PopulationSpec:
     stubborn_fraction pins round(fraction * n) uniformly chosen agents.
     """
 
-    positive_fraction: float | None = 0.5
-    cluster_positive_fractions: tuple[float, ...] | None = None
-    stubborn_fraction: float = 0.0
-    susceptibility: float = 1.0
+    positive_fraction: float | None = ruled(0.5, ge=0.0, le=1.0)
+    cluster_positive_fractions: tuple[float, float] | None = ruled(None, ge=0.0, le=1.0)
+    stubborn_fraction: float = ruled(0.0, ge=0.0, le=1.0)
+    susceptibility: float = ruled(1.0, ge=0.0, le=1.0)
 
     def __post_init__(self) -> None:
         if self.cluster_positive_fractions is not None:
             self.cluster_positive_fractions = tuple(float(b) for b in self.cluster_positive_fractions)
-            for b in self.cluster_positive_fractions:
-                if not 0.0 <= b <= 1.0:
-                    raise ValueError(f"cluster positive fraction {b!r} outside [0, 1]")
         elif self.positive_fraction is None:
             raise ValueError("need positive_fraction or cluster_positive_fractions")
-        if self.positive_fraction is not None and not 0.0 <= self.positive_fraction <= 1.0:
-            raise ValueError(f"positive_fraction {self.positive_fraction!r} outside [0, 1]")
-        if not 0.0 <= self.stubborn_fraction <= 1.0:
-            raise ValueError(f"stubborn_fraction {self.stubborn_fraction!r} outside [0, 1]")
-        if not 0.0 <= self.susceptibility <= 1.0:
-            raise ValueError(f"susceptibility {self.susceptibility!r} outside [0, 1]")
+        check_rules(self)
 
     def build(
         self,

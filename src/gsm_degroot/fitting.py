@@ -12,15 +12,18 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ModelParams, PopulationSpec, simulate
+from .dynamics import MODES, ModelParams, PopulationSpec, simulate
 from .graph import GenerationError, GraphGenSpec, generate
+from .rules import check_rules, rule_of, ruled
 from .seeds import derive_seed, rng_from
 
 DEFAULT_BOUNDS = {"mu": (-500.0, 500.0), "gamma": (0.0, 50.0), "r": (0.0, 0.5)}
+
+DEFAULT_RESOLUTION = 6
 
 AXIS_ORDER = ("mu", "gamma", "r", "p")
 
@@ -94,7 +97,7 @@ class ParamSpace:
         return [name for name in AXIS_ORDER if name in self.bounds]
 
     def resolution_of(self, name: str) -> int:
-        return self.resolution.get(name, 6)
+        return self.resolution.get(name, DEFAULT_RESOLUTION)
 
     def centers(self, name: str) -> np.ndarray:
         lo, hi = self.bounds[name]
@@ -117,7 +120,7 @@ class ParamSpace:
 def default_space(with_stubbornness: bool = False, p_max: float = 0.5) -> ParamSpace:
     """Default search box; the stubbornness variant uses a coarser grid."""
     bounds = dict(DEFAULT_BOUNDS)
-    resolution = {"mu": 6, "gamma": 6, "r": 6}
+    resolution = dict.fromkeys(bounds, DEFAULT_RESOLUTION)
     if with_stubbornness:
         if not 0.0 < p_max <= 0.5:
             raise ValueError(f"p_max must lie in (0, 0.5], got {p_max!r}")
@@ -136,41 +139,29 @@ class FitConfig:
     `replicates` runs. mode="expected" swaps event draws for their
     probabilities, removing sampling noise from the score surface; the
     surrogate graph and population are still resampled per replicate.
+    The surrogate fields keep the rules of the fields they feed.
     """
 
-    n: int = 100
-    cluster_ratios: tuple[float, float] = (0.7, 0.3)
-    cluster_positive_fractions: tuple[float, float] = (0.3, 0.7)
-    intra_prob: float = 0.5
-    lam: float = 0.01
-    sigma: float = 1.0
-    replicates: int = 5
-    mode: str = "stochastic"
-    noise_weight: float = 1.0
-    restarts: int = 5
-    anneal_iters: int = 2000
-    initial_temp: float = 10.0
-    cooling: float = 0.95
-    neighborhood_volume: float = 0.001
+    n: int = ruled(100, rule_of(GraphGenSpec, "n"))
+    cluster_ratios: tuple[float, float] = ruled((0.7, 0.3), rule_of(GraphGenSpec, "cluster_ratios"))
+    cluster_positive_fractions: tuple[float, float] = ruled(
+        (0.3, 0.7), rule_of(PopulationSpec, "cluster_positive_fractions")
+    )
+    intra_prob: float = ruled(0.5, rule_of(GraphGenSpec, "intra_prob"))
+    lam: float = ruled(0.01, rule_of(ModelParams, "lam"))
+    sigma: float = ruled(1.0, rule_of(ModelParams, "sigma"))
+    replicates: int = ruled(5, ge=1)
+    mode: str = ruled("stochastic", among=MODES)
+    noise_weight: float = ruled(1.0, ge=0.0)
+    restarts: int = ruled(5, ge=1)
+    anneal_iters: int = ruled(2000, ge=0)
+    initial_temp: float = ruled(10.0, gt=0.0)
+    cooling: float = ruled(0.95, gt=0.0, lt=1.0)
+    neighborhood_volume: float = ruled(0.001, gt=0.0, lt=1.0)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("stochastic", "expected"):
-            raise ValueError(f"mode must be 'stochastic' or 'expected', got {self.mode!r}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be at least 1, got {self.replicates}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if not 0.0 < self.neighborhood_volume < 1.0:
-            raise ValueError(f"neighborhood_volume must lie in (0, 1), got {self.neighborhood_volume!r}")
-        if not 0.0 < self.cooling < 1.0:
-            raise ValueError(f"cooling must lie in (0, 1), got {self.cooling!r}")
-        if self.initial_temp <= 0.0:
-            raise ValueError(f"initial_temp must be positive, got {self.initial_temp!r}")
-        if self.anneal_iters < 0:
-            raise ValueError(f"anneal_iters must be non-negative, got {self.anneal_iters}")
-        if self.noise_weight < 0.0:
-            raise ValueError(f"noise_weight must be non-negative, got {self.noise_weight!r}")
+        check_rules(self)
 
 
 @dataclass
@@ -508,19 +499,18 @@ def identifiability(
     scores = np.asarray(scores, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] != scores.size:
         raise ValueError(f"points {points.shape} do not match {scores.size} scores")
-    n_cells = points.shape[0]
     q_lo, q_hi = q_range
     if not 0.0 < q_lo <= q_hi:
         raise ValueError(f"invalid q range ({q_lo}, {q_hi})")
+    valid = ~np.isnan(scores)
+    points = points[valid]
+    scores = scores[valid]
+    n_cells = points.shape[0]
     if math.floor(q_lo * n_cells) < 1:
         raise ValueError(
-            f"grid too small: floor({q_lo} * {n_cells}) < 1; need at least {math.ceil(1.0 / q_lo)} cells"
+            f"grid too small: {n_cells} valid cells of {valid.size}, floor({q_lo} * {n_cells}) < 1; "
+            f"need at least {math.ceil(1.0 / q_lo)} cells"
         )
-    valid = ~np.isnan(scores)
-    if not np.all(valid):
-        points = points[valid]
-        scores = scores[valid]
-        n_cells = points.shape[0]
     spans = points.max(axis=0) - points.min(axis=0)
     spans[spans == 0.0] = 1.0
     unit = (points - points.min(axis=0)) / spans
@@ -573,6 +563,20 @@ def write_grid_csv(grid: GridResult, path) -> None:
             row = [repr(float(v)) for v in grid.points[i]]
             row += [repr(float(grid.scores[i])), repr(float(grid.mean_errors[i])), repr(float(grid.error_stds[i]))]
             writer.writerow(row)
+
+
+def write_anneal_trace_csv(result: FitResult, path) -> None:
+    """Anneal chains: one row per proposal; a failed proposal scores inf."""
+    axes = result.space.axes
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["chain", "iter", *axes, "score", "accepted", "temp", "best"])
+        for chain, trace in enumerate(result.traces):
+            for i, point in enumerate(trace.points):
+                writer.writerow([
+                    chain, i, *(repr(float(point[a])) for a in axes), repr(float(trace.scores[i])),
+                    int(trace.accepted[i]), repr(float(trace.temps[i])), repr(float(trace.best_scores[i])),
+                ])
 
 
 def read_grid_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ import networkx as nx
 import numpy as np
 from scipy import sparse
 
+from .rules import check_rules, ruled
 from .seeds import derive_seed
 
 FAMILIES = ("barabasi-albert", "sbm", "watts-strogatz", "erdos-renyi")
@@ -52,39 +53,30 @@ class GraphGenSpec:
     1/indegree weights instead of randomizing them.
     """
 
-    family: str
-    n: int
+    family: str = ruled("barabasi-albert", among=FAMILIES)
+    n: int = ruled(100, ge=2)
     seed: int = 0
-    m: int = 3
-    k: int = 6
-    rewire_prob: float = 0.1
-    edge_prob: float = 0.1
-    cluster_ratios: tuple[float, float] = (0.7, 0.3)
-    intra_prob: float = 0.5
-    inter_prob: float = 0.1
+    m: int = ruled(3, ge=1)
+    k: int = ruled(6, ge=2)
+    rewire_prob: float = ruled(0.1, ge=0.0, le=1.0)
+    edge_prob: float = ruled(0.1, ge=0.0, le=1.0)
+    cluster_ratios: tuple[float, float] = ruled((0.7, 0.3), gt=0.0)
+    intra_prob: float = ruled(0.5, ge=0.0, le=1.0)
+    inter_prob: float = ruled(0.1, ge=0.0, le=1.0)
     ensure_self_loops: bool = False
-    weight_rounds: int = 10
+    weight_rounds: int = ruled(10, ge=0, le=_MAX_MIX_ROUNDS)
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise GraphError(f"unknown graph family: {self.family!r}")
-        if self.n < 2:
-            raise GraphError(f"need at least 2 nodes, got {self.n}")
-        for name in ("rewire_prob", "edge_prob", "intra_prob", "inter_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise GraphError(f"{name} must lie in [0, 1], got {p!r}")
-        if self.family == "barabasi-albert" and not 1 <= self.m < self.n:
-            raise GraphError(f"attachment count m must satisfy 1 <= m < n, got {self.m}")
-        if self.family == "watts-strogatz" and not 2 <= self.k < self.n:
-            raise GraphError(f"neighbor count k must satisfy 2 <= k < n, got {self.k}")
+        check_rules(self, GraphError)
+        if self.family == "barabasi-albert" and self.m >= self.n:
+            raise GraphError(f"attachment count m must satisfy m < n, got m={self.m}, n={self.n}")
+        if self.family == "watts-strogatz" and self.k >= self.n:
+            raise GraphError(f"neighbor count k must satisfy k < n, got k={self.k}, n={self.n}")
         if self.family == "sbm":
             ratios = tuple(float(c) for c in self.cluster_ratios)
-            if len(ratios) != 2 or min(ratios) <= 0.0 or abs(sum(ratios) - 1.0) > 1e-9:
+            if len(ratios) != 2 or abs(sum(ratios) - 1.0) > 1e-9:
                 raise GraphError(f"cluster_ratios must be two positive fractions summing to 1, got {self.cluster_ratios!r}")
             self.cluster_ratios = ratios
-        if self.weight_rounds < 0 or self.weight_rounds > _MAX_MIX_ROUNDS:
-            raise GraphError(f"weight_rounds must lie in [0, {_MAX_MIX_ROUNDS}], got {self.weight_rounds}")
 
 
 @dataclass

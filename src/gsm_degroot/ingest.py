@@ -17,6 +17,8 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
+FILLS = ("zero", "previous")
+
 
 class SeriesError(ValueError):
     """Malformed series file or preprocessing request."""
@@ -134,7 +136,7 @@ def preprocess(
     width that zero-pads beyond the ends; smooth = 1 leaves values alone.
     The output keeps one entry per timestamp of the filled range.
     """
-    if fill not in ("zero", "previous"):
+    if fill not in FILLS:
         raise SeriesError(f"fill must be 'zero' or 'previous', got {fill!r}")
     if smooth < 1 or smooth % 2 == 0:
         raise SeriesError(f"smooth width must be an odd positive integer, got {smooth}")

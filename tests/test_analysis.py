@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gsm_degroot.analysis import (
-    CellResult,
     SweepAxis,
     SweepSpec,
     polarization_indices,
@@ -18,7 +17,7 @@ from gsm_degroot.analysis import (
     write_long_csv,
 )
 from gsm_degroot.dynamics import ModelParams, Population, PopulationSpec, Trajectory, simulate
-from gsm_degroot.graph import GraphGenSpec, generate, stationary_distribution
+from gsm_degroot.graph import GraphGenSpec, generate
 from gsm_degroot.seeds import rng_from
 
 

@@ -3,7 +3,6 @@
 import csv
 
 import numpy as np
-import pytest
 import yaml
 
 from gsm_degroot.analysis import regime
@@ -222,6 +221,11 @@ def test_fit_writes_summary_and_grid(tmp_path, capsys):
     assert axes == ["mu", "gamma"]
     assert points.shape == (4, 2)
     assert np.all(np.isfinite(scores))
+    with open(out / "anneal_trace.csv", newline="") as fh:
+        trace = list(csv.DictReader(fh))
+    assert list(trace[0]) == ["chain", "iter", "mu", "gamma", "score", "accepted", "temp", "best"]
+    assert len(trace) == FIT_SECTION["restarts"] * FIT_SECTION["anneal_iters"]
+    assert [row["iter"] for row in trace] == [str(i) for i in range(FIT_SECTION["anneal_iters"])]
     stdout = capsys.readouterr().out
     assert "best:" in stdout and "error=" in stdout
 
@@ -270,6 +274,14 @@ def test_identify_writes_decreasing_chi(tmp_path):
     chi = [float(row[1]) for row in rows[1:]]
     assert len(chi) == 5
     assert chi[0] > chi[-1]  # sharp basin fades as q grows
+
+
+def test_identify_with_too_few_valid_cells_exits_2(tmp_path, capsys):
+    grid_path = tmp_path / "grid.csv"
+    grid_path.write_text("mu,score\n" + "0.5,nan\n" * 300 + "0.5,1.0\n" * 99)
+    config = write_config(tmp_path, {"identify": {"grid": str(grid_path), "q_min": 0.01}})
+    assert main(["identify", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "99 valid cells of 399" in capsys.readouterr().err
 
 
 def test_identify_without_grid_exits_2(tmp_path, capsys):

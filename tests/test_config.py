@@ -1,4 +1,4 @@
-"""Config schema validation, default merging, and resolved-config round-trips."""
+"""Config checking, default merging, and resolved-config round-trips."""
 
 import pytest
 import yaml
@@ -192,6 +192,7 @@ REJECTED = [
     ("fit.space.mu", _with("fit.space", mu=[0.0, 1.0, 2.5])),
     ("fit.space.mu", _with("fit.space", mu=["lo", 1.0, 3])),
     ("fit.space", _with("fit.space", mu=[0.0, 1.0, 1])),
+    ("fit.space", {"fit": {"space": {"gamma": [0.0, 5.0, 1]}, "pinned": {"gamma": 5.0}}}),
     ("fit.pinned", _with("fit.pinned", bogus=1.0)),
     ("fit.pinned.gamma", _with("fit.pinned", gamma="five")),
     ("fit.with_stubbornness", _with("fit", with_stubbornness="yes please")),
@@ -255,3 +256,4 @@ def test_rejected_config_exits_2(tmp_path, capsys, command, payload, flags):
     config = write_yaml(tmp_path, payload)
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out"), *flags]) == 2
     assert "error" in capsys.readouterr().err
+

@@ -190,6 +190,15 @@ def test_invalid_spaces_are_rejected(kwargs, message):
         ParamSpace(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(n=1), dict(cluster_ratios=(0.0, 1.0)), dict(cluster_positive_fractions=(0.3, 1.2)),
+    dict(intra_prob=1.5), dict(lam=0.0), dict(sigma=-1.0), dict(mode="average"), dict(cooling=1.0),
+])
+def test_fit_config_rejects_out_of_range_fields(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        FitConfig(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # point scoring
 
@@ -519,6 +528,14 @@ def test_small_grid_rejected_with_required_size():
     points = unit_grid_points(10)
     scores = np.zeros(100)
     with pytest.raises(ValueError, match="need at least 10000 cells"):
+        identifiability(points, scores, q_range=(1e-4, 1e-2))
+
+
+def test_failed_cells_do_not_count_towards_the_grid_size():
+    points = unit_grid_points(100)
+    scores = np.zeros(points.shape[0])
+    scores[50:] = np.nan  # 50 of 10000 cells scored
+    with pytest.raises(ValueError, match="50 valid cells of 10000.*need at least 10000 cells"):
         identifiability(points, scores, q_range=(1e-4, 1e-2))
 
 

@@ -68,6 +68,16 @@ def test_bad_specs_rejected():
         GraphGenSpec(family="erdos-renyi", n=1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(family="sbm", k=1),
+    dict(family="erdos-renyi", m=0),
+    dict(family="watts-strogatz", cluster_ratios=(0.0, 1.0)),
+])
+def test_field_rules_hold_for_every_family(kwargs):
+    with pytest.raises(GraphError):
+        GraphGenSpec(n=10, **kwargs)
+
+
 def test_ensure_self_loops():
     g = generate(GraphGenSpec(family="sbm", n=30, seed=2, ensure_self_loops=True))
     assert np.all(g.matrix.diagonal() > 0)
