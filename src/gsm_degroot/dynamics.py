@@ -15,15 +15,20 @@ opinion.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .graph import WeightedDigraph, validate
+from .graph import WeightedDigraph, is_normalized, is_strongly_connected
 from .rules import check_rules, ruled
 
 OVERFLOW_LIMIT = 1e12
+# Relative widening per step of simulate's bound on the opinion magnitude:
+# room for the rounding of a k-term dot product (below k * 2**-53, so any
+# k < 1e9) and of the few other operations in one step.
+_BOUND_SLACK = 1e-6
 
 MODES = ("stochastic", "expected")
 
@@ -345,31 +350,80 @@ def simulate(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if population.n != graph.n:
         raise ValueError(f"population size {population.n} does not match graph size {graph.n}")
-    report = validate(graph)
-    if not report.normalized:
+    if not is_normalized(graph):
         raise ValueError("graph incoming weights are not normalized")
-    if check_connectivity and not report.strongly_connected:
+    if check_connectivity and not is_strongly_connected(graph):
         raise ValueError("graph is not strongly connected (pass check_connectivity=False to override)")
 
     n = graph.n
-    operator = graph.matrix.toarray() if n <= 512 else graph.matrix
+    dense = n <= 512
+    operator = graph.matrix.toarray() if dense else graph.matrix
     rng = np.random.default_rng(seed)
     stochastic = mode == "stochastic"
+    reactions = population.reactions
+    initial = population.initial_opinions
+    xi = population.susceptibility
+    blended = not (np.isscalar(xi) and xi == 1.0)
+    anchor = (1.0 - xi) * initial if blended else None
+    stubborn = population.fully_stubborn
+
+    # The loop repeats the arithmetic of event_probability and _advance, but
+    # writes into preallocated rows. Instead of taking |x|.max() each step it
+    # carries `bound` >= |x_t|.max(): the operator's largest absolute row sum
+    # `gain` (weight_scale included) gives |x_{t+1}| <= gain * |x_t| +
+    # |reactions| * |g|, and the blend toward the initial opinions and the
+    # stubborn agents stay within max(that, |x_0|). Only once the bound passes
+    # OVERFLOW_LIMIT is the exact peak taken (every step if |x_0| is not finite).
+    gain = weight_scale * float(abs(graph.matrix).sum(axis=1).max())
+    reach = float(np.abs(reactions).max())
+    floor = float(np.abs(initial).max())
+    if not math.isfinite(floor):
+        floor = math.inf
+    bound = floor
 
     opinions = np.empty((horizon, n))
     states = np.empty((horizon, n), dtype=np.int8 if stochastic else np.float64)
-    x = population.initial_opinions.astype(np.float64, copy=True)
-    for t in range(horizon):
-        opinions[t] = x
-        p = event_probability(x, params.lam)
-        s_row = (rng.random(n) < p) if stochastic else p
-        states[t] = s_row
-        if t + 1 < horizon:
-            g = params.gamma * (float(s_row.sum()) / n)
-            x = _advance(x, g, operator, population, weight_scale)
-            peak = np.abs(x).max()
-            if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
-                raise OpinionOverflowError(step=t + 1, magnitude=float(peak))
+    draws = np.empty(n)
+    probability = np.empty(n)
+    push = np.empty(n)
+    opinions[0] = initial
+    with np.errstate(over="ignore"):
+        for t in range(horizon):
+            x = opinions[t]
+            s_row = states[t]
+            p = probability if stochastic else s_row
+            np.multiply(x, params.lam, out=p)
+            np.negative(p, out=p)
+            np.exp(p, out=p)
+            p += 1.0
+            np.divide(1.0, p, out=p)
+            if stochastic:
+                rng.random(out=draws)
+                np.less(draws, p, out=s_row)
+            if t + 1 == horizon:
+                break
+            events = np.count_nonzero(s_row) if stochastic else np.add.reduce(s_row)
+            g = params.gamma * (float(events) / n)
+            nxt = opinions[t + 1]
+            if dense:
+                np.matmul(operator, x, out=nxt)
+            else:
+                nxt[:] = operator @ x
+            if weight_scale != 1.0:
+                nxt *= weight_scale
+            np.multiply(reactions, g, out=push)
+            nxt += push
+            if blended:
+                nxt *= xi
+                nxt += anchor
+            if stubborn is not None:
+                np.copyto(nxt, initial, where=stubborn)
+            bound = max(gain * bound + reach * abs(g), floor) * (1.0 + _BOUND_SLACK)
+            if not bound <= OVERFLOW_LIMIT:
+                peak = np.abs(nxt).max()
+                if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
+                    raise OpinionOverflowError(step=t + 1, magnitude=float(peak))
+                bound = float(peak)
 
     event_fraction = states.sum(axis=1) / n
     return Trajectory(

@@ -195,15 +195,27 @@ def validate(graph: WeightedDigraph) -> GraphReport:
     edges u -> v of a breadth-first levelling, which is 1 exactly when the
     cycle lengths are coprime.
     """
+    return GraphReport(
+        strongly_connected=is_strongly_connected(graph),
+        aperiodic=_aperiodic(graph.matrix),
+        normalized=is_normalized(graph),
+    )
+
+
+def is_normalized(graph: WeightedDigraph) -> bool:
+    """Every node has an incoming edge and its incoming weights sum to 1."""
     sums = graph.incoming_sums()
-    normalized = bool(
+    return bool(
         np.all(graph.indegrees() >= 1)
         and np.max(np.abs(sums - 1.0)) <= NORMALIZATION_TOL
     )
+
+
+def is_strongly_connected(graph: WeightedDigraph) -> bool:
+    """Node 0 reaches every node and every node reaches node 0."""
     pattern = graph.matrix.copy()
     pattern.data = np.ones_like(pattern.data)
-    sc = _reaches_all(pattern) and _reaches_all(sparse.csr_array(pattern.T))
-    return GraphReport(strongly_connected=sc, aperiodic=_aperiodic(graph.matrix), normalized=normalized)
+    return _reaches_all(pattern) and _reaches_all(sparse.csr_array(pattern.T))
 
 
 def _reaches_all(pattern: sparse.csr_array) -> bool:
@@ -267,16 +279,17 @@ def randomize_weights(graph: WeightedDigraph, rounds_per_node: int = 10, seed: i
         if d < 2:
             data[lo:hi] = 1.0
             continue
-        nums = np.full(d, unit, dtype=np.int64)
+        nums = [unit] * d
         if rounds_per_node > 0:
             first = rng.integers(0, d, size=rounds_per_node)
             second = rng.integers(0, d - 1, size=rounds_per_node)
             second += second >= first
-            for a, b in zip(first, second):
+            # Python ints: numpy scalar arithmetic costs more than the halving
+            for a, b in zip(first.tolist(), second.tolist()):
                 half = nums[a] // 2
                 nums[a] -= half
                 nums[b] += half
-        data[lo:hi] = nums / (d * unit)
+        data[lo:hi] = np.array(nums) / (d * unit)
     return WeightedDigraph(matrix=matrix, clusters=graph.clusters)
 
 
@@ -285,17 +298,22 @@ def generate(spec: GraphGenSpec) -> WeightedDigraph:
 
     Structures are resampled with derived seeds until strongly connected,
     up to 100 attempts. Weights start uniform per node and are then mixed
-    by randomize_weights unless spec.weight_rounds is 0.
+    by randomize_weights unless spec.weight_rounds is 0. An sbm with
+    inter_prob 0 and two non-empty blocks can never be strongly connected,
+    so it fails before any attempt.
     """
+    if spec.family == "sbm" and spec.inter_prob == 0.0 and 0 < _first_block(spec) < spec.n:
+        raise GenerationError(
+            f"no strongly connected {spec.family!r} sample exists: inter_prob is 0 and both "
+            f"blocks are non-empty (n={spec.n}, seed={spec.seed})"
+        )
     for attempt in range(_MAX_ATTEMPTS):
         src, dst, clusters = _structure_edges(spec, derive_seed(spec.seed, "structure", attempt))
         try:
             graph = _uniform_graph(spec.n, src, dst, clusters)
         except GraphError:
             continue
-        pattern = graph.matrix.copy()
-        pattern.data = np.ones_like(pattern.data)
-        if not (_reaches_all(pattern) and _reaches_all(sparse.csr_array(pattern.T))):
+        if not is_strongly_connected(graph):
             continue
         if spec.weight_rounds > 0:
             graph = randomize_weights(graph, spec.weight_rounds, derive_seed(spec.seed, "weights", attempt))
@@ -338,7 +356,7 @@ def _structure_edges(spec: GraphGenSpec, seed: int):
             g = nx.fast_gnp_random_graph(spec.n, spec.edge_prob, seed=seed)
             pairs = np.asarray(list(g.edges()), dtype=np.int64).reshape(-1, 2)
     else:
-        s1 = int(spec.cluster_ratios[0] * spec.n)
+        s1 = _first_block(spec)
         clusters = (s1, spec.n - s1)
         pairs = _sbm_pairs(spec.n, s1, spec.intra_prob, spec.inter_prob, np.random.default_rng(seed))
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
@@ -349,6 +367,11 @@ def _structure_edges(spec: GraphGenSpec, seed: int):
         src = np.concatenate([src[keep], loops])
         dst = np.concatenate([dst[keep], loops])
     return src, dst, clusters
+
+
+def _first_block(spec: GraphGenSpec) -> int:
+    """Size of the first sbm block; the second holds the other nodes."""
+    return int(spec.cluster_ratios[0] * spec.n)
 
 
 def _sbm_pairs(n: int, s1: int, rho: float, r: float, rng: np.random.Generator) -> np.ndarray:

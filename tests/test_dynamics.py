@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from gsm_degroot.dynamics import (
+    OVERFLOW_LIMIT,
     ModelParams,
     OpinionOverflowError,
     Population,
     PopulationSpec,
+    _advance,
     event_probability,
     init_opinions,
     opinion_step,
@@ -27,6 +30,7 @@ from gsm_degroot.dynamics import (
 )
 from gsm_degroot.graph import (
     GraphGenSpec,
+    WeightedDigraph,
     from_dense,
     from_edges,
     generate,
@@ -298,6 +302,131 @@ def test_simulate_validates_inputs():
     with pytest.raises(ValueError, match="population size"):
         simulate(graph, uniform_population(4), params, horizon=10, seed=0,
                  check_connectivity=False)
+
+
+# ---------------------------------------------------------------------------
+# simulate against the one-step helpers
+
+
+def reference_simulate(graph, population, params, horizon, seed, mode, weight_scale=1.0):
+    """simulate rebuilt from the one-step helpers, with a fresh array per step.
+
+    Returns (opinions, states, event_fraction). Up to n = 512 simulate mixes
+    with the dense operator, whose products round differently from the
+    sparse ones, so the reference mixes with the same operator.
+    """
+    operator = graph.matrix.toarray() if graph.n <= 512 else graph.matrix
+    rng = np.random.default_rng(seed)
+    x = population.initial_opinions.copy()
+    opinions, states = [], []
+    for t in range(horizon):
+        opinions.append(x)
+        s_row = state_step(x, params.lam, rng) if mode == "stochastic" else event_probability(x, params.lam)
+        states.append(s_row)
+        if t + 1 == horizon:
+            break
+        if weight_scale == 1.0:
+            x = opinion_step(x, s_row, WeightedDigraph(operator), population, params.gamma)
+        else:
+            # simulate scales the mixed opinions before adding the feedback
+            x = _advance(x, steering(s_row, params.gamma), operator, population, weight_scale)
+        peak = np.abs(x).max()
+        if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
+            raise OpinionOverflowError(step=t + 1, magnitude=float(peak))
+    states = np.array(states)
+    return np.array(opinions), states, states.sum(axis=1) / graph.n
+
+
+def assert_same_run(graph, population, params, horizon, seed, mode, weight_scale=1.0):
+    """simulate and reference_simulate agree bit for bit, or fail alike."""
+    def run(fn):
+        try:
+            return fn(graph, population, params, horizon, seed, mode, weight_scale=weight_scale)
+        except OpinionOverflowError as exc:
+            return exc
+    got, want = run(simulate), run(reference_simulate)
+    if isinstance(want, OpinionOverflowError):
+        assert isinstance(got, OpinionOverflowError)
+        assert (got.step, repr(got.magnitude)) == (want.step, repr(want.magnitude))
+        return want
+    assert not isinstance(got, OpinionOverflowError), got
+    for mine, theirs in zip((got.opinions, got.states, got.event_fraction), want):
+        assert mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes()
+    return got
+
+
+@pytest.fixture(scope="module", params=["dense", "sparse"])
+def mixing_graph(request):
+    if request.param == "dense":
+        return generate(GraphGenSpec(family="sbm", n=100, seed=12, inter_prob=0.05))
+    return generate(GraphGenSpec(family="watts-strogatz", n=600, k=6, seed=12))
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "expected"])
+@pytest.mark.parametrize("variant", ["plain", "stubborn", "susceptibility", "susceptibility_per_agent", "scaled"])
+def test_simulate_equals_the_step_helpers_bit_for_bit(mixing_graph, mode, variant):
+    n = mixing_graph.n
+    spec = PopulationSpec(
+        positive_fraction=0.6,
+        stubborn_fraction=0.1 if variant == "stubborn" else 0.0,
+        susceptibility=0.7 if variant == "susceptibility" else 1.0,
+    )
+    pop = spec.build(n, rng_from(5, "pop"), mu=0.3, sigma=1.5)
+    if variant == "susceptibility_per_agent":
+        pop = Population(pop.reactions, pop.initial_opinions, susceptibility=np.linspace(0.4, 1.0, n))
+    weight_scale = 1.01 if variant == "scaled" else 1.0
+    run = assert_same_run(mixing_graph, pop, ModelParams(lam=1.3, gamma=0.8), 300, 17, mode, weight_scale)
+    assert run.horizon == 300
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "expected"])
+def test_overflow_under_slow_growth_matches_the_step_helpers(mode):
+    # growth of 1.01 * 0.999 per step plus a large feedback: the magnitude
+    # estimate nears the limit long before the opinions do
+    graph = generate(GraphGenSpec(family="watts-strogatz", n=50, k=4, seed=9))
+    pop = Population(np.where(np.arange(50) % 3 == 0, -1.0, 1.0), np.linspace(-1.0, 2.0, 50),
+                     susceptibility=0.999)
+    err = assert_same_run(graph, pop, ModelParams(lam=1.0, gamma=1e6), 2000, 1, mode, weight_scale=1.01)
+    assert isinstance(err, OpinionOverflowError)
+    assert err.step > 1000
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "expected"])
+def test_opinions_below_the_limit_run_on_after_the_estimate_passes_it(mode):
+    # the blend and balanced reactions hold the opinions near gamma / 2,
+    # while the magnitude estimate, blind to the blend, grows by about
+    # gamma / 2 per step and passes 1e12 every 200 steps or so
+    n = 40
+    graph = generate(GraphGenSpec(family="erdos-renyi", n=n, edge_prob=0.3, seed=3))
+    pop = Population(np.where(np.arange(n) % 2 == 0, -1.0, 1.0), np.zeros(n), susceptibility=0.5)
+    run = assert_same_run(graph, pop, ModelParams(lam=1.0, gamma=1e10), 1000, 2, mode)
+    assert run.horizon == 1000
+    assert np.abs(run.opinions).max() < OVERFLOW_LIMIT
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "expected"])
+def test_signed_weights_overflow_at_the_step_of_the_step_helpers(mode):
+    # rows sum to 1 but their absolute sums are 2, so the opinions double
+    graph = WeightedDigraph(sparse.csr_array(np.array([[1.5, -0.5], [-0.5, 1.5]])))
+    pop = Population(np.ones(2), np.array([1.0, -1.0]))
+    err = assert_same_run(graph, pop, ModelParams(lam=1.0, gamma=0.0), 100, 0, mode)
+    assert isinstance(err, OpinionOverflowError)
+    assert err.step == 40  # 2**40 is the first doubling past 1e12
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["stochastic", "expected"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_initial_opinion_aborts_at_step_one(mode, value):
+    graph = generate(GraphGenSpec(family="sbm", n=30, seed=4))
+    pop = PopulationSpec().build(30, rng_from(4, "pop"), mu=0.0, sigma=1.0, clusters=graph.clusters)
+    opinions = pop.initial_opinions.copy()
+    opinions[7] = value
+    pop = Population(pop.reactions, opinions, susceptibility=0.5)
+    err = assert_same_run(graph, pop, ModelParams(lam=1.0, gamma=0.5), 50, 3, mode)
+    assert isinstance(err, OpinionOverflowError)
+    assert err.step == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsm_degroot import graph as graph_module
 from gsm_degroot.graph import (
     FAMILIES,
     GenerationError,
@@ -59,6 +60,22 @@ def test_generation_failure_names_family_and_seed():
         generate(GraphGenSpec(family="erdos-renyi", n=10, edge_prob=0.0, seed=9))
 
 
+def test_sbm_without_cross_edges_fails_before_sampling(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graph_module, "_structure_edges", lambda *args: calls.append(args))
+    with pytest.raises(GenerationError, match=r"^no strongly connected 'sbm' sample.*seed=6"):
+        generate(GraphGenSpec(family="sbm", n=100, seed=6, inter_prob=0.0))
+    assert calls == []
+
+
+def test_sbm_without_cross_edges_and_one_empty_block_is_sampled():
+    # int(0.01 * 50) = 0, so the first block is empty and inter_prob is moot
+    g = generate(GraphGenSpec(family="sbm", n=50, seed=2, cluster_ratios=(0.01, 0.99),
+                              intra_prob=0.3, inter_prob=0.0))
+    assert g.clusters == (0, 50)
+    assert validate(g).strongly_connected
+
+
 def test_bad_specs_rejected():
     with pytest.raises(GraphError):
         GraphGenSpec(family="lattice", n=10)
@@ -110,6 +127,43 @@ def test_indegree_one_node_keeps_weight_one():
     g = from_edges(3, edges)
     shuffled = randomize_weights(g, rounds_per_node=10, seed=0)
     assert shuffled.matrix[2, 0] == 1.0
+
+
+def reference_randomize_weights(graph, rounds_per_node, seed):
+    """randomize_weights as first written, on numpy int64 scalars."""
+    rng = np.random.default_rng(seed)
+    matrix = graph.matrix.copy()
+    indptr = matrix.indptr
+    data = matrix.data
+    unit = 1 << rounds_per_node
+    for node in range(graph.n):
+        lo, hi = indptr[node], indptr[node + 1]
+        d = int(hi - lo)
+        if d < 2:
+            data[lo:hi] = 1.0
+            continue
+        nums = np.full(d, unit, dtype=np.int64)
+        if rounds_per_node > 0:
+            first = rng.integers(0, d, size=rounds_per_node)
+            second = rng.integers(0, d - 1, size=rounds_per_node)
+            second += second >= first
+            for a, b in zip(first, second):
+                half = nums[a] // 2
+                nums[a] -= half
+                nums[b] += half
+        data[lo:hi] = nums / (d * unit)
+    return matrix
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("rounds", [0, 1, 10])
+def test_randomize_weights_matches_the_reference_bytes(family, rounds):
+    for seed in (0, 7, 123):
+        g = generate(GraphGenSpec(family=family, n=80, seed=seed, weight_rounds=0, ensure_self_loops=seed == 7))
+        got = randomize_weights(g, rounds_per_node=rounds, seed=seed + 1).matrix
+        want = reference_randomize_weights(g, rounds, seed + 1)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.indices.tobytes() == want.indices.tobytes()
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32))

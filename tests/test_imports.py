@@ -1,4 +1,5 @@
-"""Every import under src/gsm_degroot/ and tests/ is used.
+"""Every import under src/gsm_degroot/ and tests/ is used, and the CLI
+stays cheap to import.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the same module.
@@ -6,6 +7,9 @@ Package __init__ files are exempt, since their imports are re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,14 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_scipy_linear_algebra_unloaded():
+    # scipy.sparse.csgraph pulls in scipy.sparse.linalg and scipy.linalg,
+    # which add 150-200 ms to every command's start-up
+    heavy = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+    code = f"import sys, gsm_degroot.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
