@@ -23,6 +23,7 @@ from .dynamics import (
     PopulationSpec,
     Trajectory,
     event_probability,
+    replicate,
     simulate,
 )
 from .fitting import (
@@ -95,6 +96,7 @@ __all__ = [
     "preprocess",
     "randomize_weights",
     "regime",
+    "replicate",
     "rng_from",
     "run_sweep",
     "save_edge_list",

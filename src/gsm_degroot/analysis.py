@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
-from .dynamics import ModelParams, PopulationSpec, Trajectory, simulate
-from .graph import GraphGenSpec, generate
-from .seeds import derive_seed, rng_from
+from .dynamics import ModelParams, PopulationSpec, Trajectory, fan_out, replicate
+from .graph import GraphGenSpec
+from .seeds import derive_seed
 
 SWEEP_AXES = ("mu", "gamma", "r", "beta", "alpha", "network-size", "family-param")
 
@@ -141,10 +140,7 @@ class SweepResult:
 
 
 def _apply_axes(spec: SweepSpec, coords: dict[str, float]):
-    graph_spec = replace(spec.graph)
-    pop_spec = replace(spec.population)
-    params = replace(spec.params)
-    alpha = None
+    graph_spec, pop_spec, params, alpha = spec.graph, spec.population, spec.params, 1.0
     for name, value in coords.items():
         if name == "mu":
             params = replace(params, mu=value)
@@ -177,8 +173,7 @@ def _family_param(graph_spec: GraphGenSpec, value: float) -> GraphGenSpec:
     return replace(graph_spec, intra_prob=value)
 
 
-def _run_cell(args) -> CellResult:
-    spec, cell_index, coords = args
+def _run_cell(spec: SweepSpec, cell_index: int, coords: dict[str, float]) -> CellResult:
     values: dict[str, list] = {stat: [] for stat in spec.statistics}
     seeds = []
     error = None
@@ -187,21 +182,11 @@ def _run_cell(args) -> CellResult:
         for rep in range(spec.replicates):
             rep_seed = derive_seed(spec.seed, "cell", cell_index, rep)
             seeds.append(rep_seed)
-            graph = generate(replace(graph_spec, seed=derive_seed(rep_seed, "graph")))
-            population = pop_spec.build(
-                graph.n, rng_from(rep_seed, "population"), params.mu, params.sigma, clusters=graph.clusters
-            )
-            trajectory = simulate(
-                graph, population, params, spec.horizon,
-                seed=derive_seed(rep_seed, "simulate"),
-                weight_scale=1.0 if alpha is None else alpha,
-            )
+            _, trajectory = replicate(graph_spec, pop_spec, params, spec.horizon, rep_seed, weight_scale=alpha)
             indices = polarization_indices(trajectory)
             for stat in spec.statistics:
-                if stat == "D_max":
-                    values[stat].append(indices["D_max"])
-                elif stat == "D_max_inf":
-                    values[stat].append(indices["D_max_inf"])
+                if stat in indices:
+                    values[stat].append(indices[stat])
                 elif stat == "X_min_final":
                     values[stat].append(float(trajectory.opinions[-1].min()))
                 elif stat == "X_max_final":
@@ -226,12 +211,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     for cell_index, combo in enumerate(product(*grids)):
         coords = {name: float(v) for name, v in zip(names, combo)}
         tasks.append((spec, cell_index, coords))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_cell, tasks))
-    else:
-        cells = [_run_cell(task) for task in tasks]
-    return SweepResult(spec=spec, cells=cells)
+    return SweepResult(spec=spec, cells=fan_out(_run_cell, tasks, jobs))
 
 
 def write_long_csv(result: SweepResult, path) -> None:

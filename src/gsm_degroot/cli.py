@@ -29,7 +29,7 @@ from .analysis import (
     write_long_csv,
 )
 from .config import ConfigError, build, dump_config, load_config, param_space
-from .dynamics import ModelParams, OpinionOverflowError, PopulationSpec, simulate
+from .dynamics import ModelParams, OpinionOverflowError, PopulationSpec, replicate
 from .fitting import (
     FitConfig,
     FitError,
@@ -51,7 +51,7 @@ from .graph import (
     validate,
 )
 from .ingest import SeriesError, load_series, preprocess
-from .seeds import derive_seed, rng_from
+from .seeds import derive_seed
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -92,15 +92,9 @@ def cmd_gen_graph(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
     out = _prepare_outdir(args, config)
-    seed = config["seed"]
-    params = build(ModelParams, config)
-    graph = generate(build(GraphGenSpec, config, seed=derive_seed(seed, "graph")))
-    population = build(PopulationSpec, config).build(
-        graph.n, rng_from(seed, "population"), params.mu, params.sigma, clusters=graph.clusters
-    )
-    trajectory = simulate(
-        graph, population, params, config["horizon"],
-        seed=derive_seed(seed, "simulate"), mode=config["simulate"]["mode"],
+    population, trajectory = replicate(
+        build(GraphGenSpec, config), build(PopulationSpec, config), build(ModelParams, config),
+        config["horizon"], config["seed"], mode=config["simulate"]["mode"],
     )
     trajectory.write_summary_csv(out / "trajectory.csv")
     if config["simulate"]["write_agents"]:

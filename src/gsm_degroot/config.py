@@ -22,9 +22,9 @@ import yaml
 
 from .analysis import STATISTICS, SweepAxis
 from .dynamics import MODES, ModelParams, PopulationSpec
-from .fitting import AXIS_ORDER, DEFAULT_BOUNDS, DEFAULT_RESOLUTION, FitConfig, ParamSpace
+from .fitting import AXIS_ORDER, DEFAULT_BOUNDS, DEFAULT_RESOLUTION, FitConfig, ParamSpace, check_q_range
 from .graph import GraphGenSpec
-from .ingest import FILLS
+from .ingest import check_preprocess
 from .rules import Rule
 
 CONFIG_VERSION = 1
@@ -95,8 +95,8 @@ _SHAPE = {
         "label": _leaf(str | None),
         "preprocess": {
             "window": _leaf(tuple[int | str, int | str] | None),
-            "smooth": _leaf(int, ge=1),
-            "fill": _leaf(str, among=FILLS),
+            "smooth": _leaf(int),
+            "fill": _leaf(str),
         },
         "space": {axis: _leaf(tuple[float, float, int]) for axis in AXIS_ORDER},
         "pinned": {axis: _leaf(float) for axis in AXIS_ORDER},
@@ -106,8 +106,8 @@ _SHAPE = {
     },
     "identify": {
         "grid": _leaf(str | None),
-        "q_min": _leaf(float, gt=0.0),
-        "q_max": _leaf(float, gt=0.0),
+        "q_min": _leaf(float),
+        "q_max": _leaf(float),
         "points": _leaf(int, ge=1),
         "bootstrap": _leaf(int, ge=1),
     },
@@ -226,6 +226,15 @@ def validate_config(config: dict) -> None:
     for section, cls in _SECTIONS.items():
         _attempt(section, build, cls, config)
     _attempt("fit.space", param_space, config)
+    # the argument checks of preprocess and identifiability, called so that
+    # each call can fail only on the key it names: fill with a valid smooth
+    # width first, and q_min against a q_max that cannot undercut it
+    prep = config["fit"]["preprocess"]
+    _attempt("fit.preprocess.fill", check_preprocess, 1, prep["fill"])
+    _attempt("fit.preprocess.smooth", check_preprocess, prep["smooth"], prep["fill"])
+    q_min, q_max = config["identify"]["q_min"], config["identify"]["q_max"]
+    _attempt("identify.q_min", check_q_range, q_min, max(q_min, q_max))
+    _attempt("identify.q_max", check_q_range, q_min, q_max)
 
 
 def _attempt(path: str, make, *args, **kwargs) -> None:

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from .graph import WeightedDigraph, is_normalized, is_strongly_connected
+from .graph import GraphGenSpec, WeightedDigraph, generate, is_normalized, is_strongly_connected
 from .rules import check_rules, ruled
+from .seeds import derive_seed, rng_from
 
 OVERFLOW_LIMIT = 1e12
 # Relative widening per step of simulate's bound on the opinion magnitude:
@@ -149,15 +151,6 @@ class PopulationSpec:
         )
 
 
-def init_opinions(n: int, mu: float, sigma: float, seed: int) -> np.ndarray:
-    """Draw initial opinions iid Normal(mu, sigma); sigma = 0 is constant mu."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma!r}")
-    if sigma == 0:
-        return np.full(n, float(mu))
-    return np.random.default_rng(seed).normal(mu, sigma, size=n)
-
-
 def sample_reactions(n: int, positive_fraction: float, rng: np.random.Generator, exact: bool = False) -> np.ndarray:
     """Signs in {-1, +1}; iid by default, exact round(fraction * n) positives if exact."""
     if exact:
@@ -184,38 +177,9 @@ def event_probability(opinions: np.ndarray, lam: float) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def state_step(opinions_row: np.ndarray, lam: float, seed_or_rng) -> np.ndarray:
-    """Draw one row of binary events from the current opinions."""
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else np.random.default_rng(seed_or_rng)
-    p = event_probability(opinions_row, lam)
-    return (rng.random(p.size) < p).astype(np.int8)
-
-
-def steering(states_row: np.ndarray, gamma: float) -> float:
-    """Global feedback gamma * event fraction; lies in [0, gamma]."""
-    states_row = np.asarray(states_row)
-    return gamma * (float(states_row.sum()) / states_row.size)
-
-
-def opinion_step(
-    x_row: np.ndarray,
-    s_row: np.ndarray,
-    graph: WeightedDigraph,
-    population: Population,
-    gamma: float,
-) -> np.ndarray:
-    """One opinion update from the current opinions and event row."""
-    x_row = np.asarray(x_row, dtype=np.float64)
-    if x_row.size != graph.n or np.asarray(s_row).size != graph.n or population.n != graph.n:
-        raise ValueError(
-            f"size mismatch: opinions {x_row.size}, states {np.asarray(s_row).size}, "
-            f"population {population.n}, graph {graph.n}"
-        )
-    g = steering(s_row, gamma)
-    return _advance(x_row, g, graph.matrix, population)
-
-
 def _advance(x, g, operator, population, weight_scale=1.0):
+    """One opinion update from opinions x and feedback g = gamma * event
+    fraction: the reference step that simulate's loop repeats in place."""
     mixed = operator @ x
     if weight_scale != 1.0:
         mixed = weight_scale * mixed
@@ -256,16 +220,6 @@ def random_signed_weights(n: int, rng: np.random.Generator, density: float = 0.6
             w[i, rng.integers(n)] = rng.uniform(0.1, 1.0) * (1 if rng.random() < 0.5 else -1)
         w[i] /= np.abs(w[i]).sum()
     return w
-
-
-def scaled_weight_step(x_row: np.ndarray, graph: WeightedDigraph, alpha: float) -> np.ndarray:
-    """Opinion update with every incoming weight scaled by alpha."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    x_row = np.asarray(x_row, dtype=np.float64)
-    if x_row.size != graph.n:
-        raise ValueError(f"opinion vector length {x_row.size} does not match graph size {graph.n}")
-    return alpha * (graph.matrix @ x_row)
 
 
 @dataclass
@@ -435,3 +389,42 @@ def simulate(
         seed=seed,
         mode=mode,
     )
+
+
+def replicate(
+    graph_spec: GraphGenSpec,
+    pop_spec: PopulationSpec,
+    params: ModelParams,
+    horizon: int,
+    seed: int,
+    mode: str = "stochastic",
+    weight_scale: float = 1.0,
+) -> tuple[Population, Trajectory]:
+    """One seeded replicate: generate a graph, draw a population, simulate.
+
+    The three stages draw from seeds derived from seed under the labels
+    "graph", "population" and "simulate"; graph_spec.seed is replaced. The
+    simulate command, every sweep replicate and every fit evaluation run
+    through here, so each can be rebuilt from its seed alone.
+    """
+    graph = generate(replace(graph_spec, seed=derive_seed(seed, "graph")))
+    population = pop_spec.build(
+        graph.n, rng_from(seed, "population"), params.mu, params.sigma, clusters=graph.clusters
+    )
+    trajectory = simulate(
+        graph, population, params, horizon,
+        seed=derive_seed(seed, "simulate"), mode=mode, weight_scale=weight_scale,
+    )
+    return population, trajectory
+
+
+def fan_out(fn, tasks: list[tuple], jobs: int = 1) -> list:
+    """[fn(*task) for task in tasks], spread over jobs worker processes.
+
+    Results keep the task order, so they do not depend on jobs; with
+    jobs > 1, fn, its arguments and its results must pickle.
+    """
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (jobs * 4))))
+    return [fn(*task) for task in tasks]

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import MODES, ModelParams, PopulationSpec, simulate
-from .graph import GenerationError, GraphGenSpec, generate
+from .dynamics import MODES, ModelParams, PopulationSpec, fan_out, replicate
+from .graph import GenerationError, GraphGenSpec
 from .rules import check_rules, rule_of, ruled
-from .seeds import derive_seed, rng_from
+from .seeds import derive_seed
 
 DEFAULT_BOUNDS = {"mu": (-500.0, 500.0), "gamma": (0.0, 50.0), "r": (0.0, 0.5)}
 
@@ -200,28 +199,16 @@ def evaluate_point(point: dict[str, float], data: np.ndarray, config: FitConfig)
         cluster_positive_fractions=config.cluster_positive_fractions,
         stubborn_fraction=p,
     )
+    graph_spec = GraphGenSpec(family="sbm", n=config.n, cluster_ratios=config.cluster_ratios,
+                              intra_prob=config.intra_prob, inter_prob=r)
     errors = np.empty(config.replicates)
     scales = np.empty(config.replicates)
     for rep in range(config.replicates):
         rep_seed = derive_seed(config.seed, "evaluate", *point_key, rep)
         try:
-            graph = generate(GraphGenSpec(
-                family="sbm",
-                n=config.n,
-                seed=derive_seed(rep_seed, "graph"),
-                cluster_ratios=config.cluster_ratios,
-                intra_prob=config.intra_prob,
-                inter_prob=r,
-            ))
+            _, trajectory = replicate(graph_spec, pop_spec, params, data.size, rep_seed, mode=config.mode)
         except GenerationError as exc:
             raise FitError(f"surrogate generation failed at {point}: {exc}") from exc
-        population = pop_spec.build(
-            graph.n, rng_from(rep_seed, "population"), params.mu, params.sigma, clusters=graph.clusters
-        )
-        trajectory = simulate(
-            graph, population, params, data.size,
-            seed=derive_seed(rep_seed, "simulate"), mode=config.mode,
-        )
         errors[rep], scales[rep] = scale_invariant_distance(data, trajectory.event_fraction)
     mean_error = float(errors.mean())
     error_std = float(errors.std())
@@ -252,8 +239,7 @@ class GridResult:
         return {name: float(v) for name, v in zip(self.axes, self.points[index])}
 
 
-def _evaluate_task(args):
-    point, data, config = args
+def _evaluate_task(point, data, config):
     try:
         score = evaluate_point(point, data, config)
         return score, None
@@ -270,11 +256,7 @@ def grid_explore(data: np.ndarray, space: ParamSpace, config: FitConfig, jobs: i
         (space.full_point({name: float(v) for name, v in zip(axes, row)}), data, config)
         for row in points
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_evaluate_task, tasks, chunksize=max(1, len(tasks) // (jobs * 4))))
-    else:
-        outcomes = [_evaluate_task(task) for task in tasks]
+    outcomes = fan_out(_evaluate_task, tasks, jobs)
     n_cells = len(tasks)
     scores = np.full(n_cells, np.nan)
     mean_errors = np.full(n_cells, np.nan)
@@ -427,11 +409,7 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
         (grid.point(idx), data, space, config, derive_seed(config.seed, "anneal", chain))
         for chain, idx in enumerate(starts)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_anneal_task, tasks))
-    else:
-        outcomes = [_anneal_task(task) for task in tasks]
+    outcomes = fan_out(anneal, tasks, jobs)
     best_point, best_score, traces = None, math.inf, []
     for point, score, trace in outcomes:
         traces.append(trace)
@@ -450,11 +428,6 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
         space=space,
         config=config,
     )
-
-
-def _anneal_task(args):
-    start, data, space, config, seed = args
-    return anneal(start, data, space, config, seed)
 
 
 def fit_with_stubbornness(
@@ -476,6 +449,12 @@ class IdentifiabilityCurve:
     qs: np.ndarray
     chi: np.ndarray
     noise: np.ndarray  # two sample stds of the bootstrap variances per q
+
+
+def check_q_range(q_lo: float, q_hi: float) -> None:
+    """Raise ValueError unless 0 < q_lo <= q_hi."""
+    if not 0.0 < q_lo <= q_hi:
+        raise ValueError(f"invalid q range ({q_lo}, {q_hi})")
 
 
 def identifiability(
@@ -500,8 +479,7 @@ def identifiability(
     if points.ndim != 2 or points.shape[0] != scores.size:
         raise ValueError(f"points {points.shape} do not match {scores.size} scores")
     q_lo, q_hi = q_range
-    if not 0.0 < q_lo <= q_hi:
-        raise ValueError(f"invalid q range ({q_lo}, {q_hi})")
+    check_q_range(q_lo, q_hi)
     valid = ~np.isnan(scores)
     points = points[valid]
     scores = scores[valid]

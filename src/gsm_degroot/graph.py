@@ -108,9 +108,6 @@ class WeightedDigraph:
         for idx in order:
             yield int(coo.col[idx]), int(coo.row[idx]), float(coo.data[idx])
 
-    def dense_operator(self) -> np.ndarray:
-        return self.matrix.toarray()
-
 
 def from_edges(
     n: int,
@@ -169,15 +166,6 @@ def from_dense(mat: np.ndarray, clusters: tuple[int, ...] | None = None) -> Weig
 def identity_graph(n: int) -> WeightedDigraph:
     """Self-loop-only graph; the opinion layer leaves every node untouched."""
     return WeightedDigraph(matrix=sparse.csr_array(sparse.eye(n, format="csr")))
-
-
-def scale_weights(graph: WeightedDigraph, alpha: float) -> WeightedDigraph:
-    """Rescale every weight by alpha, making each incoming sum alpha."""
-    if alpha <= 0.0 or not math.isfinite(alpha):
-        raise GraphError(f"scale factor must be positive and finite, got {alpha!r}")
-    scaled = graph.matrix.copy()
-    scaled.data = scaled.data * alpha
-    return WeightedDigraph(matrix=scaled, clusters=graph.clusters)
 
 
 @dataclass(frozen=True)
@@ -411,8 +399,7 @@ def stationary_distribution(graph: WeightedDigraph, tol: float = 1e-12, max_iter
     Periodic or disconnected chains do not converge and raise
     ConvergenceError naming the iteration cap.
     """
-    report = validate(graph)
-    if not report.normalized:
+    if not is_normalized(graph):
         raise GraphError("stationary distribution needs normalized incoming weights")
     n = graph.n
     pi = np.full(n, 1.0 / n)

@@ -123,6 +123,14 @@ def _unit_range(lo, hi):
     return out
 
 
+def check_preprocess(smooth: int, fill: str) -> None:
+    """Raise SeriesError unless preprocess takes this smooth width and fill."""
+    if fill not in FILLS:
+        raise SeriesError(f"fill must be 'zero' or 'previous', got {fill!r}")
+    if smooth < 1 or smooth % 2 == 0:
+        raise SeriesError(f"smooth width must be an odd positive integer, got {smooth}")
+
+
 def preprocess(
     series: TimeSeries,
     window: tuple | None = None,
@@ -136,10 +144,7 @@ def preprocess(
     width that zero-pads beyond the ends; smooth = 1 leaves values alone.
     The output keeps one entry per timestamp of the filled range.
     """
-    if fill not in FILLS:
-        raise SeriesError(f"fill must be 'zero' or 'previous', got {fill!r}")
-    if smooth < 1 or smooth % 2 == 0:
-        raise SeriesError(f"smooth width must be an odd positive integer, got {smooth}")
+    check_preprocess(smooth, fill)
     timestamps = list(series.timestamps)
     values = series.values
     if window is not None:

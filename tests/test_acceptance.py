@@ -16,7 +16,7 @@ import pytest
 import yaml
 from scipy.optimize import minimize_scalar
 
-from gsm_degroot import fitting
+from gsm_degroot import dynamics
 from gsm_degroot.analysis import SweepAxis, SweepSpec, polarization_indices, run_sweep
 from gsm_degroot.cli import main
 from gsm_degroot.dynamics import (
@@ -99,7 +99,7 @@ def test_criterion_04():
         population = Population(reactions=rng.choice([-1.0, 1.0], 6), initial_opinions=rng.normal(0.0, 1.0, 6))
         gamma = 0.7
         trajectory = simulate(graph, population, ModelParams(lam=1.0, gamma=gamma), 8, seed=derive_seed(4, "sim", s))
-        operator = graph.dense_operator()
+        operator = graph.matrix.toarray()
         kick = population.reactions * gamma
         for t in range(8):
             unrolled = np.linalg.matrix_power(operator, t) @ population.initial_opinions
@@ -352,7 +352,7 @@ def counted_mixing_fit(task):
         return simulate(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fitting, "simulate", counted_simulate)
+        patch.setattr(dynamics, "simulate", counted_simulate)
         result = fit(synthetic_series(truth, s), space=space, config=recovery_config(s))
     return {"r": result.best["r"], "sims": sims}
 

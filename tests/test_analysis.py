@@ -155,6 +155,19 @@ def test_sweep_jobs_do_not_change_results():
         assert ca.values == cb.values
 
 
+def test_sweep_cells_keep_their_seeds():
+    # taken from the code before sweeps ran through dynamics.replicate: a
+    # changed seed label or derivation changes these digits
+    spec = sweep_spec(axes=[SweepAxis("gamma", 0.0, 0.5, 2)], horizon=40, replicates=2,
+                      statistics=("D_max", "X_min_final"), seed=3)
+    cell = run_sweep(spec).cell(0.5)
+    assert cell.seeds == [18072681202594094623, 13998627772876606951]
+    assert {stat: [repr(v) for v in values] for stat, values in cell.values.items()} == {
+        "D_max": ["3.221829829720088", "4.423676687689287"],
+        "X_min_final": ["-0.35416400574920126", "-0.26960781787959087"],
+    }
+
+
 def test_replicate_seeds_are_distinct():
     result = run_sweep(sweep_spec(axes=[SweepAxis("gamma", 0.0, 1.0, 4)], horizon=30))
     all_seeds = [s for cell in result.cells for s in cell.seeds]

@@ -1,6 +1,7 @@
 """End-to-end subcommand runs in temporary directories."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -302,3 +303,23 @@ def test_rerun_from_resolved_config_is_bit_identical(tmp_path):
     assert main(["simulate", "--config", str(first / "resolved_config.yaml"), "--out", str(second)]) == 0
     assert read_bytes(first / "trajectory.csv") == read_bytes(second / "trajectory.csv")
     assert read_bytes(first / "resolved_config.yaml") == read_bytes(second / "resolved_config.yaml")
+
+
+# ---------------------------------------------------------------------------
+# README quick start
+
+
+def readme_block(language, after):
+    """The first fenced block in README.md of language that follows the text after."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index(f"```{language}\n", text.index(after)) + len(language) + 4
+    return text[start:text.index("```", start)]
+
+
+def test_readme_python_run_matches_the_cli(tmp_path, monkeypatch):
+    config = tmp_path / "run.yaml"
+    config.write_text(readme_block("yaml", "with a minimal `run.yaml`"))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "cli")]) == 0
+    monkeypatch.chdir(tmp_path)
+    exec(readme_block("python", "From Python the same run is"), {})
+    assert read_bytes(tmp_path / "trajectory.csv") == read_bytes(tmp_path / "cli" / "trajectory.csv")

@@ -227,6 +227,9 @@ REJECTED = [
     ("identify.q_max", _with("identify", q_max=-0.01)),
     ("identify.points", _with("identify", points=0)),
     ("identify.bootstrap", _with("identify", bootstrap=0)),
+    # rules of preprocess and identifiability, checked at load
+    ("fit.preprocess.smooth", _with("fit.preprocess", smooth=2)),
+    ("identify.q_max", _with("identify", q_min=0.5, q_max=0.1)),
 ]
 
 

@@ -1,7 +1,8 @@
-"""Single-step update rules, the coupled simulation loop, and the
-model's pathwise guarantees."""
+"""The one-step reference (event_probability and _advance), the coupled
+simulation loop, and the model's pathwise guarantees."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,16 +18,13 @@ from gsm_degroot.dynamics import (
     PopulationSpec,
     _advance,
     event_probability,
-    init_opinions,
-    opinion_step,
+    fan_out,
     random_signed_weights,
+    replicate,
     sample_reactions,
     sample_stubborn_mask,
-    scaled_weight_step,
     signed_opinion_step,
     simulate,
-    state_step,
-    steering,
 )
 from gsm_degroot.graph import (
     GraphGenSpec,
@@ -48,26 +46,41 @@ def uniform_population(n, reactions=1.0, opinions=0.0, **kwargs):
     )
 
 
+def first_step(opinions, gamma):
+    """Expected-mode run of two ticks on the identity graph: (events, push).
+
+    The identity graph leaves opinions unmixed and every reaction is +1, so
+    opinions[1] - opinions[0] is the feedback gamma * event fraction.
+    """
+    opinions = np.asarray(opinions, dtype=np.float64)
+    pop = Population(np.ones(opinions.size), opinions)
+    traj = simulate(identity_graph(opinions.size), pop, ModelParams(gamma=gamma), horizon=2,
+                    seed=0, mode="expected", check_connectivity=False)
+    return traj.states[0], traj.opinions[1] - traj.opinions[0]
+
+
 # ---------------------------------------------------------------------------
 # initial opinions and event probabilities
 
 
 def test_zero_sigma_gives_constant_opinions():
-    np.testing.assert_array_equal(init_opinions(5, 3.0, 0.0, seed=1), np.full(5, 3.0))
+    pop = PopulationSpec().build(5, rng_from(1), mu=3.0, sigma=0.0)
+    np.testing.assert_array_equal(pop.initial_opinions, np.full(5, 3.0))
 
 
 def test_init_opinions_mean_matches_mu():
-    draws = init_opinions(10_000, -2.0, 1.0, seed=42)
+    draws = PopulationSpec().build(10_000, rng_from(42), mu=-2.0, sigma=1.0).initial_opinions
     assert abs(draws.mean() - (-2.0)) < 4 / 100  # four standard errors
 
 
 def test_init_opinions_deterministic():
-    np.testing.assert_array_equal(init_opinions(50, 0.0, 1.0, 7), init_opinions(50, 0.0, 1.0, 7))
+    first, second = (PopulationSpec().build(50, rng_from(7), mu=0.0, sigma=1.0) for _ in range(2))
+    np.testing.assert_array_equal(first.initial_opinions, second.initial_opinions)
 
 
 def test_init_opinions_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        init_opinions(5, 0.0, -1.0, seed=0)
+    with pytest.raises(ValueError, match="sigma"):
+        ModelParams(sigma=-1.0)
 
 
 def test_event_probability_at_zero_is_half():
@@ -92,56 +105,68 @@ def test_event_probability_saturates_without_nan():
 
 
 def test_state_step_deterministic_and_binary():
+    # the event row of tick 0 is one draw of the simulate stream against
+    # the event probabilities
     x = np.linspace(-2, 2, 40)
-    a = state_step(x, 1.0, 123)
-    b = state_step(x, 1.0, 123)
+    pop = Population(np.ones(40), x)
+    a, b = (simulate(identity_graph(40), pop, ModelParams(), horizon=1, seed=123,
+                     check_connectivity=False).states[0] for _ in range(2))
     np.testing.assert_array_equal(a, b)
     assert set(np.unique(a)) <= {0, 1}
+    draws = np.random.default_rng(123).random(40)
+    np.testing.assert_array_equal(a, (draws < event_probability(x, 1.0)).astype(np.int8))
 
 
 def test_state_step_frequency_tracks_probability():
-    draws = state_step(np.zeros(10_000), 1.0, 5)
+    pop = Population(np.ones(10_000), np.zeros(10_000))
+    draws = simulate(identity_graph(10_000), pop, ModelParams(), horizon=1, seed=5,
+                     check_connectivity=False).states[0]
     assert abs(draws.mean() - 0.5) < 4 * 0.5 / 100
 
 
 # ---------------------------------------------------------------------------
-# steering
+# steering: the feedback gamma * event fraction
 
 
 def test_steering_no_events():
-    assert steering(np.zeros(8), gamma=5.0) == 0.0
+    events, push = first_step(np.full(8, -1e9), gamma=5.0)
+    assert events.sum() == 0.0
+    np.testing.assert_array_equal(push, 0.0)
 
 
 def test_steering_all_events():
-    assert steering(np.ones(8), gamma=5.0) == 5.0
+    events, push = first_step(np.full(8, 1e9), gamma=5.0)
+    assert events.sum() == 8.0
+    np.testing.assert_array_equal(push, 5.0)
 
 
 def test_steering_quarter():
-    assert steering(np.array([1, 0, 0, 0]), gamma=2.0) == 0.5
+    _, push = first_step(np.array([1e9, -1e9, -1e9, -1e9]), gamma=2.0)
+    np.testing.assert_array_equal(push, 0.5)
 
 
 # ---------------------------------------------------------------------------
-# opinion_step
+# one opinion update: _advance
 
 
 def test_pure_steering_adds_feedback():
     g = identity_graph(2)
     pop = uniform_population(2, reactions=1.0, opinions=1.0)
-    nxt = opinion_step(np.ones(2), np.ones(2), g, pop, gamma=0.3)
+    nxt = _advance(np.ones(2), 0.3 * 1.0, g.matrix, pop)
     np.testing.assert_allclose(nxt, 1.3)
 
 
 def test_swap_graph_permutes_opinions():
     g = from_edges(2, [(1, 0, 1.0), (0, 1, 1.0)])
     pop = uniform_population(2)
-    nxt = opinion_step(np.array([0.0, 1.0]), np.zeros(2), g, pop, gamma=0.0)
+    nxt = _advance(np.array([0.0, 1.0]), 0.0, g.matrix, pop)
     np.testing.assert_array_equal(nxt, [1.0, 0.0])
 
 
 def test_averaging_graph_blends_opinions():
     g = from_dense(np.full((2, 2), 0.5))
     pop = uniform_population(2)
-    nxt = opinion_step(np.array([0.0, 1.0]), np.zeros(2), g, pop, gamma=0.0)
+    nxt = _advance(np.array([0.0, 1.0]), 0.0, g.matrix, pop)
     np.testing.assert_allclose(nxt, [0.5, 0.5])
 
 
@@ -152,7 +177,7 @@ def test_fully_stubborn_agent_never_moves():
         initial_opinions=np.array([7.0, 0.0]),
         fully_stubborn=np.array([True, False]),
     )
-    nxt = opinion_step(np.array([7.0, 0.0]), np.ones(2), g, pop, gamma=1.0)
+    nxt = _advance(np.array([7.0, 0.0]), 1.0 * 1.0, g.matrix, pop)
     assert nxt[0] == 7.0
     assert nxt[1] != 0.0
 
@@ -165,7 +190,7 @@ def test_partial_stubbornness_blends_toward_initial():
         susceptibility=0.25,
     )
     # full update would give 5 + 1*0.4; blend keeps 3/4 of the anchor
-    nxt = opinion_step(np.array([5.0]), np.ones(1), g, pop, gamma=0.4)
+    nxt = _advance(np.array([5.0]), 0.4 * 1.0, g.matrix, pop)
     np.testing.assert_allclose(nxt, [0.25 * 5.4 + 0.75 * 2.0])
 
 
@@ -174,15 +199,10 @@ def test_unit_susceptibility_reduces_to_plain_update():
     x = np.array([1.0, -2.0, 0.5])
     pop_plain = uniform_population(3, opinions=9.0)
     pop_blend = uniform_population(3, opinions=9.0, susceptibility=1.0)
-    s = np.array([1, 0, 1])
+    g_push = 0.7 * 2 / 3  # two of three agents act
     np.testing.assert_array_equal(
-        opinion_step(x, s, g, pop_plain, 0.7), opinion_step(x, s, g, pop_blend, 0.7)
+        _advance(x, g_push, g.matrix, pop_plain), _advance(x, g_push, g.matrix, pop_blend)
     )
-
-
-def test_opinion_step_length_mismatch():
-    with pytest.raises(ValueError, match="size mismatch"):
-        opinion_step(np.ones(3), np.ones(3), identity_graph(2), uniform_population(2), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +324,31 @@ def test_simulate_validates_inputs():
                  check_connectivity=False)
 
 
+def test_replicate_ignores_the_spec_seed():
+    spec = GraphGenSpec(family="sbm", n=30, seed=1)
+    args = (PopulationSpec(stubborn_fraction=0.1), ModelParams(lam=1.0, gamma=0.4), 40, 8)
+    pop_a, traj_a = replicate(spec, *args)
+    pop_b, traj_b = replicate(replace(spec, seed=2), *args)
+    np.testing.assert_array_equal(pop_a.fully_stubborn, pop_b.fully_stubborn)
+    assert traj_a.opinions.tobytes() == traj_b.opinions.tobytes()
+    assert traj_a.states.tobytes() == traj_b.states.tobytes()
+
+
+def test_fan_out_keeps_task_order_at_any_jobs():
+    tasks = [(7, 2), (9, 4), (1, 1), (20, 6), (5, 5)]
+    want = [divmod(*task) for task in tasks]
+    assert fan_out(divmod, tasks) == want
+    assert fan_out(divmod, tasks, jobs=2) == want
+    assert fan_out(divmod, [], jobs=2) == []
+
+
 # ---------------------------------------------------------------------------
-# simulate against the one-step helpers
+# simulate against the one-step reference
 
 
 def reference_simulate(graph, population, params, horizon, seed, mode, weight_scale=1.0):
-    """simulate rebuilt from the one-step helpers, with a fresh array per step.
+    """simulate rebuilt from event_probability and _advance, with a fresh
+    array per step and the event draws of one shared Generator.
 
     Returns (opinions, states, event_fraction). Up to n = 512 simulate mixes
     with the dense operator, whose products round differently from the
@@ -321,15 +360,13 @@ def reference_simulate(graph, population, params, horizon, seed, mode, weight_sc
     opinions, states = [], []
     for t in range(horizon):
         opinions.append(x)
-        s_row = state_step(x, params.lam, rng) if mode == "stochastic" else event_probability(x, params.lam)
+        p = event_probability(x, params.lam)
+        s_row = (rng.random(p.size) < p).astype(np.int8) if mode == "stochastic" else p
         states.append(s_row)
         if t + 1 == horizon:
             break
-        if weight_scale == 1.0:
-            x = opinion_step(x, s_row, WeightedDigraph(operator), population, params.gamma)
-        else:
-            # simulate scales the mixed opinions before adding the feedback
-            x = _advance(x, steering(s_row, params.gamma), operator, population, weight_scale)
+        g = params.gamma * (float(s_row.sum()) / s_row.size)
+        x = _advance(x, g, operator, population, weight_scale)
         peak = np.abs(x).max()
         if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
             raise OpinionOverflowError(step=t + 1, magnitude=float(peak))
@@ -449,7 +486,7 @@ def test_all_positive_signed_weights_reduce_to_plain_step():
     w = np.abs(random_signed_weights(6, rng))
     w /= w.sum(axis=1, keepdims=True)
     x = rng.normal(size=6)
-    plain = opinion_step(x, np.zeros(6), from_dense(w), uniform_population(6), 0.0)
+    plain = _advance(x, 0.0, from_dense(w).matrix, uniform_population(6))
     np.testing.assert_allclose(signed_opinion_step(x, w), plain, atol=1e-12)
 
 
@@ -469,8 +506,9 @@ def test_signed_runs_never_grow_in_magnitude(seed):
 def test_scaled_step_at_one_is_plain_step():
     graph = generate(GraphGenSpec(family="sbm", n=20, seed=5))
     x = np.linspace(-1, 2, 20)
-    plain = opinion_step(x, np.zeros(20), graph, uniform_population(20), 0.0)
-    np.testing.assert_array_equal(scaled_weight_step(x, graph, 1.0), plain)
+    pop = Population(np.ones(20), x)
+    run = simulate(graph, pop, ModelParams(gamma=0.0), horizon=2, seed=0, weight_scale=1.0)
+    np.testing.assert_array_equal(run.opinions[1], graph.matrix.toarray() @ x)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.0])
@@ -479,8 +517,10 @@ def test_scaled_steps_stay_in_geometric_envelope(alpha):
     rng = np.random.default_rng(12)
     x = rng.uniform(1.0, 2.0, 30)
     lo, hi = x.min(), x.max()
+    opinions = simulate(graph, Population(np.ones(30), x), ModelParams(gamma=0.0), horizon=21,
+                        seed=0, weight_scale=alpha).opinions
     for t in range(1, 21):
-        x = scaled_weight_step(x, graph, alpha)
+        x = opinions[t]
         assert np.all(x >= alpha**t * lo - 1e-9 * abs(alpha**t * lo))
         assert np.all(x <= alpha**t * hi + 1e-9 * abs(alpha**t * hi))
 

@@ -227,6 +227,18 @@ def test_scoring_is_deterministic():
     assert first == second
 
 
+@pytest.mark.parametrize("mode, want", [
+    ("stochastic", "0.3955000485175233"),
+    ("expected", "0.3176332039104558"),
+])
+def test_scores_keep_their_seeds(mode, want):
+    # taken from the code before scoring ran through dynamics.replicate: a
+    # changed seed label or derivation changes these digits
+    data = 0.2 + 0.1 * np.sin(np.linspace(0.0, 6.0, 80))
+    config = FitConfig(n=30, replicates=2, mode=mode, seed=4)
+    assert repr(evaluate_point({"mu": -20.0, "gamma": 3.0, "r": 0.2}, data, config).score) == want
+
+
 def test_zero_stubbornness_reproduces_plain_scores():
     # the p = 0 plane of the four-parameter search must be seed-identical
     # to the three-parameter search, cell for cell
@@ -435,6 +447,19 @@ def test_fit_is_bit_deterministic():
     assert first.error == second.error
     assert np.array_equal(first.grid.scores, second.grid.scores)
     assert [t.scores for t in first.traces] == [t.scores for t in second.traces]
+
+
+def test_fit_jobs_do_not_change_results():
+    serial = run_small_fit()
+    data = surrogate_series({"mu": -125.0, "gamma": 6.25, "r": 0.3}, 60, derive_seed(61, "fitdata"))
+    config = FitConfig(replicates=1, mode="expected", restarts=2, anneal_iters=30, seed=9)
+    parallel = fit(data, small_space(), config, jobs=2)
+    assert parallel.best == serial.best
+    assert parallel.score == serial.score
+    assert np.array_equal(parallel.grid.scores, serial.grid.scores)
+    assert len(parallel.traces) == len(serial.traces) == 2
+    for mine, theirs in zip(parallel.traces, serial.traces):
+        assert mine == theirs
 
 
 def test_fit_result_fields_are_consistent():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from gsm_degroot import graph as graph_module
 from gsm_degroot.graph import (
@@ -12,6 +13,7 @@ from gsm_degroot.graph import (
     GenerationError,
     GraphError,
     GraphGenSpec,
+    WeightedDigraph,
     from_dense,
     from_edges,
     generate,
@@ -19,7 +21,6 @@ from gsm_degroot.graph import (
     load_edge_list,
     randomize_weights,
     save_edge_list,
-    scale_weights,
     stationary_distribution,
     validate,
 )
@@ -35,7 +36,7 @@ def test_sbm_cluster_sizes():
 
 def test_er_full_probability_is_complete():
     g = generate(GraphGenSpec(family="erdos-renyi", n=3, edge_prob=1.0, seed=0, weight_rounds=0))
-    dense = g.dense_operator()
+    dense = g.matrix.toarray()
     assert np.count_nonzero(dense) == 6  # both directions, no self-loops
     np.testing.assert_allclose(dense[dense > 0], 0.5)
     np.testing.assert_array_equal(g.indegrees(), 2)
@@ -191,6 +192,13 @@ def test_three_cycle_with_self_loops_is_uniform():
     np.testing.assert_allclose(stationary_distribution(g), np.ones(3) / 3, atol=1e-10)
 
 
+def test_unnormalized_graph_has_no_stationary_distribution():
+    # rows sum to 0.9 and 1.0; the graph is strongly connected and aperiodic
+    g = WeightedDigraph(sparse.csr_array(np.array([[0.5, 0.4], [0.5, 0.5]])))
+    with pytest.raises(GraphError, match="stationary distribution needs normalized incoming weights"):
+        stationary_distribution(g)
+
+
 def test_power_iteration_matches_dense_eigensolve():
     rng = np.random.default_rng(12)
     op = rng.random((5, 5)) + 0.05
@@ -207,7 +215,7 @@ def test_power_iteration_matches_dense_eigensolve():
 def test_stationarity_residual_bound():
     g = generate(GraphGenSpec(family="sbm", n=80, seed=21, ensure_self_loops=True))
     pi = stationary_distribution(g, tol=1e-12)
-    residual = np.abs(pi @ g.dense_operator() - pi).sum()
+    residual = np.abs(pi @ g.matrix.toarray() - pi).sum()
     assert residual <= 10 * 1e-12
     assert pi.min() >= 0
     assert abs(pi.sum() - 1.0) < 1e-12
@@ -248,11 +256,6 @@ def test_from_edges_rejects_duplicates():
 def test_from_edges_rejects_uncovered_node():
     with pytest.raises(GraphError, match="incoming"):
         from_edges(3, [(0, 1, 1.0), (1, 0, 1.0)])
-
-
-def test_scale_weights():
-    doubled = scale_weights(identity_graph(3), 2.0)
-    np.testing.assert_allclose(doubled.incoming_sums(), 2.0)
 
 
 def test_edge_list_roundtrip_is_exact(tmp_path):

@@ -1,5 +1,6 @@
-"""Every import under src/gsm_degroot/ and tests/ is used, and the CLI
-stays cheap to import.
+"""Every import under src/gsm_degroot/ and tests/ is used, every function
+and class of the package is used or exported, and the CLI stays cheap to
+import.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the same module.
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import gsm_degroot
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(
@@ -45,6 +48,43 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# Kept although the package never calls them: the one-step reference that
+# tests/test_dynamics.py checks simulate against (and a benchmark hook), and
+# the signed-weight update of acceptance criterion 7.
+UNCALLED_ON_PURPOSE = {"_advance", "signed_opinion_step", "random_signed_weights"}
+
+
+def unreferenced_definitions(sources: dict[str, str], exported) -> list[str]:
+    """Top-level functions and classes that no module reads and exported leaves out."""
+    defined = {}
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}: {name}" for name, module in defined.items()
+                  if name not in read and name not in exported)
+
+
+def test_checker_flags_an_unreferenced_definition():
+    sources = {"a.py": "def f(): pass\nclass C: pass\n", "b.py": "from a import f\nf()\n"}
+    assert unreferenced_definitions(sources, exported=()) == ["a.py: C"]
+    assert unreferenced_definitions(sources, exported=("C",)) == []
+
+
+def test_every_definition_is_used_or_exported():
+    package = ROOT / "src" / "gsm_degroot"
+    sources = {path.name: path.read_text() for path in package.glob("*.py")}
+    exported = set(gsm_degroot.__all__) | UNCALLED_ON_PURPOSE
+    assert unreferenced_definitions(sources, exported) == []
 
 
 def test_cli_import_leaves_scipy_linear_algebra_unloaded():
