@@ -31,10 +31,8 @@ from .fitting import (
     FitError,
     FitResult,
     ParamSpace,
-    default_space,
     evaluate_point,
     fit,
-    fit_with_stubbornness,
     grid_explore,
     identifiability,
     scale_invariant_distance,
@@ -78,12 +76,10 @@ __all__ = [
     "TimeSeries",
     "Trajectory",
     "WeightedDigraph",
-    "default_space",
     "derive_seed",
     "evaluate_point",
     "event_probability",
     "fit",
-    "fit_with_stubbornness",
     "from_dense",
     "from_edges",
     "generate",

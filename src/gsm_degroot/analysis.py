@@ -99,6 +99,8 @@ class SweepSpec:
             raise ValueError(f"sweeps support 1 or 2 axes, got {len(self.axes)}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be at least 1, got {self.replicates}")
+        if not self.statistics:
+            raise ValueError("a sweep needs at least one statistic")
         for stat in self.statistics:
             if stat not in STATISTICS:
                 raise ValueError(f"unknown statistic {stat!r}; choose from {STATISTICS}")

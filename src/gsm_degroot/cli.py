@@ -145,10 +145,7 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> int:
     if not section["data"]:
         print("error: fit.data is required", file=sys.stderr)
         return EXIT_CONFIG
-    series = load_series(section["data"])
-    prep = section["preprocess"]
-    window = tuple(prep["window"]) if prep["window"] is not None else None
-    series = preprocess(series, window=window, smooth=prep["smooth"], fill=prep["fill"])
+    series = preprocess(load_series(section["data"]), **section["preprocess"])
 
     fit_config = build(FitConfig, config, seed=config["seed"])
     result = fit(series.values, param_space(config), fit_config, jobs=args.jobs)

@@ -5,10 +5,10 @@ params sections, and the search and surrogate keys of its fit section, are
 the fields of GraphGenSpec, PopulationSpec, ModelParams and FitConfig:
 their defaults, types and rules come from those dataclasses (the YAML key
 `lambda` is the field `lam`). The keys that only the command line reads
-are listed here with their types and rules. Unset keys take the defaults;
-the --seed flag overrides the seed. The resolved config (defaults merged
-in) is written next to every command's outputs so any run can be
-reproduced from its own artifacts.
+are listed here with their defaults, types and rules. Unset keys take the
+defaults; the --seed flag overrides the seed. The resolved config
+(defaults merged in) is written next to every command's outputs so any run
+can be reproduced from its own artifacts.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import types
 import typing
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import yaml
 
@@ -58,94 +58,78 @@ def _fields_in(section: str) -> dict:
     }
 
 
-def _leaf(hint, **rule) -> tuple:
-    return hint, Rule(**rule) if rule else None
+def _leaf(hint, default=MISSING, **rule) -> tuple:
+    return hint, Rule(**rule) if rule else None, default
 
 
 def _shape_of(cls, keys: dict) -> dict:
-    """Type hint and rule of each field of cls, by config key."""
+    """Type hint, rule and default of each field of cls, by config key."""
     hints = typing.get_type_hints(cls)
-    return {key: (hints[f.name], f.metadata.get("rule")) for key, f in keys.items()}
+    return {
+        key: (hints[f.name], f.metadata.get("rule"), list(f.default) if isinstance(f.default, tuple) else f.default)
+        for key, f in keys.items()
+    }  # YAML spells a tuple as a list
 
 
-def _section(tree: dict, section: str) -> dict:
-    for part in section.split("."):
-        tree = tree[part]
-    return tree
+def _section_shape(section: str) -> dict:
+    return _shape_of(_SECTIONS[section], _fields_in(section))
 
 
-# Type and rule of every key; a list shape holds the shape of its items.
-# The keys only the command line reads are spelled out here, the dataclass
-# sections (left empty) are filled in from their fields below.
+# Type, rule and default of every key; a list shape holds the shape of its
+# items and defaults to empty. The dataclass sections come from their
+# fields; the keys only the command line reads are spelled out here. A key
+# with no default, such as fit.space.p, is absent until a config sets it.
 _SHAPE = {
-    "version": _leaf(int, among=(CONFIG_VERSION,)),
-    "seed": _leaf(int, ge=0, le=2**64 - 1),
-    "graph": {},
-    "population": {},
-    "params": {},
-    "horizon": _leaf(int, ge=1),
-    "simulate": {"mode": _leaf(str, among=MODES), "write_agents": _leaf(bool)},
+    "version": _leaf(int, CONFIG_VERSION, among=(CONFIG_VERSION,)),
+    "seed": _leaf(int, 0, ge=0, le=2**64 - 1),
+    "graph": _section_shape("graph"),
+    "population": _section_shape("population"),
+    "params": _section_shape("params"),
+    "horizon": _leaf(int, 300, ge=1),
+    "simulate": {"mode": _leaf(str, "stochastic", among=MODES), "write_agents": _leaf(bool, False)},
     "sweep": {
         "axes": [_shape_of(SweepAxis, {f.name: f for f in fields(SweepAxis)})],
-        "replicates": _leaf(int, ge=1),
-        "statistics": _leaf(list[str], among=STATISTICS),
+        "replicates": _leaf(int, 5, ge=1),
+        "statistics": _leaf(list[str], ["D_max", "D_max_inf"], among=STATISTICS),
     },
     "fit": {
-        "data": _leaf(str | None),
-        "label": _leaf(str | None),
+        "data": _leaf(str | None, None),
+        "label": _leaf(str | None, None),
         "preprocess": {
-            "window": _leaf(tuple[int | str, int | str] | None),
-            "smooth": _leaf(int),
-            "fill": _leaf(str),
+            "window": _leaf(tuple[int | str, int | str] | None, None),
+            "smooth": _leaf(int, 1),
+            "fill": _leaf(str, "zero"),
         },
-        "space": {axis: _leaf(tuple[float, float, int]) for axis in AXIS_ORDER},
+        "space": {
+            axis: _leaf(tuple[float, float, int], [*DEFAULT_BOUNDS[axis], DEFAULT_RESOLUTION]
+                        if axis in DEFAULT_BOUNDS else MISSING)
+            for axis in AXIS_ORDER
+        },
         "pinned": {axis: _leaf(float) for axis in AXIS_ORDER},
-        "with_stubbornness": _leaf(bool),
-        "p_max": _leaf(float, gt=0.0, le=0.5),
-        "surrogate": {},
+        "surrogate": _section_shape("fit.surrogate"),
+        **_section_shape("fit"),
     },
     "identify": {
-        "grid": _leaf(str | None),
-        "q_min": _leaf(float),
-        "q_max": _leaf(float),
-        "points": _leaf(int, ge=1),
-        "bootstrap": _leaf(int, ge=1),
+        "grid": _leaf(str | None, None),
+        "q_min": _leaf(float, 1e-4),
+        "q_max": _leaf(float, 1e-2),
+        "points": _leaf(int, 9, ge=1),
+        "bootstrap": _leaf(int, 10, ge=1),
     },
 }
 
-DEFAULTS = {
-    "version": CONFIG_VERSION,
-    "seed": 0,
-    "graph": {},
-    "population": {},
-    "params": {},
-    "horizon": 300,
-    "simulate": {"mode": "stochastic", "write_agents": False},
-    "sweep": {"axes": [], "replicates": 5, "statistics": ["D_max", "D_max_inf"]},
-    "fit": {
-        "data": None,
-        "label": None,
-        "preprocess": {"window": None, "smooth": 1, "fill": "zero"},
-        "space": {axis: [lo, hi, DEFAULT_RESOLUTION] for axis, (lo, hi) in DEFAULT_BOUNDS.items()},
-        "pinned": {},
-        "with_stubbornness": False,
-        "p_max": 0.5,
-        "surrogate": {},
-    },
-    "identify": {"grid": None, "q_min": 1e-4, "q_max": 1e-2, "points": 9, "bootstrap": 10},
-}
+
+def _defaults(shape):
+    """The resolved config of an empty document: every default in shape."""
+    if isinstance(shape, dict):
+        return {
+            key: _defaults(item) for key, item in shape.items()
+            if not isinstance(item, tuple) or item[2] is not MISSING
+        }
+    return [] if isinstance(shape, list) else copy.deepcopy(shape[2])
 
 
-def _fill_dataclass_sections() -> None:
-    for section, cls in _SECTIONS.items():
-        keys = _fields_in(section)
-        _section(_SHAPE, section).update(_shape_of(cls, keys))
-        _section(DEFAULTS, section).update(
-            {key: list(f.default) if isinstance(f.default, tuple) else f.default for key, f in keys.items()}
-        )
-
-
-_fill_dataclass_sections()
+DEFAULTS = _defaults(_SHAPE)
 
 
 def build(cls, config: dict, **given):
@@ -155,14 +139,16 @@ def build(cls, config: dict, **given):
     """
     for section, owner in _SECTIONS.items():
         if owner is cls:
-            values = _section(config, section)
+            values = config
+            for part in section.split("."):
+                values = values[part]
             for key, f in _fields_in(section).items():
                 given[f.name] = tuple(values[key]) if isinstance(values[key], list) else values[key]
     return cls(**given)
 
 
 def param_space(config: dict) -> ParamSpace:
-    """The fit search box: space axes not pinned, plus p if requested."""
+    """The fit search box: the space axes that are not pinned."""
     section = config["fit"]
     bounds: dict[str, tuple[float, float]] = {}
     resolution: dict[str, int] = {}
@@ -171,9 +157,6 @@ def param_space(config: dict) -> ParamSpace:
             continue  # pinning overrides the default search axis
         bounds[axis] = (float(lo), float(hi))
         resolution[axis] = int(cells)
-    if section["with_stubbornness"] and "p" not in bounds and "p" not in section["pinned"]:
-        bounds["p"] = (0.0, float(section["p_max"]))
-        resolution["p"] = 4
     return ParamSpace(bounds=bounds, resolution=resolution, pinned=dict(section["pinned"]))
 
 
@@ -264,7 +247,7 @@ def _check(value, shape, path: str) -> None:
         for i, item in enumerate(value):
             _check(item, shape[0], f"{path}.{i}")
     else:
-        hint, rule = shape
+        hint, rule, _ = shape
         if not _matches(value, hint):
             raise _error(path, f"expected {hint.__name__ if isinstance(hint, type) else hint}, got {value!r}")
         reason = rule and rule.violation(value)

@@ -74,14 +74,10 @@ class ParamSpace:
         for name, (lo, hi) in self.bounds.items():
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
                 raise ValueError(f"bounds for {name!r} must satisfy lo < hi, got ({lo}, {hi})")
-        if "p" in self.bounds:
-            lo, hi = self.bounds["p"]
+        for name in ("r", "p"):
+            lo, hi = self.bounds.get(name, (0.0, 0.5))
             if lo < 0.0 or hi > 0.5:
-                raise ValueError(f"stubborn-fraction bounds must stay within [0, 0.5], got ({lo}, {hi})")
-        if "r" in self.bounds:
-            lo, hi = self.bounds["r"]
-            if lo < 0.0 or hi > 0.5:
-                raise ValueError(f"r bounds must stay within [0, 0.5], got ({lo}, {hi})")
+                raise ValueError(f"{name} bounds must stay within [0, 0.5], got ({lo}, {hi})")
         overlap = set(self.bounds) & set(self.pinned)
         if overlap:
             raise ValueError(f"parameters both searched and pinned: {sorted(overlap)}")
@@ -114,18 +110,6 @@ class ParamSpace:
         point = dict(self.pinned)
         point.update(values)
         return point
-
-
-def default_space(with_stubbornness: bool = False, p_max: float = 0.5) -> ParamSpace:
-    """Default search box; the stubbornness variant uses a coarser grid."""
-    bounds = dict(DEFAULT_BOUNDS)
-    resolution = dict.fromkeys(bounds, DEFAULT_RESOLUTION)
-    if with_stubbornness:
-        if not 0.0 < p_max <= 0.5:
-            raise ValueError(f"p_max must lie in (0, 0.5], got {p_max!r}")
-        bounds["p"] = (0.0, p_max)
-        resolution = {"mu": 5, "gamma": 5, "r": 5, "p": 4}
-    return ParamSpace(bounds=bounds, resolution=resolution)
 
 
 @dataclass
@@ -394,13 +378,16 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
 
     The chains start from the restarts best grid cells separated by at
     least one cell diagonal; the overall best-scoring point wins. Raises
-    FitError only if every grid cell fails.
+    ValueError for an all-zero series, which no cell could score, and
+    FitError for fewer than 2 samples or if every grid cell fails.
     """
-    space = space or default_space()
+    space = space or ParamSpace()
     config = config or FitConfig()
     data = np.asarray(data, dtype=np.float64)
     if data.size < 2:
         raise FitError(f"need at least 2 samples to fit, got {data.size}")
+    if float(np.linalg.norm(data)) == 0.0:
+        raise ValueError("data series has zero norm; the relative distance is undefined")
     grid = grid_explore(data, space, config, jobs=jobs)
     starts = _spread_starts(grid, space, config.restarts)
     if not starts:
@@ -428,20 +415,6 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
         space=space,
         config=config,
     )
-
-
-def fit_with_stubbornness(
-    data: np.ndarray,
-    space: ParamSpace | None = None,
-    config: FitConfig | None = None,
-    jobs: int = 1,
-    p_max: float = 0.5,
-) -> FitResult:
-    """Four-parameter fit with a searched stubborn fraction p in [0, p_max]."""
-    space = space or default_space(with_stubbornness=True, p_max=p_max)
-    if "p" not in space.bounds:
-        raise FitError("stubbornness fit needs a bounded p axis")
-    return fit(data, space, config, jobs=jobs)
 
 
 @dataclass
@@ -480,6 +453,8 @@ def identifiability(
         raise ValueError(f"points {points.shape} do not match {scores.size} scores")
     q_lo, q_hi = q_range
     check_q_range(q_lo, q_hi)
+    if n_q < 1 or bootstrap < 1:
+        raise ValueError(f"n_q and bootstrap must be at least 1, got {n_q} and {bootstrap}")
     valid = ~np.isnan(scores)
     points = points[valid]
     scores = scores[valid]

@@ -139,6 +139,9 @@ def preprocess(
 ) -> TimeSeries:
     """Crop to a timestamp window, fill gaps, and smooth.
 
+    The window ends are of the series' kind, integer ticks or dates; a
+    string end is read as a timestamp of the csv.
+
     Gaps are filled at unit spacing (consecutive ticks or days) with zeros
     or the previous value. Smoothing is a centered moving average of odd
     width that zero-pads beyond the ends; smooth = 1 leaves values alone.
@@ -148,10 +151,14 @@ def preprocess(
     timestamps = list(series.timestamps)
     values = series.values
     if window is not None:
-        lo, hi = window
+        lo, hi = (_parse_timestamp(end) if isinstance(end, str) else end for end in window)
+        dated = isinstance(timestamps[0], date)
+        if any(isinstance(end, date) != dated for end in (lo, hi)):
+            kind = "ISO dates" if dated else "integer ticks"
+            raise SeriesError(f"window {tuple(window)!r} does not match the series timestamps, which are {kind}")
         keep = [i for i, ts in enumerate(timestamps) if lo <= ts <= hi]
         if not keep:
-            raise SeriesError(f"window {window!r} selects no samples")
+            raise SeriesError(f"window {tuple(window)!r} selects no samples")
         timestamps = [timestamps[i] for i in keep]
         values = values[keep]
     full = _unit_range(timestamps[0], timestamps[-1])

@@ -33,7 +33,6 @@ from gsm_degroot.fitting import (
     GridResult,
     ParamSpace,
     anneal,
-    default_space,
     fit,
     identifiability,
     scale_invariant_distance,
@@ -281,7 +280,7 @@ def test_criterion_12():
 
 
 def test_criterion_13(criterion_detail):
-    space = default_space()
+    space = ParamSpace()
     diameter = math.sqrt(sum((hi - lo) ** 2 for lo, hi in space.bounds.values()))
     hits = 0
     for s in range(10):

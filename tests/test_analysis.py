@@ -125,6 +125,11 @@ def test_spec_rejects_unknown_statistic():
         sweep_spec(statistics=("D_max", "entropy"))
 
 
+def test_spec_rejects_an_empty_statistics_list():
+    with pytest.raises(ValueError, match="at least one statistic"):
+        sweep_spec(statistics=())
+
+
 # ---------------------------------------------------------------------------
 # run_sweep
 

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from gsm_degroot import dynamics
 from gsm_degroot.analysis import regime
 from gsm_degroot.cli import main
+from gsm_degroot.dynamics import simulate
 from gsm_degroot.fitting import GridResult, read_grid_csv, write_grid_csv
 
 
@@ -243,6 +245,45 @@ def test_fit_with_malformed_data_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, {"fit": dict(FIT_SECTION, data=str(path))})
     assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 2
     assert "duplicate timestamp" in capsys.readouterr().err
+
+
+def dated_series(tmp_path):
+    path = tmp_path / "dated.csv"
+    path.write_text("timestamp,value\n" + "".join(
+        f"2020-01-{day:02d},{0.5 * 0.98 ** day:.6f}\n" for day in range(1, 31)
+    ))
+    return str(path)
+
+
+def test_fit_crops_a_dated_series_to_a_date_window(tmp_path):
+    prep = {"window": ["2020-01-05", "2020-01-25"]}
+    config = write_config(tmp_path, {"fit": dict(FIT_SECTION, data=dated_series(tmp_path), preprocess=prep)})
+    assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "fit.csv").exists()
+
+
+def test_fit_with_a_tick_window_on_a_dated_series_exits_2(tmp_path, capsys):
+    prep = {"window": [5, 25]}
+    config = write_config(tmp_path, {"fit": dict(FIT_SECTION, data=dated_series(tmp_path), preprocess=prep)})
+    assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "does not match the series timestamps" in capsys.readouterr().err
+
+
+def test_fit_rejects_an_all_zero_series_before_simulating(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "zeros.csv"
+    path.write_text("timestamp,value\n" + "".join(f"{t},0\n" for t in range(40)))
+    sims = 0
+
+    def counted_simulate(*args, **kwargs):
+        nonlocal sims
+        sims += 1
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "simulate", counted_simulate)
+    config = write_config(tmp_path, {"fit": dict(FIT_SECTION, data=str(path))})
+    assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "zero norm" in capsys.readouterr().err
+    assert sims == 0
 
 
 def planted_grid_csv(tmp_path):

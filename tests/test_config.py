@@ -1,16 +1,24 @@
 """Config checking, default merging, and resolved-config round-trips."""
 
+import inspect
+from dataclasses import fields
+
 import pytest
 import yaml
 
+from gsm_degroot.analysis import SweepSpec
 from gsm_degroot.config import (
     CONFIG_VERSION,
     DEFAULTS,
     ConfigError,
     dump_config,
     load_config,
+    param_space,
     validate_config,
 )
+from gsm_degroot.dynamics import replicate, simulate
+from gsm_degroot.fitting import ParamSpace, identifiability
+from gsm_degroot.ingest import preprocess
 
 
 def write_yaml(tmp_path, payload, name="run.yaml"):
@@ -69,6 +77,38 @@ def test_invalid_yaml_rejected(tmp_path):
 def test_non_mapping_root_rejected(tmp_path):
     with pytest.raises(ConfigError, match="root must be a mapping"):
         load_config(write_yaml(tmp_path, "- 1\n- 2\n"))
+
+
+def _defaults_of(fn) -> dict:
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items() if p.default is not p.empty}
+
+
+def test_command_line_defaults_match_the_api_defaults():
+    prep = _defaults_of(preprocess)
+    assert DEFAULTS["fit"]["preprocess"] == {key: prep[key] for key in ("window", "smooth", "fill")}
+    ident = _defaults_of(identifiability)
+    section = DEFAULTS["identify"]
+    assert (section["q_min"], section["q_max"]) == ident["q_range"]
+    assert (section["points"], section["bootstrap"]) == (ident["n_q"], ident["bootstrap"])
+    assert DEFAULTS["simulate"]["mode"] == _defaults_of(simulate)["mode"] == _defaults_of(replicate)["mode"]
+    sweep = {f.name: f.default for f in fields(SweepSpec)}
+    assert DEFAULTS["sweep"]["replicates"] == sweep["replicates"]
+    assert DEFAULTS["sweep"]["statistics"] == list(sweep["statistics"])
+    space = ParamSpace()
+    assert DEFAULTS["fit"]["space"] == {axis: [*space.bounds[axis], space.resolution_of(axis)] for axis in space.axes}
+
+
+def test_keys_without_a_default_stay_out_of_the_resolved_config():
+    assert "p" not in DEFAULTS["fit"]["space"]
+    assert DEFAULTS["fit"]["pinned"] == {}
+
+
+def test_space_p_adds_a_searched_p_axis(tmp_path):
+    config = load_config(write_yaml(tmp_path, {"fit": {"space": {"p": [0.0, 0.4, 4]}}}))
+    space = param_space(config)
+    assert space.axes == ["mu", "gamma", "r", "p"]
+    assert space.bounds["p"] == (0.0, 0.4)
+    assert [space.resolution_of(axis) for axis in space.axes] == [6, 6, 6, 4]
 
 
 def test_validate_accepts_resolved_defaults():
@@ -195,9 +235,9 @@ REJECTED = [
     ("fit.space", {"fit": {"space": {"gamma": [0.0, 5.0, 1]}, "pinned": {"gamma": 5.0}}}),
     ("fit.pinned", _with("fit.pinned", bogus=1.0)),
     ("fit.pinned.gamma", _with("fit.pinned", gamma="five")),
-    ("fit.with_stubbornness", _with("fit", with_stubbornness="yes please")),
-    ("fit.p_max", _with("fit", p_max=0.0)),
-    ("fit.p_max", _with("fit", p_max=0.6)),
+    ("fit.with_stubbornness", _with("fit", with_stubbornness=True)),  # removed key: search p with space.p
+    ("fit.p_max", _with("fit", p_max=0.4)),
+    ("fit.space", _with("fit.space", p=[0.0, 0.6, 4])),
     ("fit.surrogate", _with("fit.surrogate", bogus=1)),
     ("fit.surrogate.n", _with("fit.surrogate", n=1)),
     ("fit.surrogate.n", _with("fit.surrogate", n=50.5)),

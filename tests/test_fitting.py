@@ -17,10 +17,8 @@ from gsm_degroot.fitting import (
     _accept,
     _spread_starts,
     anneal,
-    default_space,
     evaluate_point,
     fit,
-    fit_with_stubbornness,
     grid_explore,
     identifiability,
     read_grid_csv,
@@ -132,7 +130,7 @@ def test_mismatched_or_stacked_series_rejected():
 
 
 def test_default_space_axes_and_centers():
-    space = default_space()
+    space = ParamSpace()
     assert space.axes == ["mu", "gamma", "r"]
     centers = space.centers("mu")
     assert centers.size == 6
@@ -152,15 +150,6 @@ def test_full_point_merges_pinned_values():
     space = small_space()
     point = space.full_point({"mu": 10.0, "gamma": 5.0})
     assert point == {"mu": 10.0, "gamma": 5.0, "r": 0.3}
-
-
-def test_stubbornness_space_adds_coarser_p_axis():
-    space = default_space(with_stubbornness=True)
-    assert space.axes == ["mu", "gamma", "r", "p"]
-    assert space.resolution_of("mu") == 5
-    assert space.resolution_of("p") == 4
-    with pytest.raises(ValueError, match="p_max"):
-        default_space(with_stubbornness=True, p_max=0.6)
 
 
 @pytest.mark.parametrize(
@@ -256,7 +245,7 @@ def test_generating_point_scores_in_best_quartile():
     config = FitConfig(seed=derive_seed(52, "cfg"))
     at_point = evaluate_point(point, data, config).mean_error
     rng = rng_from(52, "sample")
-    space = default_space()
+    space = ParamSpace()
     sampled = []
     for _ in range(50):
         candidate = {name: float(rng.uniform(*space.bounds[name])) for name in space.axes}
@@ -365,7 +354,7 @@ def test_best_trace_is_running_minimum():
 
 
 def test_anneal_reaches_planted_optimum():
-    space = default_space()
+    space = ParamSpace()
     rng = rng_from(77, "plant", 0)
     center = {name: float(rng.uniform(*space.bounds[name])) for name in space.axes}
     best, _, _ = anneal(
@@ -490,11 +479,6 @@ def test_fit_aborts_when_every_cell_fails():
         fit(np.linspace(0.4, 0.3, 20), space, FitConfig(replicates=1, seed=3))
 
 
-def test_stubbornness_fit_needs_p_axis():
-    with pytest.raises(FitError, match="needs a bounded p axis"):
-        fit_with_stubbornness(np.linspace(0.4, 0.3, 20), small_space(), FitConfig(seed=1))
-
-
 def test_stubbornness_fit_searches_p():
     space = ParamSpace(
         bounds={"mu": (-100.0, 100.0), "p": (0.0, 0.4)},
@@ -502,7 +486,7 @@ def test_stubbornness_fit_searches_p():
         pinned={"gamma": 0.0, "r": 0.2},
     )
     data = surrogate_series({"mu": -50.0, "gamma": 0.5, "r": 0.2}, 40, derive_seed(64, "a"))
-    result = fit_with_stubbornness(data, space, FitConfig(replicates=1, mode="expected", restarts=2, anneal_iters=20, seed=11))
+    result = fit(data, space, FitConfig(replicates=1, mode="expected", restarts=2, anneal_iters=20, seed=11))
     assert set(result.best) == {"mu", "p"}
     assert 0.0 <= result.best["p"] <= 0.4
 
@@ -547,6 +531,14 @@ def test_failed_cells_are_dropped_from_the_curve():
     scores[::7] = np.nan
     curve = identifiability(points, scores, q_range=(1e-2, 1e-1), seed=3)
     assert np.all(np.isfinite(curve.chi))
+
+
+@pytest.mark.parametrize("kwargs", [dict(bootstrap=0), dict(n_q=0)])
+def test_empty_bootstrap_or_curve_rejected(kwargs):
+    points = unit_grid_points()
+    scores = np.linalg.norm(points - np.array([0.3, 0.7]), axis=1)
+    with pytest.raises(ValueError, match="must be at least 1"):
+        identifiability(points, scores, q_range=(1e-2, 1e-1), **kwargs)
 
 
 def test_small_grid_rejected_with_required_size():

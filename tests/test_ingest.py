@@ -180,6 +180,23 @@ def test_crop_then_fill_then_smooth():
     assert np.allclose(out.values, np.convolve([1.0, 2.0, 2.0, 4.0], np.ones(3) / 3, mode="same"))
 
 
+def test_string_window_ends_read_as_timestamps():
+    days = TimeSeries(timestamps=tuple(date(2020, 1, d) for d in range(1, 11)), values=np.arange(10.0))
+    out = preprocess(days, window=("2020-01-03", "2020-01-05"))
+    assert out.timestamps == (date(2020, 1, 3), date(2020, 1, 4), date(2020, 1, 5))
+    assert np.array_equal(out.values, [2.0, 3.0, 4.0])
+    assert preprocess(ticks([1.0, 2.0, 3.0, 4.0]), window=("1", 2)).timestamps == (1, 2)
+
+
+@pytest.mark.parametrize("series, window", [
+    (TimeSeries(timestamps=(date(2020, 1, 1), date(2020, 1, 2)), values=np.ones(2)), (0, 5)),
+    (ticks([1.0, 2.0]), ("2020-01-01", "2020-01-02")),
+])
+def test_window_of_the_other_timestamp_kind_rejected(series, window):
+    with pytest.raises(SeriesError, match="does not match the series timestamps"):
+        preprocess(series, window=window)
+
+
 def test_empty_crop_rejected():
     with pytest.raises(SeriesError, match="selects no samples"):
         preprocess(ticks([1.0, 2.0]), window=(10, 20))
