@@ -31,6 +31,7 @@ from .fitting import (
     FitError,
     FitResult,
     ParamSpace,
+    anneal,
     evaluate_point,
     fit,
     grid_explore,
@@ -76,6 +77,7 @@ __all__ = [
     "TimeSeries",
     "Trajectory",
     "WeightedDigraph",
+    "anneal",
     "derive_seed",
     "evaluate_point",
     "event_probability",

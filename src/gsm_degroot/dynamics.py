@@ -18,11 +18,18 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
-from .graph import GraphGenSpec, WeightedDigraph, generate, is_normalized, is_strongly_connected
+from .graph import (
+    GenerationError,
+    GraphGenSpec,
+    WeightedDigraph,
+    generate,
+    is_normalized,
+    is_strongly_connected,
+)
 from .rules import check_rules, ruled
 from .seeds import derive_seed, rng_from
 
@@ -31,6 +38,10 @@ OVERFLOW_LIMIT = 1e12
 # room for the rounding of a k-term dot product (below k * 2**-53, so any
 # k < 1e9) and of the few other operations in one step.
 _BOUND_SLACK = 1e-6
+# simulate and event_fractions mix with a dense operator up to this size and
+# a sparse one above it; dense and sparse products round differently, so
+# both loops must switch at the same size to stay byte-identical
+_DENSE_MAX_N = 512
 
 MODES = ("stochastic", "expected")
 
@@ -273,6 +284,22 @@ class Trajectory:
                     writer.writerow([t] + [repr(float(v)) for v in matrix[t]])
 
 
+def _check_run(graph, population, horizon, mode, weight_scale=1.0, check_connectivity=True) -> None:
+    """Raise ValueError for a run that simulate rejects."""
+    if weight_scale <= 0.0:
+        raise ValueError(f"weight_scale must be positive, got {weight_scale!r}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if population.n != graph.n:
+        raise ValueError(f"population size {population.n} does not match graph size {graph.n}")
+    if not is_normalized(graph):
+        raise ValueError("graph incoming weights are not normalized")
+    if check_connectivity and not is_strongly_connected(graph):
+        raise ValueError("graph is not strongly connected (pass check_connectivity=False to override)")
+
+
 def simulate(
     graph: WeightedDigraph,
     population: Population,
@@ -296,21 +323,10 @@ def simulate(
     steering model. weight_scale multiplies every incoming weight at each
     step, for growth or decay protocols where the sums equal alpha != 1.
     """
-    if weight_scale <= 0.0:
-        raise ValueError(f"weight_scale must be positive, got {weight_scale!r}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if population.n != graph.n:
-        raise ValueError(f"population size {population.n} does not match graph size {graph.n}")
-    if not is_normalized(graph):
-        raise ValueError("graph incoming weights are not normalized")
-    if check_connectivity and not is_strongly_connected(graph):
-        raise ValueError("graph is not strongly connected (pass check_connectivity=False to override)")
+    _check_run(graph, population, horizon, mode, weight_scale, check_connectivity)
 
     n = graph.n
-    dense = n <= 512
+    dense = n <= _DENSE_MAX_N
     operator = graph.matrix.toarray() if dense else graph.matrix
     rng = np.random.default_rng(seed)
     stochastic = mode == "stochastic"
@@ -391,6 +407,135 @@ def simulate(
     )
 
 
+def event_fractions(members: list[tuple], horizon: int, mode: str = "stochastic") -> list:
+    """Event-fraction series of K runs advanced together by one tick loop.
+
+    members holds (graph, population, params, seed) tuples of one size n.
+    Entry k of the result is simulate(graph, population, params, horizon,
+    seed=seed, mode=mode).event_fraction byte for byte, as a C-contiguous
+    row, or the exception that call would raise: the ValueError of a
+    rejected input, or an OpinionOverflowError with the same step and
+    magnitude. A member that overflows is frozen at zero, so it neither
+    warns nor touches the others, which run on. Only the series are
+    recorded, not the (horizon, n) opinions and states.
+
+    Dense operators (n <= _DENSE_MAX_N) are stacked as (K, n, n) for one
+    np.matmul per tick, which makes the same gemv call per member as
+    simulate; sparse ones multiply member by member. Stochastic members keep their own
+    Generator. One bound on |opinion| serves the whole batch, as in
+    simulate; only once it passes OVERFLOW_LIMIT are the exact peaks taken.
+    """
+    results: list = [None] * len(members)
+    live = []
+    for k, (graph, population, _, _) in enumerate(members):
+        try:
+            _check_run(graph, population, horizon, mode)
+            live.append(k)
+        except ValueError as exc:
+            results[k] = exc
+    if not live:
+        return results
+    graphs, pops, params, seeds = zip(*(members[k] for k in live))
+    n = graphs[0].n
+    if any(graph.n != n for graph in graphs):
+        raise ValueError(f"members differ in size: {sorted({graph.n for graph in graphs})}")
+
+    size = len(live)
+    dense = n <= _DENSE_MAX_N
+    operator = np.stack([graph.matrix.toarray() for graph in graphs]) if dense else [graph.matrix for graph in graphs]
+    stochastic = mode == "stochastic"
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # x * -lam is exactly -(x * lam): IEEE rounding is symmetric about zero
+    neg_lam = -np.array([[par.lam] for par in params], dtype=np.float64)
+    gamma = np.array([[par.gamma] for par in params], dtype=np.float64)
+    reactions = np.stack([pop.reactions for pop in pops])
+    initial = np.stack([pop.initial_opinions for pop in pops])
+    blended = [(k, pop.susceptibility, (1.0 - pop.susceptibility) * pop.initial_opinions)
+               for k, pop in enumerate(pops)
+               if not (np.isscalar(pop.susceptibility) and pop.susceptibility == 1.0)]
+    stubborn = None
+    if any(pop.fully_stubborn is not None for pop in pops):
+        stubborn = np.zeros((size, n), dtype=bool)
+        for k, pop in enumerate(pops):
+            if pop.fully_stubborn is not None:
+                stubborn[k] = pop.fully_stubborn
+
+    # simulate's bound, taken over the batch: |g| <= |gamma| since the event
+    # fraction lies in [0, 1], so the push term needs no per-tick reduction
+    gain = max(float(abs(graph.matrix).sum(axis=1).max()) for graph in graphs)
+    pushes = np.abs(reactions).max(axis=1) * np.abs(gamma[:, 0])
+    floors = np.abs(initial).max(axis=1)
+    floors[~np.isfinite(floors)] = math.inf
+    push, floor = float(pushes.max()), float(floors.max())
+    bound = floor
+
+    # row t of out holds the fractions of tick t, as a (size, 1) column
+    out = np.empty((horizon, size, 1))
+    x, nxt = initial.copy(), np.empty((size, n))
+    x3, nxt3 = x[:, :, None], nxt[:, :, None]
+    p = np.empty((size, n))
+    draws = np.empty((size, n))
+    events = np.empty((size, n), dtype=bool)
+    g = np.empty((size, 1))
+    mixed = np.empty((size, n))
+    with np.errstate(over="ignore"):
+        for t in range(horizon):
+            np.multiply(x, neg_lam, out=p)
+            np.exp(p, out=p)
+            p += 1.0
+            np.divide(1.0, p, out=p)
+            fraction = out[t]
+            if stochastic:
+                for k, rng in enumerate(rngs):
+                    rng.random(out=draws[k])
+                np.less(draws, p, out=events)
+                np.divide(np.count_nonzero(events, axis=1, keepdims=True), n, out=fraction)
+            else:
+                np.divide(np.add.reduce(p, axis=1, keepdims=True), n, out=fraction)
+            if t + 1 == horizon:
+                break
+            if dense:
+                np.matmul(operator, x3, out=nxt3)
+            else:
+                for k, matrix in enumerate(operator):
+                    nxt[k] = matrix @ x[k]
+            np.multiply(gamma, fraction, out=g)
+            np.multiply(reactions, g, out=mixed)
+            nxt += mixed
+            for k, xi, anchor in blended:
+                nxt[k] *= xi
+                nxt[k] += anchor
+            if stubborn is not None:
+                np.copyto(nxt, initial, where=stubborn)
+            bound = max(gain * bound + push, floor) * (1.0 + _BOUND_SLACK)
+            if not bound <= OVERFLOW_LIMIT:
+                peaks = np.abs(nxt).max(axis=1)
+                for k in np.flatnonzero(~(peaks <= OVERFLOW_LIMIT)):
+                    results[live[k]] = OpinionOverflowError(step=t + 1, magnitude=float(peaks[k]))
+                    for row in (nxt, reactions, initial, gamma):
+                        row[k] = 0.0
+                    pushes[k] = floors[k] = 0.0
+                    blended = [entry for entry in blended if entry[0] != k]
+                push, floor = float(pushes.max()), float(floors.max())
+                bound = float(np.abs(nxt).max())
+            x, nxt, x3, nxt3 = nxt, x, nxt3, x3
+
+    series = np.ascontiguousarray(out[:, :, 0].T)
+    for i, k in enumerate(live):
+        if results[k] is None:
+            results[k] = series[i]
+    return results
+
+
+def _replicate_inputs(graph_spec, pop_spec, params, seed) -> tuple[WeightedDigraph, Population, int]:
+    """Graph, population and simulate seed of one replicate of seed."""
+    graph = generate(replace(graph_spec, seed=derive_seed(seed, "graph")))
+    population = pop_spec.build(
+        graph.n, rng_from(seed, "population"), params.mu, params.sigma, clusters=graph.clusters
+    )
+    return graph, population, derive_seed(seed, "simulate")
+
+
 def replicate(
     graph_spec: GraphGenSpec,
     pop_spec: PopulationSpec,
@@ -405,17 +550,47 @@ def replicate(
     The three stages draw from seeds derived from seed under the labels
     "graph", "population" and "simulate"; graph_spec.seed is replaced. The
     simulate command, every sweep replicate and every fit evaluation run
-    through here, so each can be rebuilt from its seed alone.
+    through here or through replicate_fractions, so each can be rebuilt
+    from its seed alone.
     """
-    graph = generate(replace(graph_spec, seed=derive_seed(seed, "graph")))
-    population = pop_spec.build(
-        graph.n, rng_from(seed, "population"), params.mu, params.sigma, clusters=graph.clusters
-    )
-    trajectory = simulate(
-        graph, population, params, horizon,
-        seed=derive_seed(seed, "simulate"), mode=mode, weight_scale=weight_scale,
-    )
+    graph, population, sim_seed = _replicate_inputs(graph_spec, pop_spec, params, seed)
+    trajectory = simulate(graph, population, params, horizon, seed=sim_seed, mode=mode, weight_scale=weight_scale)
     return population, trajectory
+
+
+# Stacked dense operators per event_fractions batch stay within this size.
+_BATCH_BYTES = 4 << 20
+
+
+def replicate_fractions(replicates: list[tuple], horizon: int, mode: str = "stochastic") -> Iterator:
+    """Event-fraction series of many replicates, run through event_fractions.
+
+    replicates holds (graph_spec, pop_spec, params, seed) tuples. The k-th
+    item yielded is the event_fraction of replicate(graph_spec, pop_spec,
+    params, horizon, seed, mode) byte for byte, or the exception that call
+    would raise; a GenerationError or the ValueError of a rejected
+    population fails its replicate alone. Replicates are generated and run
+    in batches of as many as keep the stacked n x n operators within 4 MB,
+    one batch at a time as the items are taken, so only one batch of
+    series is held at once.
+    """
+    if not replicates:
+        return
+    n = replicates[0][0].n
+    size = max(1, _BATCH_BYTES // (8 * n * n))
+    for lo in range(0, len(replicates), size):
+        built: list = []
+        members = []
+        for graph_spec, pop_spec, params, seed in replicates[lo:lo + size]:
+            try:
+                graph, population, sim_seed = _replicate_inputs(graph_spec, pop_spec, params, seed)
+                members.append((graph, population, params, sim_seed))
+                built.append(None)
+            except (GenerationError, ValueError) as exc:
+                built.append(exc)
+        series = iter(event_fractions(members, horizon, mode) if members else [])
+        for failure in built:
+            yield next(series) if failure is None else failure
 
 
 def fan_out(fn, tasks: list[tuple], jobs: int = 1) -> list:

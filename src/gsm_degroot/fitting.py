@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .dynamics import MODES, ModelParams, PopulationSpec, fan_out, replicate
+from .dynamics import MODES, ModelParams, PopulationSpec, fan_out, replicate_fractions
 from .graph import GenerationError, GraphGenSpec
 from .rules import check_rules, rule_of, ruled
 from .seeds import derive_seed
@@ -165,35 +166,40 @@ def _point_seed_parts(point: dict[str, float]) -> list:
     return parts
 
 
-def evaluate_point(point: dict[str, float], data: np.ndarray, config: FitConfig) -> PointScore:
-    """Score one candidate point against the data series.
-
-    Each replicate samples a fresh surrogate graph and population with
-    seeds derived from (config.seed, point, replicate), simulates one run
-    of len(data) ticks, and measures the scale-invariant distance of its
-    event-fraction series to the data.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    point_key = _point_seed_parts(point)
-    r = float(point["r"])
-    p = float(point.get("p", 0.0))
+def _replicates(point: dict[str, float], config: FitConfig) -> list[tuple]:
+    """The replicate_fractions tasks that score point: one two-block sbm
+    surrogate per replicate, seeded from (config.seed, point, replicate)."""
     params = ModelParams(lam=config.lam, gamma=float(point["gamma"]), mu=float(point["mu"]), sigma=config.sigma)
     pop_spec = PopulationSpec(
         positive_fraction=None,
         cluster_positive_fractions=config.cluster_positive_fractions,
-        stubborn_fraction=p,
+        stubborn_fraction=float(point.get("p", 0.0)),
     )
     graph_spec = GraphGenSpec(family="sbm", n=config.n, cluster_ratios=config.cluster_ratios,
-                              intra_prob=config.intra_prob, inter_prob=r)
+                              intra_prob=config.intra_prob, inter_prob=float(point["r"]))
+    point_key = _point_seed_parts(point)
+    return [
+        (graph_spec, pop_spec, params, derive_seed(config.seed, "evaluate", *point_key, rep))
+        for rep in range(config.replicates)
+    ]
+
+
+def _score(point: dict[str, float], data: np.ndarray, config: FitConfig, series: list):
+    """PointScore of point from its replicates' series, or the exception of
+    the first replicate that failed."""
     errors = np.empty(config.replicates)
     scales = np.empty(config.replicates)
-    for rep in range(config.replicates):
-        rep_seed = derive_seed(config.seed, "evaluate", *point_key, rep)
+    for rep, fractions in enumerate(series):
+        if isinstance(fractions, GenerationError):
+            failure = FitError(f"surrogate generation failed at {point}: {fractions}")
+            failure.__cause__ = fractions
+            return failure
+        if isinstance(fractions, Exception):
+            return fractions
         try:
-            _, trajectory = replicate(graph_spec, pop_spec, params, data.size, rep_seed, mode=config.mode)
-        except GenerationError as exc:
-            raise FitError(f"surrogate generation failed at {point}: {exc}") from exc
-        errors[rep], scales[rep] = scale_invariant_distance(data, trajectory.event_fraction)
+            errors[rep], scales[rep] = scale_invariant_distance(data, fractions)
+        except ValueError as exc:
+            return exc
     mean_error = float(errors.mean())
     error_std = float(errors.std())
     return PointScore(
@@ -202,6 +208,37 @@ def evaluate_point(point: dict[str, float], data: np.ndarray, config: FitConfig)
         error_std=error_std,
         mean_scale=float(scales.mean()),
     )
+
+
+def _score_points(points: list[dict[str, float]], data: np.ndarray, config: FitConfig) -> list:
+    """Score points in this process, every replicate of every point through
+    one replicate_fractions call. Entry i is the PointScore of points[i],
+    or the exception evaluate_point raises for it."""
+    data = np.asarray(data, dtype=np.float64)
+    tasks = [task for point in points for task in _replicates(point, config)]
+    series = replicate_fractions(tasks, data.size, config.mode)
+    return [_score(point, data, config, list(islice(series, config.replicates))) for point in points]
+
+
+def evaluate_point(point: dict[str, float], data: np.ndarray, config: FitConfig) -> PointScore:
+    """Score one candidate point against the data series.
+
+    Each replicate samples a fresh surrogate graph and population with
+    seeds derived from (config.seed, point, replicate), simulates one run
+    of len(data) ticks, and measures the scale-invariant distance of its
+    event-fraction series to the data. A failed surrogate generation
+    raises FitError.
+    """
+    outcome = _score_points([point], data, config)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _parts(count: int, jobs: int) -> list[slice]:
+    """count items as at most jobs contiguous slices of near-equal length."""
+    parts = max(1, min(jobs, count))
+    return [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
 
 
 @dataclass
@@ -223,33 +260,35 @@ class GridResult:
         return {name: float(v) for name, v in zip(self.axes, self.points[index])}
 
 
-def _evaluate_task(point, data, config):
-    try:
-        score = evaluate_point(point, data, config)
-        return score, None
-    except Exception as exc:  # noqa: BLE001 - recorded per cell
-        return None, f"{type(exc).__name__}: {exc}"
+def _grid_part(points, data, config) -> list:
+    """_score_points with each failure as its "Type: message" text."""
+    return [
+        outcome if isinstance(outcome, PointScore) else f"{type(outcome).__name__}: {outcome}"
+        for outcome in _score_points(points, data, config)
+    ]
 
 
 def grid_explore(data: np.ndarray, space: ParamSpace, config: FitConfig, jobs: int = 1) -> GridResult:
-    """Score the center of every grid cell; failures are recorded per cell."""
+    """Score the center of every grid cell; failures are recorded per cell.
+
+    The cells are split into jobs contiguous parts, one per worker process,
+    and each part scores its cells replicate_fractions batches at a time.
+    """
     axes = space.axes
     meshes = np.meshgrid(*[space.centers(name) for name in axes], indexing="ij")
     points = np.column_stack([m.ravel() for m in meshes])
-    tasks = [
-        (space.full_point({name: float(v) for name, v in zip(axes, row)}), data, config)
-        for row in points
-    ]
-    outcomes = fan_out(_evaluate_task, tasks, jobs)
-    n_cells = len(tasks)
+    cells = [space.full_point({name: float(v) for name, v in zip(axes, row)}) for row in points]
+    parts = fan_out(_grid_part, [(cells[part], data, config) for part in _parts(len(cells), jobs)], jobs)
+    outcomes = [outcome for part in parts for outcome in part]
+    n_cells = len(cells)
     scores = np.full(n_cells, np.nan)
     mean_errors = np.full(n_cells, np.nan)
     error_stds = np.full(n_cells, np.nan)
     mean_scales = np.full(n_cells, np.nan)
     errors = []
-    for i, (ps, err) in enumerate(outcomes):
-        if err is not None:
-            errors.append((i, err))
+    for i, ps in enumerate(outcomes):
+        if isinstance(ps, str):
+            errors.append((i, ps))
         else:
             scores[i] = ps.score
             mean_errors[i] = ps.mean_error
@@ -281,6 +320,53 @@ class AnnealTrace:
     failures: int = 0
 
 
+def _chain(start: dict[str, float], space: ParamSpace, config: FitConfig, seed: int):
+    """One annealing chain as a generator.
+
+    It yields each point to score, the start and then every proposal, and
+    is sent back its score or the exception its scoring raised; it returns
+    (best point, best score, trace). A failed start raises its exception.
+    """
+    rng = np.random.default_rng(seed)
+    axes = space.axes
+    lows = np.asarray([space.bounds[a][0] for a in axes])
+    highs = np.asarray([space.bounds[a][1] for a in axes])
+    half_widths = (highs - lows) * config.neighborhood_volume ** (1.0 / len(axes)) / 2.0
+
+    current = np.asarray([float(start[a]) for a in axes])
+    if np.any(current < lows) or np.any(current > highs):
+        raise FitError(f"start point {start} lies outside the search box")
+    current_score = yield {a: float(v) for a, v in zip(axes, current)}
+    if isinstance(current_score, Exception):
+        raise current_score
+    best = current.copy()
+    best_score = current_score
+    temp = config.initial_temp
+    trace = AnnealTrace(points=[], scores=[], accepted=[], temps=[], best_scores=[])
+    for _ in range(config.anneal_iters):
+        proposal = np.clip(current + rng.uniform(-half_widths, half_widths), lows, highs)
+        candidate = {a: float(v) for a, v in zip(axes, proposal)}
+        score = yield candidate
+        failed = isinstance(score, Exception)
+        if failed:
+            score = math.inf
+            trace.failures += 1
+        took = (not failed) and _accept(score - current_score, temp, rng)
+        if took:
+            current = proposal
+            current_score = score
+            if score < best_score:
+                best = proposal.copy()
+                best_score = score
+        trace.points.append(candidate)
+        trace.scores.append(score)
+        trace.accepted.append(took)
+        trace.temps.append(temp)
+        trace.best_scores.append(best_score)
+        temp *= config.cooling
+    return {a: float(v) for a, v in zip(axes, best)}, float(best_score), trace
+
+
 def anneal(
     start: dict[str, float],
     data: np.ndarray,
@@ -300,44 +386,37 @@ def anneal(
     """
     if scorer is None:
         scorer = lambda pt: evaluate_point(space.full_point(pt), data, config).score  # noqa: E731
-    rng = np.random.default_rng(seed)
-    axes = space.axes
-    lows = np.asarray([space.bounds[a][0] for a in axes])
-    highs = np.asarray([space.bounds[a][1] for a in axes])
-    half_widths = (highs - lows) * config.neighborhood_volume ** (1.0 / len(axes)) / 2.0
+    chain = _chain(start, space, config, seed)
+    try:
+        point = next(chain)
+        while True:
+            try:
+                score = scorer(point)
+            except Exception as exc:  # noqa: BLE001 - the chain rejects a failed proposal
+                score = exc
+            point = chain.send(score)
+    except StopIteration as stop:
+        return stop.value
 
-    current = np.asarray([float(start[a]) for a in axes])
-    if np.any(current < lows) or np.any(current > highs):
-        raise FitError(f"start point {start} lies outside the search box")
-    current_score = scorer({a: float(v) for a, v in zip(axes, current)})
-    best = current.copy()
-    best_score = current_score
-    temp = config.initial_temp
-    trace = AnnealTrace(points=[], scores=[], accepted=[], temps=[], best_scores=[])
-    for _ in range(config.anneal_iters):
-        proposal = np.clip(current + rng.uniform(-half_widths, half_widths), lows, highs)
-        candidate = {a: float(v) for a, v in zip(axes, proposal)}
-        try:
-            score = scorer(candidate)
-            failed = False
-        except Exception:  # noqa: BLE001 - failed proposals are rejected, not fatal
-            score = math.inf
-            failed = True
-            trace.failures += 1
-        took = (not failed) and _accept(score - current_score, temp, rng)
-        if took:
-            current = proposal
-            current_score = score
-            if score < best_score:
-                best = proposal.copy()
-                best_score = score
-        trace.points.append(candidate)
-        trace.scores.append(score)
-        trace.accepted.append(took)
-        trace.temps.append(temp)
-        trace.best_scores.append(best_score)
-        temp *= config.cooling
-    return {a: float(v) for a, v in zip(axes, best)}, float(best_score), trace
+
+def _run_chains(starts: list[dict[str, float]], seeds: list[int], data, space: ParamSpace, config: FitConfig) -> list:
+    """anneal's result for each start, the chains run in lockstep: each
+    step scores one point of every chain through one _score_points call."""
+    chains = [_chain(start, space, config, seed) for start, seed in zip(starts, seeds)]
+    points = [next(chain) for chain in chains]
+    results: list = [None] * len(chains)
+    pending = list(range(len(chains)))
+    while pending:
+        outcomes = _score_points([space.full_point(points[i]) for i in pending], data, config)
+        running = []
+        for i, outcome in zip(pending, outcomes):
+            try:
+                points[i] = chains[i].send(outcome.score if isinstance(outcome, PointScore) else outcome)
+                running.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+        pending = running
+    return results
 
 
 def _spread_starts(grid: GridResult, space: ParamSpace, k: int) -> list[int]:
@@ -377,26 +456,27 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
     """Grid pass, then annealing chains from the spread-out best cells.
 
     The chains start from the restarts best grid cells separated by at
-    least one cell diagonal; the overall best-scoring point wins. Raises
-    ValueError for an all-zero series, which no cell could score, and
-    FitError for fewer than 2 samples or if every grid cell fails.
+    least one cell diagonal; the overall best-scoring point wins. jobs
+    worker processes share the grid cells, then the chains, which run in
+    lockstep within each process. Raises ValueError for fewer than 2
+    samples or an all-zero series, which no cell could score, and FitError
+    if every grid cell fails.
     """
     space = space or ParamSpace()
     config = config or FitConfig()
     data = np.asarray(data, dtype=np.float64)
     if data.size < 2:
-        raise FitError(f"need at least 2 samples to fit, got {data.size}")
+        raise ValueError(f"need at least 2 samples to fit, got {data.size}")
     if float(np.linalg.norm(data)) == 0.0:
         raise ValueError("data series has zero norm; the relative distance is undefined")
     grid = grid_explore(data, space, config, jobs=jobs)
     starts = _spread_starts(grid, space, config.restarts)
     if not starts:
         raise FitError("every grid cell failed; nothing to anneal from")
-    tasks = [
-        (grid.point(idx), data, space, config, derive_seed(config.seed, "anneal", chain))
-        for chain, idx in enumerate(starts)
-    ]
-    outcomes = fan_out(anneal, tasks, jobs)
+    points = [grid.point(idx) for idx in starts]
+    seeds = [derive_seed(config.seed, "anneal", chain) for chain in range(len(starts))]
+    groups = [(points[part], seeds[part], data, space, config) for part in _parts(len(starts), jobs)]
+    outcomes = [outcome for group in fan_out(_run_chains, groups, jobs) for outcome in group]
     best_point, best_score, traces = None, math.inf, []
     for point, score, trace in outcomes:
         traces.append(trace)

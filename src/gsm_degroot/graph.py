@@ -14,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-import networkx as nx
 import numpy as np
 from scipy import sparse
 
@@ -258,26 +257,28 @@ def randomize_weights(graph: WeightedDigraph, rounds_per_node: int = 10, seed: i
         raise GraphError(f"rounds_per_node must lie in [0, {_MAX_MIX_ROUNDS}], got {rounds_per_node}")
     rng = np.random.default_rng(seed)
     matrix = graph.matrix.copy()
-    indptr = matrix.indptr
-    data = matrix.data
+    degrees = np.diff(matrix.indptr)
+    mixed = degrees >= 2
+    d = degrees[mixed]
     unit = 1 << rounds_per_node
-    for node in range(graph.n):
-        lo, hi = indptr[node], indptr[node + 1]
-        d = int(hi - lo)
-        if d < 2:
-            data[lo:hi] = 1.0
-            continue
-        nums = [unit] * d
-        if rounds_per_node > 0:
-            first = rng.integers(0, d, size=rounds_per_node)
-            second = rng.integers(0, d - 1, size=rounds_per_node)
-            second += second >= first
-            # Python ints: numpy scalar arithmetic costs more than the halving
-            for a, b in zip(first.tolist(), second.tolist()):
-                half = nums[a] // 2
-                nums[a] -= half
-                nums[b] += half
-        data[lo:hi] = np.array(nums) / (d * unit)
+    nums = np.full(int(d.sum()), unit, dtype=np.int64)
+    if rounds_per_node > 0 and d.size:
+        # one draw in C order, node by node, its rounds_per_node first then
+        # its rounds_per_node second edges: the stream of two calls per node
+        hi = np.empty((d.size, 2, rounds_per_node), dtype=np.int64)
+        hi[:, 0] = d[:, None]
+        hi[:, 1] = d[:, None] - 1
+        first, second = rng.integers(0, hi).transpose(1, 0, 2)
+        second += second >= first
+        starts = (np.cumsum(d) - d)[:, None]
+        # each node moves mass only within its own slice of nums
+        for a, b in zip((starts + first).T, (starts + second).T):
+            half = nums[a] // 2
+            nums[a] -= half
+            nums[b] += half
+    entries = np.repeat(mixed, degrees)
+    matrix.data[~entries] = 1.0
+    matrix.data[entries] = nums / np.repeat(d * unit, d)
     return WeightedDigraph(matrix=matrix, clusters=graph.clusters)
 
 
@@ -330,23 +331,22 @@ def _uniform_graph(n: int, src: np.ndarray, dst: np.ndarray, clusters) -> Weight
 def _structure_edges(spec: GraphGenSpec, seed: int):
     """Directed edge arrays for one structure sample (both directions)."""
     clusters = None
-    if spec.family == "barabasi-albert":
-        g = nx.barabasi_albert_graph(spec.n, spec.m, seed=seed)
-        pairs = np.asarray(list(g.edges()), dtype=np.int64).reshape(-1, 2)
-    elif spec.family == "watts-strogatz":
-        g = nx.watts_strogatz_graph(spec.n, spec.k, spec.rewire_prob, seed=seed)
-        pairs = np.asarray(list(g.edges()), dtype=np.int64).reshape(-1, 2)
-    elif spec.family == "erdos-renyi":
-        if spec.edge_prob >= 1.0:
-            iu = np.triu_indices(spec.n, k=1)
-            pairs = np.column_stack(iu).astype(np.int64)
-        else:
-            g = nx.fast_gnp_random_graph(spec.n, spec.edge_prob, seed=seed)
-            pairs = np.asarray(list(g.edges()), dtype=np.int64).reshape(-1, 2)
-    else:
+    if spec.family == "sbm":
         s1 = _first_block(spec)
         clusters = (s1, spec.n - s1)
         pairs = _sbm_pairs(spec.n, s1, spec.intra_prob, spec.inter_prob, np.random.default_rng(seed))
+    elif spec.family == "erdos-renyi" and spec.edge_prob >= 1.0:
+        pairs = np.column_stack(np.triu_indices(spec.n, k=1)).astype(np.int64)
+    else:
+        import networkx as nx  # here, not at module level: sbm runs never load it
+
+        if spec.family == "barabasi-albert":
+            g = nx.barabasi_albert_graph(spec.n, spec.m, seed=seed)
+        elif spec.family == "watts-strogatz":
+            g = nx.watts_strogatz_graph(spec.n, spec.k, spec.rewire_prob, seed=seed)
+        else:
+            g = nx.fast_gnp_random_graph(spec.n, spec.edge_prob, seed=seed)
+        pairs = np.asarray(list(g.edges()), dtype=np.int64).reshape(-1, 2)
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
     if spec.ensure_self_loops:

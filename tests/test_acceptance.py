@@ -23,6 +23,7 @@ from gsm_degroot.dynamics import (
     ModelParams,
     Population,
     PopulationSpec,
+    event_fractions,
     random_signed_weights,
     signed_opinion_step,
     simulate,
@@ -341,17 +342,18 @@ RECOVERY_JOBS = 2  # worker processes that share the ten seeds of a recovery fix
 
 
 def counted_mixing_fit(task):
-    """One criterion-14 fit; returns the fitted r and the surrogate simulations it ran."""
+    """One criterion-14 fit; returns the fitted r and the surrogate simulations
+    it ran, counted as the members that pass through the batched tick loop."""
     truth, space, s = task
     sims = 0
 
-    def counted_simulate(*args, **kwargs):
+    def counted_event_fractions(members, *args, **kwargs):
         nonlocal sims
-        sims += 1
-        return simulate(*args, **kwargs)
+        sims += len(members)
+        return event_fractions(members, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "simulate", counted_simulate)
+        patch.setattr(dynamics, "event_fractions", counted_event_fractions)
         result = fit(synthetic_series(truth, s), space=space, config=recovery_config(s))
     return {"r": result.best["r"], "sims": sims}
 

@@ -1,6 +1,7 @@
 """End-to-end subcommand runs in temporary directories."""
 
 import csv
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import yaml
 from gsm_degroot import dynamics
 from gsm_degroot.analysis import regime
 from gsm_degroot.cli import main
-from gsm_degroot.dynamics import simulate
+from gsm_degroot.dynamics import event_fractions
 from gsm_degroot.fitting import GridResult, read_grid_csv, write_grid_csv
 
 
@@ -274,16 +275,50 @@ def test_fit_rejects_an_all_zero_series_before_simulating(tmp_path, capsys, monk
     path.write_text("timestamp,value\n" + "".join(f"{t},0\n" for t in range(40)))
     sims = 0
 
-    def counted_simulate(*args, **kwargs):
+    def counted_event_fractions(members, *args, **kwargs):
         nonlocal sims
-        sims += 1
-        return simulate(*args, **kwargs)
+        sims += len(members)
+        return event_fractions(members, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "simulate", counted_simulate)
+    monkeypatch.setattr(dynamics, "event_fractions", counted_event_fractions)
     config = write_config(tmp_path, {"fit": dict(FIT_SECTION, data=str(path))})
     assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 2
     assert "zero norm" in capsys.readouterr().err
     assert sims == 0
+
+
+def test_fit_on_a_one_sample_window_exits_2(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("timestamp,value\n0,0.5\n1,0.4\n2,0.3\n")
+    prep = {"window": [1, 1]}
+    config = write_config(tmp_path, {"fit": dict(FIT_SECTION, data=str(path), preprocess=prep)})
+    assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "need at least 2 samples to fit, got 1" in capsys.readouterr().err
+
+
+# sha256 of the files a small fit wrote before the fit scored its grid
+# cells and anneal chains in batches: three searched axes, two stochastic
+# replicates and two chains whose wide proposals fail at r = 0.0
+FIT_FINGERPRINT = {
+    "fit.csv": "71499810799c14b930e13442f706038957882844b4afa8398d197880c63cae58",
+    "grid.csv": "01bd22d58c0fb1ffe78fe717d7fb7b3edcafdf64f703a90e3cbc2b3616fb7b4c",
+    "anneal_trace.csv": "23d89c3cd0be9fb2acd5f5ef64a4e78216df3dda5112c5c07047b1b08b7d9cf6",
+}
+
+
+def test_fit_outputs_keep_their_bytes_at_any_jobs(tmp_path):
+    section = {
+        "data": decaying_series(tmp_path),
+        "space": {"mu": [-50.0, 50.0, 2], "gamma": [0.0, 5.0, 2], "r": [0.0, 0.5, 2]},
+        "surrogate": {"n": 30}, "replicates": 2, "restarts": 2, "anneal_iters": 8,
+        "neighborhood_volume": 0.5,
+    }
+    config = write_config(tmp_path, {"seed": 3, "fit": section})
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out-{jobs}"
+        assert main(["fit", "--config", config, "--jobs", jobs, "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256(read_bytes(out / name)).hexdigest() for name in FIT_FINGERPRINT}
+        assert digests == FIT_FINGERPRINT, f"--jobs {jobs}"
 
 
 def planted_grid_csv(tmp_path):

@@ -11,22 +11,26 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from gsm_degroot.dynamics import (
+    MODES,
     OVERFLOW_LIMIT,
     ModelParams,
     OpinionOverflowError,
     Population,
     PopulationSpec,
     _advance,
+    event_fractions,
     event_probability,
     fan_out,
     random_signed_weights,
     replicate,
+    replicate_fractions,
     sample_reactions,
     sample_stubborn_mask,
     signed_opinion_step,
     simulate,
 )
 from gsm_degroot.graph import (
+    GenerationError,
     GraphGenSpec,
     WeightedDigraph,
     from_dense,
@@ -464,6 +468,106 @@ def test_non_finite_initial_opinion_aborts_at_step_one(mode, value):
     err = assert_same_run(graph, pop, ModelParams(lam=1.0, gamma=0.5), 50, 3, mode)
     assert isinstance(err, OpinionOverflowError)
     assert err.step == 1
+
+
+# ---------------------------------------------------------------------------
+# the batched loop against simulate and the one-step reference
+
+
+VARIANTS = ("plain", "stubborn", "susceptibility", "susceptibility_per_agent")
+
+
+def batch_member(graph, k):
+    """Member k of a mixed batch: its variant, opinions, params and seed vary with k."""
+    n = graph.n
+    variant = VARIANTS[k % len(VARIANTS)]
+    spec = PopulationSpec(
+        positive_fraction=0.6,
+        stubborn_fraction=0.1 if variant == "stubborn" else 0.0,
+        susceptibility=0.7 if variant == "susceptibility" else 1.0,
+    )
+    pop = spec.build(n, rng_from(5, "pop", k), mu=0.3 * k - 2.0, sigma=1.5)
+    if variant == "susceptibility_per_agent":
+        pop = Population(pop.reactions, pop.initial_opinions, susceptibility=np.linspace(0.4, 1.0, n))
+    return graph, pop, ModelParams(lam=1.3 - 0.02 * k, gamma=0.8 + 0.1 * k), 17 + k
+
+
+def simulate_outcome(member, horizon, mode):
+    """simulate's event fractions for one member, or the error it raises."""
+    graph, population, params, seed = member
+    try:
+        return simulate(graph, population, params, horizon, seed=seed, mode=mode).event_fraction
+    except (OpinionOverflowError, ValueError) as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, OpinionOverflowError):
+            assert (got.step, repr(got.magnitude)) == (want.step, repr(want.magnitude))
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.flags.c_contiguous
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module", params=["dense", "sparse"])
+def batch_graphs(request):
+    if request.param == "dense":
+        return [generate(GraphGenSpec(family="sbm", n=100, seed=s, inter_prob=0.05)) for s in (12, 13, 14)]
+    return [generate(GraphGenSpec(family="watts-strogatz", n=600, k=6, seed=s)) for s in (12, 13, 14)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("size", [1, 2, 3, 36])
+def test_event_fractions_equal_simulate_bit_for_bit(batch_graphs, mode, size):
+    members = [batch_member(batch_graphs[k % 3], k) for k in range(size)]
+    for member, got in zip(members, event_fractions(members, 150, mode)):
+        assert_same_outcome(got, simulate_outcome(member, 150, mode))
+        graph, population, params, seed = member
+        assert got.tobytes() == reference_simulate(graph, population, params, 150, seed, mode)[2].tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("mode", MODES)
+def test_failed_members_fail_alone_with_the_error_of_simulate(mode):
+    graph = generate(GraphGenSpec(family="sbm", n=30, seed=4))
+    members = [batch_member(graph, k) for k in range(6)]
+    # all reactions +1 under a huge feedback: the opinions pass 1e12 mid-run
+    surge = Population(np.ones(30), np.zeros(30))
+    members[1] = (graph, surge, ModelParams(lam=1.0, gamma=1e11), 3)
+    nan_start = members[2][1].initial_opinions.copy()
+    nan_start[7] = math.nan
+    members[2] = (graph, Population(members[2][1].reactions, nan_start, susceptibility=0.5), *members[2][2:])
+    members[4] = (graph, uniform_population(31), *members[4][2:])
+    # 18 of 30 reactions +1: the bound passes 1e12 near step 100, the
+    # opinions only some 250 steps later, after many exact checks
+    drift = Population(np.where(np.arange(30) < 18, 1.0, -1.0), np.zeros(30))
+    members.append((graph, drift, ModelParams(lam=1.0, gamma=1e10), 5))
+    wants = [simulate_outcome(member, 400, mode) for member in members]
+    assert isinstance(wants[1], OpinionOverflowError) and 1 < wants[1].step < 50
+    assert isinstance(wants[2], OpinionOverflowError) and wants[2].step == 1
+    assert isinstance(wants[4], ValueError)
+    assert isinstance(wants[6], OpinionOverflowError) and wants[6].step > 300
+    for got, want in zip(event_fractions(members, 400, mode), wants):
+        assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_replicate_fractions_equal_replicate_across_batches(mode):
+    # n = 300 puts five members in a batch, so seven replicates take two
+    params = ModelParams(lam=1.0, gamma=0.4)
+    tasks = [(GraphGenSpec(family="sbm", n=300, inter_prob=0.0 if k in (1, 5) else 0.05),
+              PopulationSpec(stubborn_fraction=0.05 * (k % 2)), params, 40 + k) for k in range(7)]
+    outcomes = list(replicate_fractions(tasks, 30, mode))
+    assert [isinstance(got, GenerationError) for got in outcomes] == [k in (1, 5) for k in range(7)]
+    for task, got in zip(tasks, outcomes):
+        try:
+            want = replicate(*task[:3], 30, task[3], mode=mode)[1].event_fraction
+        except GenerationError as exc:
+            want = exc
+        assert_same_outcome(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -465,7 +465,7 @@ def test_fit_result_fields_are_consistent():
 
 
 def test_fit_needs_at_least_two_samples():
-    with pytest.raises(FitError, match="at least 2 samples"):
+    with pytest.raises(ValueError, match="at least 2 samples"):
         fit(np.array([0.5]), small_space(), FitConfig(seed=1))
 
 

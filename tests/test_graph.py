@@ -159,8 +159,11 @@ def reference_randomize_weights(graph, rounds_per_node, seed):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("rounds", [0, 1, 10])
 def test_randomize_weights_matches_the_reference_bytes(family, rounds):
-    for seed in (0, 7, 123):
-        g = generate(GraphGenSpec(family=family, n=80, seed=seed, weight_rounds=0, ensure_self_loops=seed == 7))
+    sizes = [(0, 80), (7, 80), (123, 80)]
+    if family == "barabasi-albert":
+        sizes.append((5, 2000))  # in-degrees from 3 into the hundreds
+    for seed, n in sizes:
+        g = generate(GraphGenSpec(family=family, n=n, seed=seed, weight_rounds=0, ensure_self_loops=seed == 7))
         got = randomize_weights(g, rounds_per_node=rounds, seed=seed + 1).matrix
         want = reference_randomize_weights(g, rounds, seed + 1)
         assert got.data.tobytes() == want.data.tobytes()

@@ -96,3 +96,13 @@ def test_cli_import_leaves_scipy_linear_algebra_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # only the barabasi-albert, watts-strogatz and erdos-renyi generators use
+    # networkx, which adds 130-140 ms to every command's start-up
+    code = "import sys, gsm_degroot.cli; print('networkx' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "False"
