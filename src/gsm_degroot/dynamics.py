@@ -34,7 +34,7 @@ from .rules import check_rules, ruled
 from .seeds import derive_seed, rng_from
 
 OVERFLOW_LIMIT = 1e12
-# Relative widening per step of simulate's bound on the opinion magnitude:
+# Relative widening per step of the tick loops' bound on the opinion magnitude:
 # room for the rounding of a k-term dot product (below k * 2**-53, so any
 # k < 1e9) and of the few other operations in one step.
 _BOUND_SLACK = 1e-6
@@ -300,6 +300,29 @@ def _check_run(graph, population, horizon, mode, weight_scale=1.0, check_connect
         raise ValueError("graph is not strongly connected (pass check_connectivity=False to override)")
 
 
+def _bound_terms(graph, population, weight_scale=1.0) -> tuple[float, float, float]:
+    """(gain, reach, floor) of the bound on |opinion| that both tick loops carry.
+
+    With gain the operator's largest absolute row sum (weight_scale
+    included) and reach = max |reaction|, |x_{t+1}| <= gain * |x_t| + reach *
+    |g|; the blend toward the initial opinions and the stubborn agents stay
+    within max(that, floor = |x_0|.max()). floor is inf when |x_0| is not
+    finite, so the exact peak is then taken every step. The loops take the
+    exact peak only once the bound passes OVERFLOW_LIMIT.
+    """
+    gain = weight_scale * float(abs(graph.matrix).sum(axis=1).max())
+    reach = float(np.abs(population.reactions).max())
+    floor = float(np.abs(population.initial_opinions).max())
+    if not math.isfinite(floor):
+        floor = math.inf
+    return gain, reach, floor
+
+
+def _next_bound(bound: float, gain: float, push: float, floor: float) -> float:
+    """The bound one step on, given a push >= reach * |g| of that step."""
+    return max(gain * bound + push, floor) * (1.0 + _BOUND_SLACK)
+
+
 def simulate(
     graph: WeightedDigraph,
     population: Population,
@@ -338,17 +361,9 @@ def simulate(
     stubborn = population.fully_stubborn
 
     # The loop repeats the arithmetic of event_probability and _advance, but
-    # writes into preallocated rows. Instead of taking |x|.max() each step it
-    # carries `bound` >= |x_t|.max(): the operator's largest absolute row sum
-    # `gain` (weight_scale included) gives |x_{t+1}| <= gain * |x_t| +
-    # |reactions| * |g|, and the blend toward the initial opinions and the
-    # stubborn agents stay within max(that, |x_0|). Only once the bound passes
-    # OVERFLOW_LIMIT is the exact peak taken (every step if |x_0| is not finite).
-    gain = weight_scale * float(abs(graph.matrix).sum(axis=1).max())
-    reach = float(np.abs(reactions).max())
-    floor = float(np.abs(initial).max())
-    if not math.isfinite(floor):
-        floor = math.inf
+    # writes into preallocated rows, and it tracks overflow through
+    # _bound_terms' bound instead of taking |x|.max() each step.
+    gain, reach, floor = _bound_terms(graph, population, weight_scale)
     bound = floor
 
     opinions = np.empty((horizon, n))
@@ -388,7 +403,7 @@ def simulate(
                 nxt += anchor
             if stubborn is not None:
                 np.copyto(nxt, initial, where=stubborn)
-            bound = max(gain * bound + reach * abs(g), floor) * (1.0 + _BOUND_SLACK)
+            bound = _next_bound(bound, gain, reach * abs(g), floor)
             if not bound <= OVERFLOW_LIMIT:
                 peak = np.abs(nxt).max()
                 if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
@@ -419,12 +434,21 @@ def event_fractions(members: list[tuple], horizon: int, mode: str = "stochastic"
     warns nor touches the others, which run on. Only the series are
     recorded, not the (horizon, n) opinions and states.
 
-    Dense operators (n <= _DENSE_MAX_N) are stacked as (K, n, n) for one
-    np.matmul per tick, which makes the same gemv call per member as
-    simulate; sparse ones multiply member by member. Stochastic members keep their own
-    Generator. One bound on |opinion| serves the whole batch, as in
-    simulate; only once it passes OVERFLOW_LIMIT are the exact peaks taken.
+    A lone member runs through simulate itself, which is faster at K = 1.
+    Otherwise dense operators (n <= _DENSE_MAX_N) are stacked as (K, n, n)
+    for one np.matmul per tick, which makes the same gemv call per member
+    as simulate; sparse ones multiply member by member. Stochastic members
+    keep their own Generator. One bound on |opinion| serves the whole
+    batch, as in simulate; only once it passes OVERFLOW_LIMIT are the exact
+    peaks taken.
     """
+    if len(members) == 1:
+        # a lone member runs faster through simulate's own loop
+        graph, population, params, seed = members[0]
+        try:
+            return [simulate(graph, population, params, horizon, seed=seed, mode=mode).event_fraction]
+        except (ValueError, OpinionOverflowError) as exc:
+            return [exc]
     results: list = [None] * len(members)
     live = []
     for k, (graph, population, _, _) in enumerate(members):
@@ -462,10 +486,10 @@ def event_fractions(members: list[tuple], horizon: int, mode: str = "stochastic"
 
     # simulate's bound, taken over the batch: |g| <= |gamma| since the event
     # fraction lies in [0, 1], so the push term needs no per-tick reduction
-    gain = max(float(abs(graph.matrix).sum(axis=1).max()) for graph in graphs)
-    pushes = np.abs(reactions).max(axis=1) * np.abs(gamma[:, 0])
-    floors = np.abs(initial).max(axis=1)
-    floors[~np.isfinite(floors)] = math.inf
+    terms = [_bound_terms(graph, pop) for graph, pop in zip(graphs, pops)]
+    gain = max(term[0] for term in terms)
+    pushes = np.array([reach * abs(par.gamma) for (_, reach, _), par in zip(terms, params)])
+    floors = np.array([floor for _, _, floor in terms])
     push, floor = float(pushes.max()), float(floors.max())
     bound = floor
 
@@ -507,7 +531,7 @@ def event_fractions(members: list[tuple], horizon: int, mode: str = "stochastic"
                 nxt[k] += anchor
             if stubborn is not None:
                 np.copyto(nxt, initial, where=stubborn)
-            bound = max(gain * bound + push, floor) * (1.0 + _BOUND_SLACK)
+            bound = _next_bound(bound, gain, push, floor)
             if not bound <= OVERFLOW_LIMIT:
                 peaks = np.abs(nxt).max(axis=1)
                 for k in np.flatnonzero(~(peaks <= OVERFLOW_LIMIT)):
@@ -559,7 +583,14 @@ def replicate(
 
 
 # Stacked dense operators per event_fractions batch stay within this size.
-_BATCH_BYTES = 4 << 20
+# Batching saves each member most of simulate's per-tick numpy calls, but the
+# members' operators then leave the cache between their ticks. Measured per
+# member-tick on a 2-core Xeon VM with 2 MB of L2 per core, the batch cost
+# least at about 1 MB of operators (n = 100, 13 members: 2.8 us expected and
+# 3.4 us stochastic, against 8.7 and 10.4 us in simulate), more above it
+# (n = 100, 52 members: 5.0 and 6.2 us), and more than simulate at n = 300
+# (3 members: 26 against 20 us expected).
+_BATCH_BYTES = 1 << 20
 
 
 def replicate_fractions(replicates: list[tuple], horizon: int, mode: str = "stochastic") -> Iterator:
@@ -570,9 +601,12 @@ def replicate_fractions(replicates: list[tuple], horizon: int, mode: str = "stoc
     params, horizon, seed, mode) byte for byte, or the exception that call
     would raise; a GenerationError or the ValueError of a rejected
     population fails its replicate alone. Replicates are generated and run
-    in batches of as many as keep the stacked n x n operators within 4 MB,
-    one batch at a time as the items are taken, so only one batch of
-    series is held at once.
+    in batches of as many as keep the stacked n x n operators within
+    _BATCH_BYTES, one batch at a time as the items are taken, so only one
+    batch of series is held at once. Above n = 362, which takes in every
+    sparse member (n > _DENSE_MAX_N, where batching did not pay at n =
+    600), that is one replicate per batch, which event_fractions runs
+    through simulate.
     """
     if not replicates:
         return

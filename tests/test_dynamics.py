@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from gsm_degroot import dynamics
 from gsm_degroot.dynamics import (
     MODES,
     OVERFLOW_LIMIT,
@@ -556,9 +557,9 @@ def test_failed_members_fail_alone_with_the_error_of_simulate(mode):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_replicate_fractions_equal_replicate_across_batches(mode):
-    # n = 300 puts five members in a batch, so seven replicates take two
+    # n = 150 puts five members in a batch, so seven replicates take two
     params = ModelParams(lam=1.0, gamma=0.4)
-    tasks = [(GraphGenSpec(family="sbm", n=300, inter_prob=0.0 if k in (1, 5) else 0.05),
+    tasks = [(GraphGenSpec(family="sbm", n=150, inter_prob=0.0 if k in (1, 5) else 0.05),
               PopulationSpec(stubborn_fraction=0.05 * (k % 2)), params, 40 + k) for k in range(7)]
     outcomes = list(replicate_fractions(tasks, 30, mode))
     assert [isinstance(got, GenerationError) for got in outcomes] == [k in (1, 5) for k in range(7)]
@@ -568,6 +569,22 @@ def test_replicate_fractions_equal_replicate_across_batches(mode):
         except GenerationError as exc:
             want = exc
         assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("n, sizes", [(100, [13, 13, 4]), (150, [5, 5, 5, 5, 5, 5]), (300, [1] * 30),
+                                      (600, [1] * 30)])
+def test_replicate_fractions_batches_within_the_operator_budget(monkeypatch, n, sizes):
+    sizes_seen = []
+
+    def sized_event_fractions(members, *args):
+        sizes_seen.append(len(members))
+        return [np.zeros(1)] * len(members)
+
+    monkeypatch.setattr(dynamics, "_replicate_inputs", lambda *task: (None, None, 0))
+    monkeypatch.setattr(dynamics, "event_fractions", sized_event_fractions)
+    tasks = [(GraphGenSpec(family="sbm", n=n), PopulationSpec(), ModelParams(), k) for k in range(30)]
+    assert len(list(replicate_fractions(tasks, 1, "expected"))) == 30
+    assert sizes_seen == sizes
 
 
 # ---------------------------------------------------------------------------
