@@ -11,6 +11,7 @@ import numpy as np
 
 from .dynamics import ModelParams, PopulationSpec, Trajectory, fan_out, replicate
 from .graph import GraphGenSpec
+from .rules import check_rules, ruled
 from .seeds import derive_seed
 
 SWEEP_AXES = ("mu", "gamma", "r", "beta", "alpha", "network-size", "family-param")
@@ -90,20 +91,16 @@ class SweepSpec:
     params: ModelParams
     horizon: int
     axes: list[SweepAxis]
-    replicates: int = 5
-    statistics: tuple[str, ...] = ("D_max", "D_max_inf")
+    replicates: int = ruled(5, ge=1)
+    statistics: tuple[str, ...] = ruled(("D_max", "D_max_inf"), among=STATISTICS)
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.axes) <= 2:
             raise ValueError(f"sweeps support 1 or 2 axes, got {len(self.axes)}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be at least 1, got {self.replicates}")
+        check_rules(self)
         if not self.statistics:
             raise ValueError("a sweep needs at least one statistic")
-        for stat in self.statistics:
-            if stat not in STATISTICS:
-                raise ValueError(f"unknown statistic {stat!r}; choose from {STATISTICS}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {self.horizon}")
 

@@ -20,7 +20,7 @@ from dataclasses import MISSING, fields
 
 import yaml
 
-from .analysis import STATISTICS, SweepAxis
+from .analysis import SweepAxis, SweepSpec
 from .dynamics import MODES, ModelParams, PopulationSpec
 from .fitting import AXIS_ORDER, DEFAULT_BOUNDS, DEFAULT_RESOLUTION, FitConfig, ParamSpace, check_q_range
 from .graph import GraphGenSpec
@@ -76,9 +76,10 @@ def _section_shape(section: str) -> dict:
 
 
 # Type, rule and default of every key; a list shape holds the shape of its
-# items and defaults to empty. The dataclass sections come from their
-# fields; the keys only the command line reads are spelled out here. A key
-# with no default, such as fit.space.p, is absent until a config sets it.
+# items and defaults to empty. The dataclass sections, the sweep axes and
+# the sweep's replicates and statistics come from their fields; the keys
+# only the command line reads are spelled out here. A key with no default,
+# such as fit.space.p, is absent until a config sets it.
 _SHAPE = {
     "version": _leaf(int, CONFIG_VERSION, among=(CONFIG_VERSION,)),
     "seed": _leaf(int, 0, ge=0, le=2**64 - 1),
@@ -89,8 +90,7 @@ _SHAPE = {
     "simulate": {"mode": _leaf(str, "stochastic", among=MODES), "write_agents": _leaf(bool, False)},
     "sweep": {
         "axes": [_shape_of(SweepAxis, {f.name: f for f in fields(SweepAxis)})],
-        "replicates": _leaf(int, 5, ge=1),
-        "statistics": _leaf(list[str], ["D_max", "D_max_inf"], among=STATISTICS),
+        **_shape_of(SweepSpec, {f.name: f for f in fields(SweepSpec) if f.name in ("replicates", "statistics")}),
     },
     "fit": {
         "data": _leaf(str | None, None),
@@ -263,7 +263,7 @@ def _matches(value, hint) -> bool:
     if origin in (list, tuple):
         if not isinstance(value, list):
             return False
-        if origin is list:
+        if origin is list or args[1:] == (Ellipsis,):
             return all(_matches(item, args[0]) for item in value)
         return len(value) == len(args) and all(map(_matches, value, args))
     if hint in (int, float) and isinstance(value, bool):

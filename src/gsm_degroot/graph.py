@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
@@ -46,7 +47,9 @@ class GraphGenSpec:
 
     family parameters: m (barabasi-albert attachment count), k and
     rewire_prob (watts-strogatz), edge_prob (erdos-renyi), cluster_ratios,
-    intra_prob and inter_prob (two-block sbm). Undirected samples become
+    intra_prob and inter_prob (two-block sbm). Watts-Strogatz joins each
+    node to k // 2 neighbours per side, as networkx does, so an odd k
+    gives k - 1 ring neighbours. Undirected samples become
     digraphs with both directions; ensure_self_loops adds every (i, i) edge
     before weights are assigned; weight_rounds = 0 keeps the uniform
     1/indegree weights instead of randomizing them.
@@ -338,15 +341,14 @@ def _structure_edges(spec: GraphGenSpec, seed: int):
     elif spec.family == "erdos-renyi" and spec.edge_prob >= 1.0:
         pairs = np.column_stack(np.triu_indices(spec.n, k=1)).astype(np.int64)
     else:
-        import networkx as nx  # here, not at module level: sbm runs never load it
-
+        # random.Random(seed) is the stream networkx builds from an int seed
+        rng = random.Random(seed)
         if spec.family == "barabasi-albert":
-            g = nx.barabasi_albert_graph(spec.n, spec.m, seed=seed)
+            pairs = _ba_pairs(spec.n, spec.m, rng)
         elif spec.family == "watts-strogatz":
-            g = nx.watts_strogatz_graph(spec.n, spec.k, spec.rewire_prob, seed=seed)
+            pairs = _ws_pairs(spec.n, spec.k, spec.rewire_prob, rng)
         else:
-            g = nx.fast_gnp_random_graph(spec.n, spec.edge_prob, seed=seed)
-        pairs = np.asarray(list(g.edges()), dtype=np.int64).reshape(-1, 2)
+            pairs = _gnp_pairs(spec.n, spec.edge_prob, rng)
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
     if spec.ensure_self_loops:
@@ -355,6 +357,85 @@ def _structure_edges(spec: GraphGenSpec, seed: int):
         src = np.concatenate([src[keep], loops])
         dst = np.concatenate([dst[keep], loops])
     return src, dst, clusters
+
+
+def _ba_pairs(n: int, m: int, rng: random.Random) -> np.ndarray:
+    """Barabasi-Albert pairs, drawn as networkx 3.6's barabasi_albert_graph.
+
+    Growth starts from the star on nodes 0..m. Each new node takes m
+    distinct targets, drawn uniformly from a list that holds every node
+    once per incident edge. The list is extended in the iteration order of
+    the target set, so every later draw sees the list networkx sees.
+    """
+    repeated = [0] * m + list(range(1, m + 1))
+    targets = repeated[m:]
+    choice = rng.choice
+    for source in range(m + 1, n):
+        picked = set()
+        while len(picked) < m:
+            picked.add(choice(repeated))
+        repeated.extend(picked)
+        repeated.extend([source] * m)
+        targets.extend(picked)
+    sources = np.concatenate([np.zeros(m, dtype=np.int64), np.repeat(np.arange(m + 1, n, dtype=np.int64), m)])
+    return np.column_stack([sources, np.asarray(targets, dtype=np.int64)])
+
+
+def _ws_pairs(n: int, k: int, p: float, rng: random.Random) -> np.ndarray:
+    """Watts-Strogatz pairs, drawn as networkx 3.6's watts_strogatz_graph.
+
+    The ring joins each node to its k // 2 nearest neighbours on each side
+    (k < n). Ring edge (u, u + j) is then rewired with probability p to
+    (u, w), w drawn uniformly until it is neither u nor a neighbour of u,
+    with j in the outer loop and u in the inner one. A node adjacent to
+    every other node gives up after its second draw and keeps its edge.
+    """
+    adj = [set() for _ in range(n)]
+    for j in range(1, k // 2 + 1):
+        for u in range(n):
+            v = (u + j) % n
+            adj[u].add(v)
+            adj[v].add(u)
+    nodes = list(range(n))
+    draw, choice = rng.random, rng.choice
+    for j in range(1, k // 2 + 1):
+        for u in range(n):
+            if draw() < p:
+                near = adj[u]
+                w = choice(nodes)
+                while w == u or w in near:
+                    w = choice(nodes)
+                    if len(near) >= n - 1:
+                        break
+                else:
+                    v = (u + j) % n
+                    near.remove(v)
+                    adj[v].remove(u)
+                    near.add(w)
+                    adj[w].add(u)
+    pairs = [(u, w) for u, near in enumerate(adj) for w in near if u < w]
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _gnp_pairs(n: int, p: float, rng: random.Random) -> np.ndarray:
+    """G(n, p) pairs for p < 1, drawn as networkx 3.6's fast_gnp_random_graph.
+
+    Batagelj and Brandes (2005): walk the pairs (v, w), w < v, row by row,
+    skipping a geometric number of pairs before each edge.
+    """
+    pairs = []
+    if p > 0.0:
+        lp = math.log(1.0 - p)
+        draw = rng.random
+        v, w = 1, -1
+        while v < n:
+            w += 1 + int(math.log(1.0 - draw()) / lp)
+            while w >= v and v < n:
+                w -= v
+                v += 1
+            if v < n:
+                pairs.append((v, w))
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _first_block(spec: GraphGenSpec) -> int:

@@ -121,8 +121,13 @@ def test_spec_rejects_three_axes():
 
 
 def test_spec_rejects_unknown_statistic():
-    with pytest.raises(ValueError, match="unknown statistic"):
+    with pytest.raises(ValueError, match="statistics must be one of .*; got 'entropy'"):
         sweep_spec(statistics=("D_max", "entropy"))
+
+
+def test_spec_rejects_zero_replicates():
+    with pytest.raises(ValueError, match="replicates must be >= 1, got 0"):
+        sweep_spec(replicates=0)
 
 
 def test_spec_rejects_an_empty_statistics_list():

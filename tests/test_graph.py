@@ -1,6 +1,10 @@
 """Graph construction, weight randomization, validation, and the
 stationary-distribution oracle."""
 
+import hashlib
+import random
+
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,7 @@ from gsm_degroot.graph import (
     stationary_distribution,
     validate,
 )
+from gsm_degroot.seeds import derive_seed
 
 # ---------------------------------------------------------------------------
 # generate
@@ -100,6 +105,62 @@ def test_ensure_self_loops():
     g = generate(GraphGenSpec(family="sbm", n=30, seed=2, ensure_self_loops=True))
     assert np.all(g.matrix.diagonal() > 0)
     assert validate(g).normalized
+
+
+# ---------------------------------------------------------------------------
+# structure samplers: the same random stream, hence the same graphs, as
+# networkx's generators for the same int seed
+
+# the large seed is one generate draws its first structure from
+SAMPLER_SEEDS = [*range(20), derive_seed(0, "structure", 0)]
+
+
+def edge_set(pairs):
+    return {tuple(sorted(map(int, pair))) for pair in pairs}
+
+
+@pytest.mark.parametrize("n, m", [(4, 1), (10, 3), (100, 1), (500, 5)])
+def test_barabasi_albert_pairs_match_networkx(n, m):
+    for seed in SAMPLER_SEEDS:
+        want = edge_set(nx.barabasi_albert_graph(n, m, seed=seed).edges())
+        assert edge_set(graph_module._ba_pairs(n, m, random.Random(seed))) == want
+
+
+@pytest.mark.parametrize("n, k, p", [
+    (300, 6, 0.1),
+    (50, 7, 0.3),  # odd k: 3 neighbours per side
+    (60, 10, 0.0),  # the ring itself
+    (10, 4, 1.0),  # every ring edge rewired
+    (7, 6, 0.9),  # every node already adjacent to all others: rewiring gives up
+    (20, 18, 0.8),  # nodes reach degree n - 1 along the way
+    (5, 2, 0.5),
+])
+def test_watts_strogatz_pairs_match_networkx(n, k, p):
+    for seed in SAMPLER_SEEDS:
+        want = edge_set(nx.watts_strogatz_graph(n, k, p, seed=seed).edges())
+        assert edge_set(graph_module._ws_pairs(n, k, p, random.Random(seed))) == want
+
+
+@pytest.mark.parametrize("n, p", [(2, 0.5), (100, 0.1), (300, 0.02), (50, 0.9), (40, 0.0)])
+def test_erdos_renyi_pairs_match_networkx(n, p):
+    for seed in SAMPLER_SEEDS:
+        want = edge_set(nx.fast_gnp_random_graph(n, p, seed=seed).edges())
+        assert edge_set(graph_module._gnp_pairs(n, p, random.Random(seed))) == want
+
+
+@pytest.mark.parametrize("spec, digest", [
+    (GraphGenSpec(family="barabasi-albert", n=2000, m=3, seed=11),
+     "e52b6fef823e63cdce0976795f28f89adbbe7bf91ac207b15a7e869c46699121"),
+    (GraphGenSpec(family="watts-strogatz", n=300, k=6, rewire_prob=0.1, seed=12),
+     "8604f8a5146f0004ac6b61c84ed31b69a81f9be80cdb64005e3cb487eaf15168"),
+    (GraphGenSpec(family="erdos-renyi", n=200, edge_prob=0.05, seed=13),
+     "0dad1c986bec67c222bdca6f3260b130eea837cbcac1b04be1fc416e756b16c1"),
+], ids=["barabasi-albert", "watts-strogatz", "erdos-renyi"])
+def test_generated_graphs_keep_their_bytes(spec, digest):
+    # digests of the graphs these specs gave when networkx drew them
+    m = generate(spec).matrix
+    parts = (m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64))
+    assert hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

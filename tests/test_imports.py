@@ -99,9 +99,16 @@ def test_cli_import_leaves_scipy_linear_algebra_unloaded():
 
 
 def test_cli_import_leaves_networkx_unloaded():
-    # only the barabasi-albert, watts-strogatz and erdos-renyi generators use
-    # networkx, which adds 130-140 ms to every command's start-up
-    code = "import sys, gsm_degroot.cli; print('networkx' in sys.modules)"
+    # networkx adds 130-140 ms to start-up; the package samples the
+    # barabasi-albert, watts-strogatz and erdos-renyi structures itself
+    code = (
+        "import sys, gsm_degroot.cli\n"
+        "from gsm_degroot.graph import GraphGenSpec, generate\n"
+        "generate(GraphGenSpec(family='barabasi-albert', n=50, m=2))\n"
+        "generate(GraphGenSpec(family='watts-strogatz', n=50, k=4))\n"
+        "generate(GraphGenSpec(family='erdos-renyi', n=50, edge_prob=0.2))\n"
+        "print('networkx' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
