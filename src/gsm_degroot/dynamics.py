@@ -34,13 +34,13 @@ from .rules import check_rules, ruled
 from .seeds import derive_seed, rng_from
 
 OVERFLOW_LIMIT = 1e12
-# Relative widening per step of the tick loops' bound on the opinion magnitude:
+# Relative widening per step of the tick loop's bound on the opinion magnitude:
 # room for the rounding of a k-term dot product (below k * 2**-53, so any
 # k < 1e9) and of the few other operations in one step.
 _BOUND_SLACK = 1e-6
-# simulate and event_fractions mix with a dense operator up to this size and
-# a sparse one above it; dense and sparse products round differently, so
-# both loops must switch at the same size to stay byte-identical
+# The tick loop mixes with a dense operator up to this size and a sparse one
+# above it; dense and sparse products round differently, so a reference run
+# must switch at the same size to match it byte for byte
 _DENSE_MAX_N = 512
 
 MODES = ("stochastic", "expected")
@@ -190,7 +190,7 @@ def event_probability(opinions: np.ndarray, lam: float) -> np.ndarray:
 
 def _advance(x, g, operator, population, weight_scale=1.0):
     """One opinion update from opinions x and feedback g = gamma * event
-    fraction: the reference step that simulate's loop repeats in place."""
+    fraction: the reference step that the tick loop repeats in place."""
     mixed = operator @ x
     if weight_scale != 1.0:
         mixed = weight_scale * mixed
@@ -301,13 +301,13 @@ def _check_run(graph, population, horizon, mode, weight_scale=1.0, check_connect
 
 
 def _bound_terms(graph, population, weight_scale=1.0) -> tuple[float, float, float]:
-    """(gain, reach, floor) of the bound on |opinion| that both tick loops carry.
+    """(gain, reach, floor) of the bound on |opinion| that the tick loop carries.
 
     With gain the operator's largest absolute row sum (weight_scale
     included) and reach = max |reaction|, |x_{t+1}| <= gain * |x_t| + reach *
     |g|; the blend toward the initial opinions and the stubborn agents stay
     within max(that, floor = |x_0|.max()). floor is inf when |x_0| is not
-    finite, so the exact peak is then taken every step. The loops take the
+    finite, so the exact peak is then taken every step. The loop takes the
     exact peak only once the bound passes OVERFLOW_LIMIT.
     """
     gain = weight_scale * float(abs(graph.matrix).sum(axis=1).max())
@@ -318,9 +318,158 @@ def _bound_terms(graph, population, weight_scale=1.0) -> tuple[float, float, flo
     return gain, reach, floor
 
 
-def _next_bound(bound: float, gain: float, push: float, floor: float) -> float:
-    """The bound one step on, given a push >= reach * |g| of that step."""
-    return max(gain * bound + push, floor) * (1.0 + _BOUND_SLACK)
+def _first_check(bound: float, t: int, gain: float, push: float, floor: float, horizon: int) -> int:
+    """First tick from t on whose update can carry |opinion| past
+    OVERFLOW_LIMIT, or horizon if none before the last tick can. bound holds
+    |x_t|; an update takes it to max(gain * bound + push, floor) * (1 +
+    _BOUND_SLACK), with _bound_terms' gain and floor and push >= reach * |g|.
+    """
+    grow = 1.0 + _BOUND_SLACK
+    while t < horizon - 1:
+        bound = max(gain * bound + push, floor) * grow
+        if not bound <= OVERFLOW_LIMIT:
+            return t
+        t += 1
+    return horizon
+
+
+def _tick_rows(buffer: np.ndarray, horizon: int):
+    """Row t of buffer for each tick t: buffer itself when it has a row per
+    tick, else its rows taken in turn."""
+    if len(buffer) == horizon:
+        return buffer
+    return list(buffer) * (horizon // len(buffer) + 1)
+
+
+def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: float, record: bool) -> tuple:
+    """Advance K checked (graph, population, params, seed) members of one
+    size n through one tick loop: event_probability and _advance, written
+    into preallocated rows.
+
+    Returns (errors, series, opinions, states): errors[k] is None or member
+    k's OpinionOverflowError, row k of series its event fractions. With
+    record, opinions and states hold every tick's (K, n) rows, else only
+    the latest. A member that overflows is frozen at zero, so it neither
+    warns nor touches the others; the loop stops once all have failed.
+
+    Dense operators (n <= _DENSE_MAX_N) are stacked for one np.matmul per
+    tick, the same gemv per member as _advance; sparse ones multiply one by
+    one. At K = 1 the event fraction and feedback are Python floats, which
+    cost less than (1, 1) arrays; above, (K, 1) arrays, which cost less
+    than a loop. One bound on |opinion| serves the batch: _bound_terms'
+    largest gain and floor, and the push max reach * |gamma|, as the event
+    fraction lies in [0, 1]. Exact peaks are taken only at the ticks
+    _first_check names; they decide every error and restart the bound.
+    """
+    graphs, pops, params, seeds = zip(*members)
+    size, n = len(members), graphs[0].n
+    lone = size == 1
+    dense = n <= _DENSE_MAX_N
+    if dense:
+        # filled in place, where np.stack would briefly hold a second copy
+        operator = np.empty((size, n, n))
+        for k, graph in enumerate(graphs):
+            graph.matrix.toarray(out=operator[k])
+    else:
+        operator = [graph.matrix for graph in graphs]
+    stochastic = mode == "stochastic"
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # x * -lam is exactly -(x * lam): IEEE rounding is symmetric about zero
+    neg_lam = np.repeat(np.array([[-par.lam] for par in params], dtype=np.float64), n, axis=1)
+    gamma = np.array([[par.gamma] for par in params], dtype=np.float64)
+    lone_gamma = params[0].gamma
+    reactions = np.stack([pop.reactions for pop in pops])
+    initial = np.stack([pop.initial_opinions for pop in pops])
+    frozen = [reactions, initial, gamma]
+    blended = [k for k, pop in enumerate(pops) if not (np.isscalar(pop.susceptibility) and pop.susceptibility == 1.0)]
+    xi = None
+    if blended:
+        # x * 1.0 and x + -0.0 are exactly x, so members without a blend keep their bytes
+        xi, anchor = np.ones((size, n)), np.full((size, n), -0.0)
+        for k in blended:
+            xi[k] = pops[k].susceptibility
+            anchor[k] = (1.0 - pops[k].susceptibility) * pops[k].initial_opinions
+        frozen.append(anchor)
+    stubborn = None
+    if any(pop.fully_stubborn is not None for pop in pops):
+        stubborn = np.zeros((size, n), dtype=bool)
+        for k, pop in enumerate(pops):
+            if pop.fully_stubborn is not None:
+                stubborn[k] = pop.fully_stubborn
+
+    terms = [_bound_terms(graph, pop, weight_scale) for graph, pop in zip(graphs, pops)]
+    gain = max(term[0] for term in terms)
+    pushes = np.array([reach * abs(par.gamma) for (_, reach, _), par in zip(terms, params)])
+    floors = np.array([floor for _, _, floor in terms])
+    check = _first_check(float(floors.max()), 0, gain, float(pushes.max()), float(floors.max()), horizon)
+    errors: list = [None] * size
+
+    opinions = np.empty((horizon if record else 2, size, n))
+    states = np.empty((horizon if record else 1, size, n), dtype=np.int8 if stochastic else np.float64)
+    # x3s holds the opinion rows as (K, n, 1) stacks of columns for np.matmul
+    xs, x3s, ss = (_tick_rows(rows, horizon) for rows in (opinions, opinions[:, :, :, None], states))
+    fractions = np.empty((horizon, size, 1))
+    lone_fractions = fractions.reshape(-1)
+    probability = np.empty((size, n))
+    draws = np.empty((size, n))
+    draw_rows = list(zip(rngs, draws))
+    g = np.empty((size, 1))
+    push = np.empty((size, n))
+    x, x3 = xs[0], x3s[0]
+    x[...] = initial
+    with np.errstate(over="ignore"):
+        for t in range(horizon):
+            s = ss[t]
+            p = probability if stochastic else s
+            np.multiply(x, neg_lam, out=p)
+            np.exp(p, out=p)
+            p += 1.0
+            np.divide(1.0, p, out=p)
+            if stochastic:
+                for rng, row in draw_rows:
+                    rng.random(out=row)
+                np.less(draws, p, out=s)
+            if lone:
+                f = float(np.count_nonzero(s) if stochastic else np.add.reduce(s, axis=None)) / n
+                lone_fractions[t] = f
+            else:
+                fraction = fractions[t]
+                events = (np.count_nonzero(s, axis=1, keepdims=True) if stochastic
+                          else np.add.reduce(s, axis=1, keepdims=True))
+                np.divide(events, n, out=fraction)
+            if t + 1 == horizon:
+                break
+            nxt, nxt3 = xs[t + 1], x3s[t + 1]
+            if dense:
+                np.matmul(operator, x3, out=nxt3)
+            else:
+                for k, matrix in enumerate(operator):
+                    nxt[k] = matrix @ x[k]
+            if weight_scale != 1.0:
+                nxt *= weight_scale
+            if lone:
+                np.multiply(reactions, lone_gamma * f, out=push)
+            else:
+                np.multiply(reactions, np.multiply(gamma, fraction, out=g), out=push)
+            nxt += push
+            if xi is not None:
+                nxt *= xi
+                nxt += anchor
+            if stubborn is not None:
+                np.copyto(nxt, initial, where=stubborn)
+            if t == check:
+                peaks = np.abs(nxt).max(axis=1)
+                for k in np.flatnonzero(~(peaks <= OVERFLOW_LIMIT)):
+                    errors[k] = OpinionOverflowError(step=t + 1, magnitude=float(peaks[k]))
+                    for row in (nxt, *frozen):
+                        row[k] = 0.0
+                    pushes[k] = floors[k] = peaks[k] = 0.0
+                if None not in errors:
+                    break
+                check = _first_check(float(peaks.max()), t + 1, gain, float(pushes.max()), float(floors.max()), horizon)
+            x, x3 = nxt, nxt3
+
+    return errors, np.ascontiguousarray(fractions[:, :, 0].T), opinions, states
 
 
 def simulate(
@@ -347,74 +496,18 @@ def simulate(
     step, for growth or decay protocols where the sums equal alpha != 1.
     """
     _check_run(graph, population, horizon, mode, weight_scale, check_connectivity)
-
-    n = graph.n
-    dense = n <= _DENSE_MAX_N
-    operator = graph.matrix.toarray() if dense else graph.matrix
-    rng = np.random.default_rng(seed)
-    stochastic = mode == "stochastic"
-    reactions = population.reactions
-    initial = population.initial_opinions
-    xi = population.susceptibility
-    blended = not (np.isscalar(xi) and xi == 1.0)
-    anchor = (1.0 - xi) * initial if blended else None
-    stubborn = population.fully_stubborn
-
-    # The loop repeats the arithmetic of event_probability and _advance, but
-    # writes into preallocated rows, and it tracks overflow through
-    # _bound_terms' bound instead of taking |x|.max() each step.
-    gain, reach, floor = _bound_terms(graph, population, weight_scale)
-    bound = floor
-
-    opinions = np.empty((horizon, n))
-    states = np.empty((horizon, n), dtype=np.int8 if stochastic else np.float64)
-    draws = np.empty(n)
-    probability = np.empty(n)
-    push = np.empty(n)
-    opinions[0] = initial
-    with np.errstate(over="ignore"):
-        for t in range(horizon):
-            x = opinions[t]
-            s_row = states[t]
-            p = probability if stochastic else s_row
-            np.multiply(x, params.lam, out=p)
-            np.negative(p, out=p)
-            np.exp(p, out=p)
-            p += 1.0
-            np.divide(1.0, p, out=p)
-            if stochastic:
-                rng.random(out=draws)
-                np.less(draws, p, out=s_row)
-            if t + 1 == horizon:
-                break
-            events = np.count_nonzero(s_row) if stochastic else np.add.reduce(s_row)
-            g = params.gamma * (float(events) / n)
-            nxt = opinions[t + 1]
-            if dense:
-                np.matmul(operator, x, out=nxt)
-            else:
-                nxt[:] = operator @ x
-            if weight_scale != 1.0:
-                nxt *= weight_scale
-            np.multiply(reactions, g, out=push)
-            nxt += push
-            if blended:
-                nxt *= xi
-                nxt += anchor
-            if stubborn is not None:
-                np.copyto(nxt, initial, where=stubborn)
-            bound = _next_bound(bound, gain, reach * abs(g), floor)
-            if not bound <= OVERFLOW_LIMIT:
-                peak = np.abs(nxt).max()
-                if not np.isfinite(peak) or peak > OVERFLOW_LIMIT:
-                    raise OpinionOverflowError(step=t + 1, magnitude=float(peak))
-                bound = float(peak)
-
-    event_fraction = states.sum(axis=1) / n
+    errors, series, opinions, states = _run_members(
+        [(graph, population, params, seed)], horizon, mode, weight_scale, record=True
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    # (horizon, 1, n) to (horizon, n) is a view, not a copy
+    opinions = opinions.reshape(horizon, graph.n)
+    states = states.reshape(horizon, graph.n)
     return Trajectory(
         opinions=opinions,
         states=states,
-        event_fraction=event_fraction,
+        event_fraction=series[0],
         mean_opinion=opinions.mean(axis=1),
         max_diversity=opinions.max(axis=1) - opinions.min(axis=1),
         seed=seed,
@@ -430,25 +523,9 @@ def event_fractions(members: list[tuple], horizon: int, mode: str = "stochastic"
     seed=seed, mode=mode).event_fraction byte for byte, as a C-contiguous
     row, or the exception that call would raise: the ValueError of a
     rejected input, or an OpinionOverflowError with the same step and
-    magnitude. A member that overflows is frozen at zero, so it neither
-    warns nor touches the others, which run on. Only the series are
-    recorded, not the (horizon, n) opinions and states.
-
-    A lone member runs through simulate itself, which is faster at K = 1.
-    Otherwise dense operators (n <= _DENSE_MAX_N) are stacked as (K, n, n)
-    for one np.matmul per tick, which makes the same gemv call per member
-    as simulate; sparse ones multiply member by member. Stochastic members
-    keep their own Generator. One bound on |opinion| serves the whole
-    batch, as in simulate; only once it passes OVERFLOW_LIMIT are the exact
-    peaks taken.
+    magnitude. A member that overflows fails alone; the others run on.
+    Only the series are recorded, not the (horizon, n) opinions and states.
     """
-    if len(members) == 1:
-        # a lone member runs faster through simulate's own loop
-        graph, population, params, seed = members[0]
-        try:
-            return [simulate(graph, population, params, horizon, seed=seed, mode=mode).event_fraction]
-        except (ValueError, OpinionOverflowError) as exc:
-            return [exc]
     results: list = [None] * len(members)
     live = []
     for k, (graph, population, _, _) in enumerate(members):
@@ -459,95 +536,12 @@ def event_fractions(members: list[tuple], horizon: int, mode: str = "stochastic"
             results[k] = exc
     if not live:
         return results
-    graphs, pops, params, seeds = zip(*(members[k] for k in live))
-    n = graphs[0].n
-    if any(graph.n != n for graph in graphs):
-        raise ValueError(f"members differ in size: {sorted({graph.n for graph in graphs})}")
-
-    size = len(live)
-    dense = n <= _DENSE_MAX_N
-    operator = np.stack([graph.matrix.toarray() for graph in graphs]) if dense else [graph.matrix for graph in graphs]
-    stochastic = mode == "stochastic"
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    # x * -lam is exactly -(x * lam): IEEE rounding is symmetric about zero
-    neg_lam = -np.array([[par.lam] for par in params], dtype=np.float64)
-    gamma = np.array([[par.gamma] for par in params], dtype=np.float64)
-    reactions = np.stack([pop.reactions for pop in pops])
-    initial = np.stack([pop.initial_opinions for pop in pops])
-    blended = [(k, pop.susceptibility, (1.0 - pop.susceptibility) * pop.initial_opinions)
-               for k, pop in enumerate(pops)
-               if not (np.isscalar(pop.susceptibility) and pop.susceptibility == 1.0)]
-    stubborn = None
-    if any(pop.fully_stubborn is not None for pop in pops):
-        stubborn = np.zeros((size, n), dtype=bool)
-        for k, pop in enumerate(pops):
-            if pop.fully_stubborn is not None:
-                stubborn[k] = pop.fully_stubborn
-
-    # simulate's bound, taken over the batch: |g| <= |gamma| since the event
-    # fraction lies in [0, 1], so the push term needs no per-tick reduction
-    terms = [_bound_terms(graph, pop) for graph, pop in zip(graphs, pops)]
-    gain = max(term[0] for term in terms)
-    pushes = np.array([reach * abs(par.gamma) for (_, reach, _), par in zip(terms, params)])
-    floors = np.array([floor for _, _, floor in terms])
-    push, floor = float(pushes.max()), float(floors.max())
-    bound = floor
-
-    # row t of out holds the fractions of tick t, as a (size, 1) column
-    out = np.empty((horizon, size, 1))
-    x, nxt = initial.copy(), np.empty((size, n))
-    x3, nxt3 = x[:, :, None], nxt[:, :, None]
-    p = np.empty((size, n))
-    draws = np.empty((size, n))
-    events = np.empty((size, n), dtype=bool)
-    g = np.empty((size, 1))
-    mixed = np.empty((size, n))
-    with np.errstate(over="ignore"):
-        for t in range(horizon):
-            np.multiply(x, neg_lam, out=p)
-            np.exp(p, out=p)
-            p += 1.0
-            np.divide(1.0, p, out=p)
-            fraction = out[t]
-            if stochastic:
-                for k, rng in enumerate(rngs):
-                    rng.random(out=draws[k])
-                np.less(draws, p, out=events)
-                np.divide(np.count_nonzero(events, axis=1, keepdims=True), n, out=fraction)
-            else:
-                np.divide(np.add.reduce(p, axis=1, keepdims=True), n, out=fraction)
-            if t + 1 == horizon:
-                break
-            if dense:
-                np.matmul(operator, x3, out=nxt3)
-            else:
-                for k, matrix in enumerate(operator):
-                    nxt[k] = matrix @ x[k]
-            np.multiply(gamma, fraction, out=g)
-            np.multiply(reactions, g, out=mixed)
-            nxt += mixed
-            for k, xi, anchor in blended:
-                nxt[k] *= xi
-                nxt[k] += anchor
-            if stubborn is not None:
-                np.copyto(nxt, initial, where=stubborn)
-            bound = _next_bound(bound, gain, push, floor)
-            if not bound <= OVERFLOW_LIMIT:
-                peaks = np.abs(nxt).max(axis=1)
-                for k in np.flatnonzero(~(peaks <= OVERFLOW_LIMIT)):
-                    results[live[k]] = OpinionOverflowError(step=t + 1, magnitude=float(peaks[k]))
-                    for row in (nxt, reactions, initial, gamma):
-                        row[k] = 0.0
-                    pushes[k] = floors[k] = 0.0
-                    blended = [entry for entry in blended if entry[0] != k]
-                push, floor = float(pushes.max()), float(floors.max())
-                bound = float(np.abs(nxt).max())
-            x, nxt, x3, nxt3 = nxt, x, nxt3, x3
-
-    series = np.ascontiguousarray(out[:, :, 0].T)
+    sizes = {members[k][0].n for k in live}
+    if len(sizes) > 1:
+        raise ValueError(f"members differ in size: {sorted(sizes)}")
+    errors, series, _, _ = _run_members([members[k] for k in live], horizon, mode, 1.0, record=False)
     for i, k in enumerate(live):
-        if results[k] is None:
-            results[k] = series[i]
+        results[k] = series[i] if errors[i] is None else errors[i]
     return results
 
 
@@ -583,12 +577,12 @@ def replicate(
 
 
 # Stacked dense operators per event_fractions batch stay within this size.
-# Batching saves each member most of simulate's per-tick numpy calls, but the
+# Batching saves each member most of a lone run's per-tick numpy calls, but the
 # members' operators then leave the cache between their ticks. Measured per
 # member-tick on a 2-core Xeon VM with 2 MB of L2 per core, the batch cost
 # least at about 1 MB of operators (n = 100, 13 members: 2.8 us expected and
-# 3.4 us stochastic, against 8.7 and 10.4 us in simulate), more above it
-# (n = 100, 52 members: 5.0 and 6.2 us), and more than simulate at n = 300
+# 3.4 us stochastic, against 8.7 and 10.4 us alone), more above it
+# (n = 100, 52 members: 5.0 and 6.2 us), and more than a lone run at n = 300
 # (3 members: 26 against 20 us expected).
 _BATCH_BYTES = 1 << 20
 
@@ -605,8 +599,7 @@ def replicate_fractions(replicates: list[tuple], horizon: int, mode: str = "stoc
     _BATCH_BYTES, one batch at a time as the items are taken, so only one
     batch of series is held at once. Above n = 362, which takes in every
     sparse member (n > _DENSE_MAX_N, where batching did not pay at n =
-    600), that is one replicate per batch, which event_fractions runs
-    through simulate.
+    600), that is one replicate per batch.
     """
     if not replicates:
         return

@@ -291,13 +291,18 @@ def generate(spec: GraphGenSpec) -> WeightedDigraph:
     Structures are resampled with derived seeds until strongly connected,
     up to 100 attempts. Weights start uniform per node and are then mixed
     by randomize_weights unless spec.weight_rounds is 0. An sbm with
-    inter_prob 0 and two non-empty blocks can never be strongly connected,
-    so it fails before any attempt.
+    inter_prob 0 and two non-empty blocks, or an Erdos-Renyi graph with
+    edge_prob 0, can never be strongly connected, so it fails before any
+    attempt.
     """
     if spec.family == "sbm" and spec.inter_prob == 0.0 and 0 < _first_block(spec) < spec.n:
         raise GenerationError(
             f"no strongly connected {spec.family!r} sample exists: inter_prob is 0 and both "
             f"blocks are non-empty (n={spec.n}, seed={spec.seed})"
+        )
+    if spec.family == "erdos-renyi" and spec.edge_prob == 0.0:
+        raise GenerationError(
+            f"no strongly connected {spec.family!r} sample exists: edge_prob is 0 (n={spec.n}, seed={spec.seed})"
         )
     for attempt in range(_MAX_ATTEMPTS):
         src, dst, clusters = _structure_edges(spec, derive_seed(spec.seed, "structure", attempt))

@@ -2,6 +2,7 @@
 simulation loop, and the model's pathwise guarantees."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -406,7 +407,8 @@ def mixing_graph(request):
 
 
 @pytest.mark.parametrize("mode", ["stochastic", "expected"])
-@pytest.mark.parametrize("variant", ["plain", "stubborn", "susceptibility", "susceptibility_per_agent", "scaled"])
+@pytest.mark.parametrize("variant", ["plain", "stubborn", "susceptibility", "susceptibility_per_agent", "scaled",
+                                     "decayed"])
 def test_simulate_equals_the_step_helpers_bit_for_bit(mixing_graph, mode, variant):
     n = mixing_graph.n
     spec = PopulationSpec(
@@ -417,9 +419,22 @@ def test_simulate_equals_the_step_helpers_bit_for_bit(mixing_graph, mode, varian
     pop = spec.build(n, rng_from(5, "pop"), mu=0.3, sigma=1.5)
     if variant == "susceptibility_per_agent":
         pop = Population(pop.reactions, pop.initial_opinions, susceptibility=np.linspace(0.4, 1.0, n))
-    weight_scale = 1.01 if variant == "scaled" else 1.0
+    # at gain 0.9 the bound's floor term binds
+    weight_scale = {"scaled": 1.01, "decayed": 0.9}.get(variant, 1.0)
     run = assert_same_run(mixing_graph, pop, ModelParams(lam=1.3, gamma=0.8), 300, 17, mode, weight_scale)
     assert run.horizon == 300
+
+
+def test_simulate_returns_its_rows_without_copying_them():
+    graph = generate(GraphGenSpec(family="watts-strogatz", n=2000, k=6, seed=3))
+    pop = PopulationSpec().build(2000, rng_from(3, "pop"), mu=0.0, sigma=1.0)
+    tracemalloc.start()
+    try:
+        run = simulate(graph, pop, ModelParams(lam=1.0, gamma=0.5), 500, seed=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (run.opinions.nbytes + run.states.nbytes)
 
 
 @pytest.mark.parametrize("mode", ["stochastic", "expected"])

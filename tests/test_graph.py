@@ -74,6 +74,16 @@ def test_sbm_without_cross_edges_fails_before_sampling(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("ensure_self_loops", [True, False])
+def test_erdos_renyi_without_edges_fails_before_sampling(monkeypatch, ensure_self_loops):
+    calls = []
+    monkeypatch.setattr(graph_module, "_structure_edges", lambda *args: calls.append(args))
+    with pytest.raises(GenerationError, match=r"^no strongly connected 'erdos-renyi' sample.*seed=9"):
+        generate(GraphGenSpec(family="erdos-renyi", n=10, edge_prob=0.0, seed=9,
+                              ensure_self_loops=ensure_self_loops))
+    assert calls == []
+
+
 def test_sbm_without_cross_edges_and_one_empty_block_is_sampled():
     # int(0.01 * 50) = 0, so the first block is empty and inter_prob is moot
     g = generate(GraphGenSpec(family="sbm", n=50, seed=2, cluster_ratios=(0.01, 0.99),
@@ -155,10 +165,17 @@ def test_erdos_renyi_pairs_match_networkx(n, p):
      "8604f8a5146f0004ac6b61c84ed31b69a81f9be80cdb64005e3cb487eaf15168"),
     (GraphGenSpec(family="erdos-renyi", n=200, edge_prob=0.05, seed=13),
      "0dad1c986bec67c222bdca6f3260b130eea837cbcac1b04be1fc416e756b16c1"),
-], ids=["barabasi-albert", "watts-strogatz", "erdos-renyi"])
+    # indegree * 2**weight_rounds passes 2**31, so the weight numerators need int64
+    (GraphGenSpec(family="watts-strogatz", n=50, k=6, seed=4, weight_rounds=30),
+     "9712b001a3e46f71bd65c9ee997f17a768a9a105a2853788b90a36aed33a7b26"),
+    (GraphGenSpec(family="watts-strogatz", n=50, k=6, seed=4, weight_rounds=40),
+     "84e55a0812e8cc9edb3d529040b8a21506fed3fbd72b502c27f210ce8d606eb0"),
+], ids=["barabasi-albert", "watts-strogatz", "erdos-renyi", "weight-rounds-30", "weight-rounds-40"])
 def test_generated_graphs_keep_their_bytes(spec, digest):
     # digests of the graphs these specs gave when networkx drew them
-    m = generate(spec).matrix
+    g = generate(spec)
+    assert validate(g).normalized
+    m = g.matrix
     parts = (m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64))
     assert hashlib.sha256(b"".join(part.tobytes() for part in parts)).hexdigest() == digest
 
