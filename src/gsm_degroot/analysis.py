@@ -9,7 +9,7 @@ from itertools import product
 
 import numpy as np
 
-from .dynamics import ModelParams, PopulationSpec, Trajectory, fan_out, replicate
+from .dynamics import ModelParams, PopulationSpec, Trajectory, fan_out, replicate_summaries
 from .graph import GraphGenSpec
 from .rules import check_rules, ruled
 from .seeds import derive_seed
@@ -28,8 +28,12 @@ def polarization_indices(trajectory: Trajectory) -> dict[str, float]:
     whole run; D_max_inf estimates the limiting spread as the mean spread
     over the final tenth of the run (at least one tick).
     """
-    series = trajectory.max_diversity
-    tail = max(1, trajectory.horizon // 10)
+    return _spread_indices(trajectory.max_diversity)
+
+
+def _spread_indices(series: np.ndarray) -> dict[str, float]:
+    """D_max and D_max_inf of a run's per-tick spread series."""
+    tail = max(1, series.size // 10)
     return {
         "D_max": float(series.max()),
         "D_max_inf": float(series[-tail:].mean()),
@@ -173,25 +177,33 @@ def _family_param(graph_spec: GraphGenSpec, value: float) -> GraphGenSpec:
 
 
 def _run_cell(spec: SweepSpec, cell_index: int, coords: dict[str, float]) -> CellResult:
+    """The cell's replicates, run as batches through replicate_summaries.
+
+    A failed replicate fails the cell: the cell keeps the values of the
+    replicates before it and the seeds up to it, as when the replicates
+    ran one at a time, and none after it runs.
+    """
     values: dict[str, list] = {stat: [] for stat in spec.statistics}
     seeds = []
     error = None
     try:
         graph_spec, pop_spec, params, alpha = _apply_axes(spec, coords)
-        for rep in range(spec.replicates):
-            rep_seed = derive_seed(spec.seed, "cell", cell_index, rep)
-            seeds.append(rep_seed)
-            _, trajectory = replicate(graph_spec, pop_spec, params, spec.horizon, rep_seed, weight_scale=alpha)
-            indices = polarization_indices(trajectory)
+        tasks = [(graph_spec, pop_spec, params, derive_seed(spec.seed, "cell", cell_index, rep))
+                 for rep in range(spec.replicates)]
+        for task, run in zip(tasks, replicate_summaries(tasks, spec.horizon, weight_scale=alpha)):
+            seeds.append(task[3])
+            if isinstance(run, Exception):
+                raise run
+            indices = _spread_indices(run.max_diversity)
             for stat in spec.statistics:
                 if stat in indices:
                     values[stat].append(indices[stat])
                 elif stat == "X_min_final":
-                    values[stat].append(float(trajectory.opinions[-1].min()))
+                    values[stat].append(float(run.final_opinions.min()))
                 elif stat == "X_max_final":
-                    values[stat].append(float(trajectory.opinions[-1].max()))
+                    values[stat].append(float(run.final_opinions.max()))
                 elif stat == _CURVE:
-                    values[stat].append(trajectory.event_fraction.copy())
+                    values[stat].append(run.event_fraction)
     except Exception as exc:  # noqa: BLE001 - cell failures are data, not crashes
         error = f"{type(exc).__name__}: {exc}"
     return CellResult(coords=coords, values=values, seeds=seeds, error=error)

@@ -18,9 +18,10 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec
 
 from .graph import (
     GenerationError,
@@ -38,9 +39,10 @@ OVERFLOW_LIMIT = 1e12
 # room for the rounding of a k-term dot product (below k * 2**-53, so any
 # k < 1e9) and of the few other operations in one step.
 _BOUND_SLACK = 1e-6
-# The tick loop mixes with a dense operator up to this size and a sparse one
-# above it; dense and sparse products round differently, so a reference run
-# must switch at the same size to match it byte for byte
+# The tick loop mixes a graph with a dense operator only up to this size, and
+# only when at least an eighth of its entries are edges (_dense_operator);
+# dense and sparse products round differently, so a reference run must choose
+# its operator by the same rule to match the loop byte for byte
 _DENSE_MAX_N = 512
 
 MODES = ("stochastic", "expected")
@@ -333,6 +335,42 @@ def _first_check(bound: float, t: int, gain: float, push: float, floor: float, h
     return horizon
 
 
+def _dense_operator(graph: WeightedDigraph) -> bool:
+    """Whether the tick loop mixes graph with a dense operator: n at most
+    _DENSE_MAX_N and at least n**2 / 8 stored entries.
+
+    One product into a preallocated row, measured on a 2-core Xeon VM: the
+    direct CSR product took less time than the dense one on every graph
+    measured below an eighth (n = 100 and 300, densities 0.06 to 0.15;
+    2.5 against 3.6 us for a Watts-Strogatz graph at n = 100, 10.0 against
+    16.4 us for an Erdos-Renyi one at n = 300, density 0.10), and more at
+    the default sbm's third (4.5 against 3.6 us at n = 100).
+    """
+    n = graph.n
+    return n <= _DENSE_MAX_N and 8 * graph.matrix.nnz >= n * n
+
+
+def _operator_bytes(graph: WeightedDigraph) -> int:
+    """Bytes of the operator the tick loop mixes graph with."""
+    if _dense_operator(graph):
+        return 8 * graph.n * graph.n
+    matrix = graph.matrix
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+def _block_diagonal(matrices: list, n: int) -> tuple:
+    """(indptr, indices, data) of the block-diagonal CSR of n x n matrices.
+
+    The rows of block k keep their entries in the order of matrices[k], so
+    each row of a product sums exactly as in matrices[k] @ x.
+    """
+    starts = np.cumsum([0] + [matrix.nnz for matrix in matrices])
+    indptr = np.concatenate([matrix.indptr[:-1] + start for matrix, start in zip(matrices, starts)] + [starts[-1:]])
+    indices = np.concatenate([matrix.indices + k * n for k, matrix in enumerate(matrices)])
+    data = np.concatenate([matrix.data for matrix in matrices], dtype=np.float64)
+    return indptr.astype(indices.dtype), indices, data
+
+
 def _tick_rows(buffer: np.ndarray, horizon: int):
     """Row t of buffer for each tick t: buffer itself when it has a row per
     tick, else its rows taken in turn."""
@@ -341,37 +379,48 @@ def _tick_rows(buffer: np.ndarray, horizon: int):
     return list(buffer) * (horizon // len(buffer) + 1)
 
 
-def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: float, record: bool) -> tuple:
+def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: float, record: bool = False,
+                 spread: bool = False) -> tuple:
     """Advance K checked (graph, population, params, seed) members of one
     size n through one tick loop: event_probability and _advance, written
     into preallocated rows.
 
-    Returns (errors, series, opinions, states): errors[k] is None or member
-    k's OpinionOverflowError, row k of series its event fractions. With
-    record, opinions and states hold every tick's (K, n) rows, else only
-    the latest. A member that overflows is frozen at zero, so it neither
-    warns nor touches the others; the loop stops once all have failed.
+    Returns (errors, series, opinions, states, spreads): errors[k] is None
+    or member k's OpinionOverflowError, row k of series its event
+    fractions. With record, opinions and states hold every tick's (K, n)
+    rows, else the last tick's. With spread, row k of spreads holds member
+    k's spread max - min of its opinions at every tick, else spreads is
+    None. A member that overflows is frozen at zero, so it neither warns
+    nor touches the others; the loop stops once all have failed.
 
-    Dense operators (n <= _DENSE_MAX_N) are stacked for one np.matmul per
-    tick, the same gemv per member as _advance; sparse ones multiply one by
-    one. At K = 1 the event fraction and feedback are Python floats, which
-    cost less than (1, 1) arrays; above, (K, 1) arrays, which cost less
-    than a loop. One bound on |opinion| serves the batch: _bound_terms'
-    largest gain and floor, and the push max reach * |gamma|, as the event
-    fraction lies in [0, 1]. Exact peaks are taken only at the ticks
-    _first_check names; they decide every error and restart the bound.
+    Members whose _dense_operator holds are stacked for one np.matmul per
+    tick, the same gemv per member as _advance on the dense matrix. The
+    others are joined into one block-diagonal CSR for one csr_matvec per
+    tick into a zeroed row, the call behind scipy's matrix @ x; each row
+    sums in its own member's order, so every member keeps the bits of its
+    lone product. The loop runs the dense members first and returns every
+    row in the members' order. At K = 1 the event fraction and feedback
+    are Python floats, which cost less than (1, 1) arrays; above, (K, 1)
+    arrays, which cost less than a loop. One bound on |opinion| serves the
+    batch: _bound_terms' largest gain and floor, and the push max reach *
+    |gamma|, as the event fraction lies in [0, 1]. Exact peaks are taken
+    only at the ticks _first_check names; they decide every error and
+    restart the bound.
     """
-    graphs, pops, params, seeds = zip(*members)
-    size, n = len(members), graphs[0].n
+    dense = [_dense_operator(member[0]) for member in members]
+    # sorted is stable, so the dense and the sparse members each keep their order
+    order = sorted(range(len(members)), key=lambda k: not dense[k])
+    graphs, pops, params, seeds = zip(*(members[k] for k in order))
+    size, n, stacked = len(members), graphs[0].n, sum(dense)
+    flat = (size - stacked) * n
     lone = size == 1
-    dense = n <= _DENSE_MAX_N
-    if dense:
+    if stacked:
         # filled in place, where np.stack would briefly hold a second copy
-        operator = np.empty((size, n, n))
-        for k, graph in enumerate(graphs):
-            graph.matrix.toarray(out=operator[k])
-    else:
-        operator = [graph.matrix for graph in graphs]
+        operator = np.empty((stacked, n, n))
+        for k in range(stacked):
+            graphs[k].matrix.toarray(out=operator[k])
+    if flat:
+        indptr, indices, data = _block_diagonal([graph.matrix for graph in graphs[stacked:]], n)
     stochastic = mode == "stochastic"
     rngs = [np.random.default_rng(seed) for seed in seeds]
     # x * -lam is exactly -(x * lam): IEEE rounding is symmetric about zero
@@ -406,20 +455,27 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
 
     opinions = np.empty((horizon if record else 2, size, n))
     states = np.empty((horizon if record else 1, size, n), dtype=np.int8 if stochastic else np.float64)
-    # x3s holds the opinion rows as (K, n, 1) stacks of columns for np.matmul
-    xs, x3s, ss = (_tick_rows(rows, horizon) for rows in (opinions, opinions[:, :, :, None], states))
+    # x3s holds the dense members' rows as (K, n, 1) stacks of columns for
+    # np.matmul, ys the sparse members' rows as one (K * n) row each
+    xs, x3s, ys, ss = (_tick_rows(rows, horizon) for rows in (
+        opinions, opinions[:, :stacked, :, None], opinions[:, stacked:].reshape(len(opinions), flat), states))
     fractions = np.empty((horizon, size, 1))
     lone_fractions = fractions.reshape(-1)
+    spreads = peak = trough = None
+    if spread:
+        spreads, peak, trough = np.empty((horizon, size)), np.empty(size), np.empty(size)
     probability = np.empty((size, n))
     draws = np.empty((size, n))
     draw_rows = list(zip(rngs, draws))
     g = np.empty((size, 1))
     push = np.empty((size, n))
-    x, x3 = xs[0], x3s[0]
-    x[...] = initial
+    xs[0][...] = initial
     with np.errstate(over="ignore"):
         for t in range(horizon):
-            s = ss[t]
+            x, s = xs[t], ss[t]
+            if spread:
+                np.subtract(np.maximum.reduce(x, axis=1, out=peak), np.minimum.reduce(x, axis=1, out=trough),
+                            out=spreads[t])
             p = probability if stochastic else s
             np.multiply(x, neg_lam, out=p)
             np.exp(p, out=p)
@@ -434,17 +490,17 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
                 lone_fractions[t] = f
             else:
                 fraction = fractions[t]
-                events = (np.count_nonzero(s, axis=1, keepdims=True) if stochastic
-                          else np.add.reduce(s, axis=1, keepdims=True))
-                np.divide(events, n, out=fraction)
+                np.add.reduce(s, axis=1, dtype=np.float64, keepdims=True, out=fraction)
+                fraction /= n
             if t + 1 == horizon:
                 break
-            nxt, nxt3 = xs[t + 1], x3s[t + 1]
-            if dense:
-                np.matmul(operator, x3, out=nxt3)
-            else:
-                for k, matrix in enumerate(operator):
-                    nxt[k] = matrix @ x[k]
+            nxt = xs[t + 1]
+            if stacked:
+                np.matmul(operator, x3s[t], out=x3s[t + 1])
+            if flat:
+                y = ys[t + 1]
+                y.fill(0.0)
+                csr_matvec(flat, flat, indptr, indices, data, ys[t], y)
             if weight_scale != 1.0:
                 nxt *= weight_scale
             if lone:
@@ -467,9 +523,19 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
                 if None not in errors:
                     break
                 check = _first_check(float(peaks.max()), t + 1, gain, float(pushes.max()), float(floors.max()), horizon)
-            x, x3 = nxt, nxt3
 
-    return errors, np.ascontiguousarray(fractions[:, :, 0].T), opinions, states
+    series = np.ascontiguousarray(fractions[:, :, 0].T)
+    if spread:
+        spreads = np.ascontiguousarray(spreads.T)
+    if not record:
+        opinions, states = xs[horizon - 1], ss[horizon - 1]
+    if order != list(range(size)):
+        back = np.argsort(order)
+        errors = [errors[k] for k in back]
+        series, opinions, states = series[back], np.take(opinions, back, axis=-2), np.take(states, back, axis=-2)
+        if spread:
+            spreads = spreads[back]
+    return errors, series, opinions, states, spreads
 
 
 def simulate(
@@ -496,7 +562,7 @@ def simulate(
     step, for growth or decay protocols where the sums equal alpha != 1.
     """
     _check_run(graph, population, horizon, mode, weight_scale, check_connectivity)
-    errors, series, opinions, states = _run_members(
+    errors, series, opinions, states, _ = _run_members(
         [(graph, population, params, seed)], horizon, mode, weight_scale, record=True
     )
     if errors[0] is not None:
@@ -515,22 +581,31 @@ def simulate(
     )
 
 
-def event_fractions(members: list[tuple], horizon: int, mode: str = "stochastic") -> list:
-    """Event-fraction series of K runs advanced together by one tick loop.
+class RunSummary(NamedTuple):
+    """What a sweep's statistics read of one run, as its Trajectory records
+    them: event_fraction, max_diversity and the last row of opinions."""
+
+    event_fraction: np.ndarray
+    max_diversity: np.ndarray
+    final_opinions: np.ndarray
+
+
+def _member_runs(members: list[tuple], horizon: int, mode: str, weight_scale: float = 1.0,
+                 check_connectivity: bool = True, spread: bool = False) -> list:
+    """Outcomes of K runs advanced together by one tick loop.
 
     members holds (graph, population, params, seed) tuples of one size n.
-    Entry k of the result is simulate(graph, population, params, horizon,
-    seed=seed, mode=mode).event_fraction byte for byte, as a C-contiguous
-    row, or the exception that call would raise: the ValueError of a
-    rejected input, or an OpinionOverflowError with the same step and
-    magnitude. A member that overflows fails alone; the others run on.
-    Only the series are recorded, not the (horizon, n) opinions and states.
+    Entry k is the exception that simulate(graph, population, params,
+    horizon, seed, mode, check_connectivity, weight_scale) would raise for
+    member k, else the RunSummary of its trajectory, byte for byte, whose
+    max_diversity is None without spread. A member that overflows fails
+    alone; the others run on.
     """
     results: list = [None] * len(members)
     live = []
     for k, (graph, population, _, _) in enumerate(members):
         try:
-            _check_run(graph, population, horizon, mode)
+            _check_run(graph, population, horizon, mode, weight_scale, check_connectivity)
             live.append(k)
         except ValueError as exc:
             results[k] = exc
@@ -539,10 +614,31 @@ def event_fractions(members: list[tuple], horizon: int, mode: str = "stochastic"
     sizes = {members[k][0].n for k in live}
     if len(sizes) > 1:
         raise ValueError(f"members differ in size: {sorted(sizes)}")
-    errors, series, _, _ = _run_members([members[k] for k in live], horizon, mode, 1.0, record=False)
+    errors, series, last, _, spreads = _run_members([members[k] for k in live], horizon, mode, weight_scale,
+                                                    spread=spread)
     for i, k in enumerate(live):
-        results[k] = series[i] if errors[i] is None else errors[i]
+        if errors[i] is not None:
+            results[k] = errors[i]
+        else:
+            results[k] = RunSummary(series[i], spreads[i] if spread else None, last[i])
     return results
+
+
+def event_fractions(members: list[tuple], horizon: int, mode: str = "stochastic",
+                    check_connectivity: bool = True) -> list:
+    """Event-fraction series of K runs advanced together by one tick loop.
+
+    members holds (graph, population, params, seed) tuples of one size n.
+    Entry k of the result is the event_fraction of simulate(graph,
+    population, params, horizon, seed=seed, mode=mode,
+    check_connectivity=check_connectivity) byte for byte, as a C-contiguous
+    row, or the exception that call would raise: the ValueError of a
+    rejected input, or an OpinionOverflowError with the same step and
+    magnitude. A member that overflows fails alone; the others run on.
+    Only the series are recorded, not the (horizon, n) opinions and states.
+    """
+    return [run if isinstance(run, Exception) else run.event_fraction
+            for run in _member_runs(members, horizon, mode, check_connectivity=check_connectivity)]
 
 
 def _replicate_inputs(graph_spec, pop_spec, params, seed) -> tuple[WeightedDigraph, Population, int]:
@@ -567,24 +663,64 @@ def replicate(
 
     The three stages draw from seeds derived from seed under the labels
     "graph", "population" and "simulate"; graph_spec.seed is replaced. The
-    simulate command, every sweep replicate and every fit evaluation run
-    through here or through replicate_fractions, so each can be rebuilt
-    from its seed alone.
+    simulate command runs through here, every sweep replicate through
+    replicate_summaries and every fit evaluation through
+    replicate_fractions, which build their inputs alike, so each can be
+    rebuilt from its seed alone.
     """
     graph, population, sim_seed = _replicate_inputs(graph_spec, pop_spec, params, seed)
     trajectory = simulate(graph, population, params, horizon, seed=sim_seed, mode=mode, weight_scale=weight_scale)
     return population, trajectory
 
 
-# Stacked dense operators per event_fractions batch stay within this size.
-# Batching saves each member most of a lone run's per-tick numpy calls, but the
-# members' operators then leave the cache between their ticks. Measured per
-# member-tick on a 2-core Xeon VM with 2 MB of L2 per core, the batch cost
-# least at about 1 MB of operators (n = 100, 13 members: 2.8 us expected and
-# 3.4 us stochastic, against 8.7 and 10.4 us alone), more above it
-# (n = 100, 52 members: 5.0 and 6.2 us), and more than a lone run at n = 300
-# (3 members: 26 against 20 us expected).
+# The operators of one batch stay within this size (_operator_bytes: 8 n**2
+# per dense member, the CSR arrays of a sparse one). Batching saves each member
+# most of a lone run's per-tick numpy calls, but the members' operators then
+# leave the cache between their ticks. Measured per member-tick on a 2-core
+# Xeon VM with 2 MB of L2 per core, a dense batch cost least at about 1 MB of
+# operators (n = 100, 13 members: 2.8 us expected and 3.4 us stochastic,
+# against 8.7 and 10.4 us alone), more above it (n = 100, 52 members: 5.0 and
+# 6.2 us), and more than a lone run at n = 300 (3 members: 26 against 20 us
+# expected). Sparse members share one block-diagonal CSR: Watts-Strogatz graphs
+# at n = 300 (31 kB each, stochastic) cost 21 us per member-tick alone, 14 us
+# at 3 members and 10-11 us at 9 to 27; at n = 2000 (208 kB each) 5 members
+# cost about what one does alone.
 _BATCH_BYTES = 1 << 20
+
+
+def _replicate_batches(replicates: list[tuple], run) -> Iterator:
+    """run's outcome for each (graph_spec, pop_spec, params, seed) replicate,
+    or the GenerationError or ValueError that building its inputs raised.
+
+    run takes a list of (graph, population, params, simulate seed) members
+    and returns one outcome per member. A batch holds as many consecutive
+    replicates as keep their operators within _BATCH_BYTES, and at least
+    one. Batches are built and run one at a time as the items are taken.
+    """
+    pending: list = []  # per replicate of the batch: its build error, or None for its member
+    members: list = []
+    load = 0
+    for graph_spec, pop_spec, params, seed in replicates:
+        try:
+            graph, population, sim_seed = _replicate_inputs(graph_spec, pop_spec, params, seed)
+        except (GenerationError, ValueError) as exc:
+            pending.append(exc)
+            continue
+        cost = _operator_bytes(graph)
+        if members and load + cost > _BATCH_BYTES:
+            yield from _in_order(pending, run(members))
+            pending, members, load = [], [], 0
+        pending.append(None)
+        members.append((graph, population, params, sim_seed))
+        load += cost
+    yield from _in_order(pending, run(members) if members else [])
+
+
+def _in_order(pending: list, outcomes: list) -> Iterator:
+    """pending with each None replaced by the next of outcomes."""
+    outcomes = iter(outcomes)
+    for failure in pending:
+        yield next(outcomes) if failure is None else failure
 
 
 def replicate_fractions(replicates: list[tuple], horizon: int, mode: str = "stochastic") -> Iterator:
@@ -595,29 +731,28 @@ def replicate_fractions(replicates: list[tuple], horizon: int, mode: str = "stoc
     params, horizon, seed, mode) byte for byte, or the exception that call
     would raise; a GenerationError or the ValueError of a rejected
     population fails its replicate alone. Replicates are generated and run
-    in batches of as many as keep the stacked n x n operators within
-    _BATCH_BYTES, one batch at a time as the items are taken, so only one
-    batch of series is held at once. Above n = 362, which takes in every
-    sparse member (n > _DENSE_MAX_N, where batching did not pay at n =
-    600), that is one replicate per batch.
+    in batches within _BATCH_BYTES, one batch at a time as the items are
+    taken, so only one batch of series is held at once. generate has
+    checked that each graph is strongly connected, so the runs do not check
+    it again.
     """
-    if not replicates:
-        return
-    n = replicates[0][0].n
-    size = max(1, _BATCH_BYTES // (8 * n * n))
-    for lo in range(0, len(replicates), size):
-        built: list = []
-        members = []
-        for graph_spec, pop_spec, params, seed in replicates[lo:lo + size]:
-            try:
-                graph, population, sim_seed = _replicate_inputs(graph_spec, pop_spec, params, seed)
-                members.append((graph, population, params, sim_seed))
-                built.append(None)
-            except (GenerationError, ValueError) as exc:
-                built.append(exc)
-        series = iter(event_fractions(members, horizon, mode) if members else [])
-        for failure in built:
-            yield next(series) if failure is None else failure
+    return _replicate_batches(
+        replicates, lambda members: event_fractions(members, horizon, mode, check_connectivity=False)
+    )
+
+
+def replicate_summaries(replicates: list[tuple], horizon: int, mode: str = "stochastic",
+                        weight_scale: float = 1.0) -> Iterator:
+    """RunSummary of each of many replicates, batched as replicate_fractions.
+
+    The k-th item yielded is, byte for byte, the RunSummary of the
+    trajectory of replicate(graph_spec, pop_spec, params, horizon, seed,
+    mode, weight_scale), or the exception that call would raise. No run
+    records its (horizon, n) opinions and states.
+    """
+    return _replicate_batches(
+        replicates, lambda members: _member_runs(members, horizon, mode, weight_scale, False, spread=True)
+    )
 
 
 def fan_out(fn, tasks: list[tuple], jobs: int = 1) -> list:

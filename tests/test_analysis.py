@@ -1,13 +1,18 @@
 """Polarization indices, regime labels, and the sweep harness."""
 
 import csv
+from itertools import product
 
 import numpy as np
 import pytest
 
 from gsm_degroot.analysis import (
+    STATISTICS,
+    CellResult,
     SweepAxis,
+    SweepResult,
     SweepSpec,
+    _apply_axes,
     polarization_indices,
     regime,
     run_sweep,
@@ -16,9 +21,9 @@ from gsm_degroot.analysis import (
     write_heatmap_csv,
     write_long_csv,
 )
-from gsm_degroot.dynamics import ModelParams, Population, PopulationSpec, Trajectory, simulate
+from gsm_degroot.dynamics import ModelParams, Population, PopulationSpec, Trajectory, replicate, simulate
 from gsm_degroot.graph import GraphGenSpec, generate
-from gsm_degroot.seeds import rng_from
+from gsm_degroot.seeds import derive_seed, rng_from
 
 
 def trajectory_from_opinions(opinions):
@@ -281,3 +286,74 @@ def test_failures_csv_lists_only_failures(tmp_path):
     rows = read_rows(path)
     assert len(rows) == 2
     assert "OpinionOverflowError" in rows[1][2]
+
+
+# ---------------------------------------------------------------------------
+# failed cells against one replicate at a time
+
+
+def one_replicate_at_a_time(spec):
+    """run_sweep with every replicate run alone through replicate, in order,
+    until the first that fails."""
+    cells = []
+    for cell_index, combo in enumerate(product(*[axis.values() for axis in spec.axes])):
+        coords = {axis.name: float(v) for axis, v in zip(spec.axes, combo)}
+        values = {stat: [] for stat in spec.statistics}
+        seeds = []
+        error = None
+        try:
+            graph_spec, pop_spec, params, alpha = _apply_axes(spec, coords)
+            for rep in range(spec.replicates):
+                seeds.append(derive_seed(spec.seed, "cell", cell_index, rep))
+                _, trajectory = replicate(graph_spec, pop_spec, params, spec.horizon, seeds[-1], weight_scale=alpha)
+                measured = {
+                    **polarization_indices(trajectory),
+                    "X_min_final": float(trajectory.opinions[-1].min()),
+                    "X_max_final": float(trajectory.opinions[-1].max()),
+                    "event_fraction_curve": trajectory.event_fraction.copy(),
+                }
+                for stat in spec.statistics:
+                    values[stat].append(measured[stat])
+        except Exception as exc:  # noqa: BLE001 - as run_sweep records it
+            error = f"{type(exc).__name__}: {exc}"
+        cells.append(CellResult(coords=coords, values=values, seeds=seeds, error=error))
+    return SweepResult(spec=spec, cells=cells)
+
+
+def sweep_files(result, out):
+    """Every file the sweep command writes for result, by name."""
+    out.mkdir()
+    write_long_csv(result, out / "sweep_long.csv")
+    for stat in result.spec.statistics:
+        if stat != "event_fraction_curve":
+            write_heatmap_csv(result, stat, out / f"heatmap_{stat}.csv")
+    write_curves_csv(result, out / "curves.csv")
+    write_failures_csv(result, out / "failures.csv")
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+FAILING_SWEEPS = {
+    # the second of three replicates overflows at alpha = 1.115
+    "overflow": dict(graph=GraphGenSpec(family="watts-strogatz", n=60, k=4),
+                     params=ModelParams(lam=1.0, gamma=0.5, mu=0.0, sigma=1.0),
+                     axes=[SweepAxis("alpha", 1.100, 1.115, 2)], horizon=260, seed=8),
+    # at r = 0 no sbm is strongly connected, so the first replicate fails in generate
+    "generate": dict(axes=[SweepAxis("r", 0.0, 0.1, 2)], horizon=60),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_SWEEPS))
+def test_failed_cells_keep_the_outputs_of_one_replicate_at_a_time(tmp_path, case):
+    spec = sweep_spec(statistics=STATISTICS, **FAILING_SWEEPS[case])
+    reference = one_replicate_at_a_time(spec)
+    failed = reference.failures()
+    assert len(failed) == 1
+    kept = {"overflow": 1, "generate": 0}[case]
+    assert len(failed[0].seeds) == kept + 1
+    assert all(len(values) == kept for values in failed[0].values.values())
+    want = sweep_files(reference, tmp_path / "want")
+    for jobs in (1, 2):
+        got = run_sweep(spec, jobs=jobs)
+        assert [cell.seeds for cell in got.cells] == [cell.seeds for cell in reference.cells]
+        assert sweep_files(got, tmp_path / f"jobs-{jobs}") == want, f"jobs {jobs}"
+

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 from gsm_degroot import dynamics
+from gsm_degroot import graph as graph_module
 from gsm_degroot.dynamics import (
     MODES,
     OVERFLOW_LIMIT,
@@ -20,12 +22,15 @@ from gsm_degroot.dynamics import (
     Population,
     PopulationSpec,
     _advance,
+    _block_diagonal,
+    _dense_operator,
     event_fractions,
     event_probability,
     fan_out,
     random_signed_weights,
     replicate,
     replicate_fractions,
+    replicate_summaries,
     sample_reactions,
     sample_stubborn_mask,
     signed_opinion_step,
@@ -356,11 +361,11 @@ def reference_simulate(graph, population, params, horizon, seed, mode, weight_sc
     """simulate rebuilt from event_probability and _advance, with a fresh
     array per step and the event draws of one shared Generator.
 
-    Returns (opinions, states, event_fraction). Up to n = 512 simulate mixes
-    with the dense operator, whose products round differently from the
-    sparse ones, so the reference mixes with the same operator.
+    Returns (opinions, states, event_fraction). simulate mixes small dense
+    graphs with the dense operator, whose products round differently from
+    the sparse ones, so the reference chooses its operator by the same rule.
     """
-    operator = graph.matrix.toarray() if graph.n <= 512 else graph.matrix
+    operator = graph.matrix.toarray() if _dense_operator(graph) else graph.matrix
     rng = np.random.default_rng(seed)
     x = population.initial_opinions.copy()
     opinions, states = [], []
@@ -570,6 +575,33 @@ def test_failed_members_fail_alone_with_the_error_of_simulate(mode):
         assert_same_outcome(got, want)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("mode", MODES)
+def test_a_batch_on_both_sides_of_the_density_threshold_equals_lone_runs(mode):
+    # the loop runs the dense members first and hands every row back in order
+    n = 100
+    graphs = [generate(GraphGenSpec(family="watts-strogatz", n=n, k=6, seed=12)),
+              generate(GraphGenSpec(family="sbm", n=n, seed=12, inter_prob=0.05)),
+              generate(GraphGenSpec(family="erdos-renyi", n=n, edge_prob=0.05, seed=12)),
+              generate(GraphGenSpec(family="sbm", n=n, seed=13, inter_prob=0.05)),
+              generate(GraphGenSpec(family="barabasi-albert", n=n, m=3, seed=12))]
+    assert [_dense_operator(graph) for graph in graphs] == [False, True, False, True, False]
+    members = [batch_member(graph, k) for k, graph in enumerate(graphs)]
+    # all reactions +1 under a huge feedback: a sparse member that overflows
+    members[2] = (graphs[2], Population(np.ones(n), np.zeros(n)), ModelParams(lam=1.0, gamma=1e11), 3)
+    for member, got in zip(members, event_fractions(members, 150, mode)):
+        assert_same_outcome(got, simulate_outcome(member, 150, mode))
+    for member, got in zip(members, dynamics._member_runs(members, 150, mode, spread=True)):
+        try:
+            want = simulate(*member[:3], 150, seed=member[3], mode=mode)
+        except OpinionOverflowError as exc:
+            assert_same_outcome(got, exc)
+            continue
+        assert got.event_fraction.tobytes() == want.event_fraction.tobytes()
+        assert got.max_diversity.tobytes() == want.max_diversity.tobytes()
+        assert got.final_opinions.tobytes() == want.opinions[-1].tobytes()
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_replicate_fractions_equal_replicate_across_batches(mode):
     # n = 150 puts five members in a batch, so seven replicates take two
@@ -591,17 +623,118 @@ def test_replicate_fractions_equal_replicate_across_batches(mode):
 def test_replicate_fractions_batches_within_the_operator_budget(monkeypatch, n, sizes):
     sizes_seen = []
 
-    def sized_event_fractions(members, *args):
+    def sized_event_fractions(members, *args, **kwargs):
         sizes_seen.append(len(members))
         return [np.zeros(1)] * len(members)
 
-    monkeypatch.setattr(dynamics, "_replicate_inputs", lambda *task: (None, None, 0))
+    # a default sbm has about n**2 / 3 edges: dense up to n = 512, and at
+    # n = 600 a CSR of 1.9 MB
+    graph = generate(GraphGenSpec(family="sbm", n=n, seed=1))
+    monkeypatch.setattr(dynamics, "_replicate_inputs", lambda *task: (graph, None, 0))
     monkeypatch.setattr(dynamics, "event_fractions", sized_event_fractions)
     tasks = [(GraphGenSpec(family="sbm", n=n), PopulationSpec(), ModelParams(), k) for k in range(30)]
     assert len(list(replicate_fractions(tasks, 1, "expected"))) == 30
     assert sizes_seen == sizes
 
 
+@pytest.mark.parametrize("n, sizes", [(300, [30]), (2000, [5] * 6)])
+def test_sparse_replicates_batch_by_their_csr_bytes(monkeypatch, n, sizes):
+    sizes_seen = []
+
+    def sized_event_fractions(members, *args, **kwargs):
+        sizes_seen.append(len(members))
+        return [np.zeros(1)] * len(members)
+
+    # Watts-Strogatz k=6 stores 7 entries a row: 31 kB of CSR at n = 300,
+    # 208 kB at n = 2000
+    graph = generate(GraphGenSpec(family="watts-strogatz", n=n, k=6, seed=1))
+    assert not dynamics._dense_operator(graph)
+    monkeypatch.setattr(dynamics, "_replicate_inputs", lambda *task: (graph, None, 0))
+    monkeypatch.setattr(dynamics, "event_fractions", sized_event_fractions)
+    tasks = [(GraphGenSpec(family="watts-strogatz", n=n, k=6), PopulationSpec(), ModelParams(), k)
+             for k in range(30)]
+    assert len(list(replicate_fractions(tasks, 1, "expected"))) == 30
+    assert sizes_seen == sizes
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_replicate_summaries_equal_replicate(mode):
+    # four sparse members of one batch, under a decaying weight_scale
+    params = ModelParams(lam=1.0, gamma=0.4)
+    tasks = [(GraphGenSpec(family="watts-strogatz", n=300, k=6), PopulationSpec(stubborn_fraction=0.05 * (k % 2)),
+              params, 60 + k) for k in range(4)]
+    for task, got in zip(tasks, replicate_summaries(tasks, 40, mode, weight_scale=0.97)):
+        want = replicate(*task[:3], 40, task[3], mode=mode, weight_scale=0.97)[1]
+        assert got.event_fraction.tobytes() == want.event_fraction.tobytes()
+        assert got.max_diversity.tobytes() == want.max_diversity.tobytes()
+        assert got.final_opinions.tobytes() == want.opinions[-1].tobytes()
+
+
+def test_replicate_runs_check_connectivity_only_in_generate(monkeypatch):
+    # generate checks each structure with two _reaches_all sweeps; the runs
+    # of replicate_fractions and replicate_summaries do not repeat them
+    counts = {"attempts": 0, "sweeps": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(graph_module, "_structure_edges", counted("attempts", graph_module._structure_edges))
+    monkeypatch.setattr(graph_module, "_reaches_all", counted("sweeps", graph_module._reaches_all))
+    params = ModelParams(lam=1.0, gamma=0.3)
+    tasks = [(GraphGenSpec(family=family, n=60), PopulationSpec(), params, k)
+             for k, family in enumerate(["sbm", "watts-strogatz"] * 3)]
+    assert not any(isinstance(run, Exception) for run in replicate_fractions(tasks, 20, "expected"))
+    assert not any(isinstance(run, Exception) for run in replicate_summaries(tasks, 20))
+    # every structure connected at its first attempt: 2 sweeps a member, not 4
+    assert counts == {"attempts": 12, "sweeps": 24}
+
+
+# ---------------------------------------------------------------------------
+# the operator the tick loop mixes with
+
+
+SPARSE_FAMILIES = {
+    "barabasi-albert": {"m": 3},
+    "erdos-renyi": {"edge_prob": 0.05},
+    "sbm": {"intra_prob": 0.1, "inter_prob": 0.02},
+    "watts-strogatz": {"k": 6},
+}
+
+
+@pytest.mark.parametrize("n", [100, 300, 600])
+@pytest.mark.parametrize("family", sorted(SPARSE_FAMILIES))
+def test_csr_matvec_into_a_zeroed_row_equals_the_sparse_product(family, n):
+    # the tick loop calls scipy's private _sparsetools.csr_matvec directly
+    graph = generate(GraphGenSpec(family=family, n=n, seed=8, **SPARSE_FAMILIES[family]))
+    assert not _dense_operator(graph)
+    matrix = graph.matrix
+    x = rng_from(8, "x").normal(size=n)
+    y = np.zeros(n)
+    csr_matvec(n, n, matrix.indptr, matrix.indices, matrix.data, x, y)
+    assert y.tobytes() == (matrix @ x).tobytes()
+
+
+def test_block_diagonal_product_equals_the_members_products():
+    n = 300
+    graphs = [generate(GraphGenSpec(family=family, n=n, seed=s, **SPARSE_FAMILIES[family]))
+              for s, family in enumerate(sorted(SPARSE_FAMILIES))]
+    x = rng_from(9, "x").normal(size=(len(graphs), n))
+    indptr, indices, data = _block_diagonal([graph.matrix for graph in graphs], n)
+    y = np.zeros(x.size)
+    csr_matvec(x.size, x.size, indptr, indices, data, x.reshape(-1), y)
+    assert y.tobytes() == np.concatenate([graph.matrix @ row for graph, row in zip(graphs, x)]).tobytes()
+
+
+def test_the_dense_operator_needs_a_small_and_dense_enough_graph():
+    assert _dense_operator(generate(GraphGenSpec(family="sbm", n=512, seed=1)))
+    assert not _dense_operator(generate(GraphGenSpec(family="sbm", n=513, seed=1)))
+    assert not _dense_operator(generate(GraphGenSpec(family="watts-strogatz", n=100, k=6, seed=1)))
+    # n self-loops fill exactly an eighth of the entries at n = 8
+    assert _dense_operator(identity_graph(8))
+    assert not _dense_operator(identity_graph(9))
 # ---------------------------------------------------------------------------
 # signed and scaled variants
 
