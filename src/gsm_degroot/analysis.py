@@ -5,11 +5,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
-from .dynamics import ModelParams, PopulationSpec, Trajectory, fan_out, replicate_summaries
+from .dynamics import ModelParams, PopulationSpec, Trajectory, contiguous_parts, fan_out, replicate_summaries
 from .graph import GraphGenSpec
 from .rules import check_rules, ruled
 from .seeds import derive_seed
@@ -176,24 +176,34 @@ def _family_param(graph_spec: GraphGenSpec, value: float) -> GraphGenSpec:
     return replace(graph_spec, intra_prob=value)
 
 
-def _run_cell(spec: SweepSpec, cell_index: int, coords: dict[str, float]) -> CellResult:
-    """The cell's replicates, run as batches through replicate_summaries.
+def _run_cells(spec: SweepSpec, cells: list[tuple[int, dict[str, float]]]) -> list[CellResult]:
+    """The CellResult of each (cell index, coords), every replicate of every
+    cell run through one replicate_summaries stream.
 
-    A failed replicate fails the cell: the cell keeps the values of the
-    replicates before it and the seeds up to it, as when the replicates
-    ran one at a time, and none after it runs.
+    A cell whose axes do not apply fails with no seeds. A failed replicate
+    fails its cell: the cell keeps the values of the replicates before it
+    and the seeds up to it, as when the replicates ran one at a time. The
+    runs after it may execute, but are not read.
     """
-    values: dict[str, list] = {stat: [] for stat in spec.statistics}
-    seeds = []
-    error = None
-    try:
-        graph_spec, pop_spec, params, alpha = _apply_axes(spec, coords)
-        tasks = [(graph_spec, pop_spec, params, derive_seed(spec.seed, "cell", cell_index, rep))
-                 for rep in range(spec.replicates)]
-        for task, run in zip(tasks, replicate_summaries(tasks, spec.horizon, weight_scale=alpha)):
-            seeds.append(task[3])
+    plans = []  # per cell: the error of its axes, or None, and its replicate tasks
+    for cell_index, coords in cells:
+        try:
+            graph_spec, pop_spec, params, alpha = _apply_axes(spec, coords)
+        except Exception as exc:  # noqa: BLE001 - cell failures are data, not crashes
+            plans.append((_failure(exc), []))
+            continue
+        plans.append((None, [(graph_spec, pop_spec, params, derive_seed(spec.seed, "cell", cell_index, rep), alpha)
+                             for rep in range(spec.replicates)]))
+    runs = replicate_summaries([task for _, tasks in plans for task in tasks], spec.horizon)
+    results = []
+    for (_, coords), (error, tasks) in zip(cells, plans):
+        values: dict[str, list] = {stat: [] for stat in spec.statistics}
+        seeds = [task[3] for task in tasks]
+        # take all of the cell's runs, read or not, so the next cell starts at its own
+        for rep, run in enumerate(list(islice(runs, len(tasks)))):
             if isinstance(run, Exception):
-                raise run
+                seeds, error = seeds[:rep + 1], _failure(run)
+                break
             indices = _spread_indices(run.max_diversity)
             for stat in spec.statistics:
                 if stat in indices:
@@ -204,25 +214,29 @@ def _run_cell(spec: SweepSpec, cell_index: int, coords: dict[str, float]) -> Cel
                     values[stat].append(float(run.final_opinions.max()))
                 elif stat == _CURVE:
                     values[stat].append(run.event_fraction)
-    except Exception as exc:  # noqa: BLE001 - cell failures are data, not crashes
-        error = f"{type(exc).__name__}: {exc}"
-    return CellResult(coords=coords, values=values, seeds=seeds, error=error)
+        results.append(CellResult(coords=coords, values=values, seeds=seeds, error=error))
+    return results
+
+
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate every cell of the axis grid with seeded replicates.
 
-    Cell failures are recorded on the cell instead of aborting. Results are
-    identical for any jobs value; jobs > 1 only distributes cells over
-    processes.
+    The replicates of all cells run through one replicate_summaries stream,
+    so its batches take members from several cells. Cell failures are
+    recorded on the cell instead of aborting. Results are identical for any
+    jobs value; jobs > 1 splits the cells into contiguous chunks, one per
+    worker process.
     """
     grids = [axis.values() for axis in spec.axes]
     names = [axis.name for axis in spec.axes]
-    tasks = []
-    for cell_index, combo in enumerate(product(*grids)):
-        coords = {name: float(v) for name, v in zip(names, combo)}
-        tasks.append((spec, cell_index, coords))
-    return SweepResult(spec=spec, cells=fan_out(_run_cell, tasks, jobs))
+    cells = [(cell_index, {name: float(v) for name, v in zip(names, combo)})
+             for cell_index, combo in enumerate(product(*grids))]
+    parts = fan_out(_run_cells, [(spec, cells[part]) for part in contiguous_parts(len(cells), jobs)], jobs)
+    return SweepResult(spec=spec, cells=[cell for part in parts for cell in part])
 
 
 def write_long_csv(result: SweepResult, path) -> None:
@@ -268,14 +282,16 @@ def write_curves_csv(result: SweepResult, path) -> None:
     """Per-replicate event-fraction curves: axis1,axis2,replicate,t,value."""
     names = result.axis_names
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis1", "axis2", "replicate", "t", "value"])
+        # the rows csv.writer would write: no field needs quoting, and its
+        # rows end in \r\n
+        fh.write("axis1,axis2,replicate,t,value\r\n")
         for cell in result.cells:
             first = repr(cell.coords[names[0]])
             second = repr(cell.coords[names[1]]) if len(names) > 1 else ""
             for rep, curve in enumerate(cell.values.get(_CURVE, [])):
-                for t, value in enumerate(curve):
-                    writer.writerow([first, second, rep, t, repr(float(value))])
+                head = f"{first},{second},{rep},"
+                fh.write("".join(f"{head}{t},{value!r}\r\n"
+                                 for t, value in enumerate(np.asarray(curve, dtype=np.float64).tolist())))
 
 
 def write_failures_csv(result: SweepResult, path) -> None:

@@ -678,42 +678,64 @@ def replicate(
 # most of a lone run's per-tick numpy calls, but the members' operators then
 # leave the cache between their ticks. Measured per member-tick on a 2-core
 # Xeon VM with 2 MB of L2 per core, a dense batch cost least at about 1 MB of
-# operators (n = 100, 13 members: 2.8 us expected and 3.4 us stochastic,
-# against 8.7 and 10.4 us alone), more above it (n = 100, 52 members: 5.0 and
-# 6.2 us), and more than a lone run at n = 300 (3 members: 26 against 20 us
-# expected). Sparse members share one block-diagonal CSR: Watts-Strogatz graphs
-# at n = 300 (31 kB each, stochastic) cost 21 us per member-tick alone, 14 us
-# at 3 members and 10-11 us at 9 to 27; at n = 2000 (208 kB each) 5 members
-# cost about what one does alone.
+# operators (n = 100, 13 to 16 members: 2.8-3.3 us expected and 3.4 us
+# stochastic, against 8.7-12.9 and 10.4 us alone), more above it (n = 100, 24
+# members: 3.8 us; 52 members: 5.0 and 6.2 us), and more than a lone run at
+# n = 300 (3 members: 26 against 20 us expected). Sparse members share one
+# block-diagonal CSR. Watts-Strogatz k = 6 graphs, stochastic, ten rounds
+# alternating the batch sizes: at n = 300 (31 kB each) 12.7 us per member-tick
+# at 3 members, 8.5 at 10 and 7.7-7.9 at 15 to 30; at n = 1000 (104 kB) 31.6
+# us alone and 23-25 us at 3 to 10 members, and at n = 1500 (156 kB) 47.9 us
+# alone and 43.6-43.8 us at 3 and 6, lower in 9 or 10 of 10 rounds.
 _BATCH_BYTES = 1 << 20
+# Larger members run alone. At n = 2000 (208 kB each, so the operator budget
+# alone would admit 5) a batch of 2, 3 or 5 cost 39-42 us per member-tick
+# against 38 us alone, lower in only 3 or 4 of 10 rounds. Counting the
+# members' rows in the budget instead cannot draw this line: the rows grow
+# with n as the CSR does, so any budget that admits 27 members at n = 300
+# admits 4 at n = 2000.
+_BATCH_MAX_N = 1500
 
 
-def _replicate_batches(replicates: list[tuple], run) -> Iterator:
-    """run's outcome for each (graph_spec, pop_spec, params, seed) replicate,
-    or the GenerationError or ValueError that building its inputs raised.
+def _replicate_batches(replicates, run, caught) -> Iterator:
+    """run's outcome for each (graph_spec, pop_spec, params, seed,
+    weight_scale) replicate, or the exception of a type in caught that
+    building its inputs raised.
 
     run takes a list of (graph, population, params, simulate seed) members
-    and returns one outcome per member. A batch holds as many consecutive
-    replicates as keep their operators within _BATCH_BYTES, and at least
-    one. Batches are built and run one at a time as the items are taken.
+    of one size and one weight_scale, and that weight_scale, and returns
+    one outcome per member; an exception of a type in caught that it raises
+    is the outcome of each of its members. A batch holds as many
+    consecutive replicates as keep their operators within _BATCH_BYTES, and
+    at least one; it closes where the size or the weight_scale changes, and
+    a member above _BATCH_MAX_N nodes runs alone. Batches are built and run
+    one at a time as the items are taken.
     """
     pending: list = []  # per replicate of the batch: its build error, or None for its member
     members: list = []
-    load = 0
-    for graph_spec, pop_spec, params, seed in replicates:
+    load, key = 0, None
+    for graph_spec, pop_spec, params, seed, weight_scale in replicates:
         try:
             graph, population, sim_seed = _replicate_inputs(graph_spec, pop_spec, params, seed)
-        except (GenerationError, ValueError) as exc:
+        except caught as exc:
             pending.append(exc)
             continue
         cost = _operator_bytes(graph)
-        if members and load + cost > _BATCH_BYTES:
-            yield from _in_order(pending, run(members))
+        if members and (load + cost > _BATCH_BYTES or graph.n > _BATCH_MAX_N or (graph.n, weight_scale) != key):
+            yield from _in_order(pending, _run_batch(run, members, key[1], caught))
             pending, members, load = [], [], 0
         pending.append(None)
         members.append((graph, population, params, sim_seed))
-        load += cost
-    yield from _in_order(pending, run(members) if members else [])
+        load, key = load + cost, (graph.n, weight_scale)
+    yield from _in_order(pending, _run_batch(run, members, key[1], caught) if members else [])
+
+
+def _run_batch(run, members: list, weight_scale: float, caught) -> list:
+    """run(members, weight_scale), or its exception once per member."""
+    try:
+        return run(members, weight_scale)
+    except caught as exc:
+        return [exc] * len(members)
 
 
 def _in_order(pending: list, outcomes: list) -> Iterator:
@@ -737,22 +759,34 @@ def replicate_fractions(replicates: list[tuple], horizon: int, mode: str = "stoc
     it again.
     """
     return _replicate_batches(
-        replicates, lambda members: event_fractions(members, horizon, mode, check_connectivity=False)
+        ((*task, 1.0) for task in replicates),
+        lambda members, _: event_fractions(members, horizon, mode, check_connectivity=False),
+        (GenerationError, ValueError),
     )
 
 
-def replicate_summaries(replicates: list[tuple], horizon: int, mode: str = "stochastic",
-                        weight_scale: float = 1.0) -> Iterator:
+def replicate_summaries(replicates: list[tuple], horizon: int, mode: str = "stochastic") -> Iterator:
     """RunSummary of each of many replicates, batched as replicate_fractions.
 
-    The k-th item yielded is, byte for byte, the RunSummary of the
-    trajectory of replicate(graph_spec, pop_spec, params, horizon, seed,
-    mode, weight_scale), or the exception that call would raise. No run
-    records its (horizon, n) opinions and states.
+    replicates holds (graph_spec, pop_spec, params, seed, weight_scale)
+    tuples, whose sizes and weight_scales may differ. The k-th item yielded
+    is, byte for byte, the RunSummary of the trajectory of
+    replicate(graph_spec, pop_spec, params, horizon, seed, mode,
+    weight_scale), or the exception that call would raise; any exception
+    fails its replicate alone, or each replicate of the batch it ended, and
+    never the stream. No run records its (horizon, n) opinions and states.
     """
     return _replicate_batches(
-        replicates, lambda members: _member_runs(members, horizon, mode, weight_scale, False, spread=True)
+        replicates,
+        lambda members, weight_scale: _member_runs(members, horizon, mode, weight_scale, False, spread=True),
+        Exception,
     )
+
+
+def contiguous_parts(count: int, jobs: int) -> list[slice]:
+    """count items as at most jobs contiguous slices of near-equal length."""
+    parts = max(1, min(jobs, count))
+    return [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
 
 
 def fan_out(fn, tasks: list[tuple], jobs: int = 1) -> list:

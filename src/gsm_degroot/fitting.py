@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import MODES, ModelParams, PopulationSpec, fan_out, replicate_fractions
+from .dynamics import MODES, ModelParams, PopulationSpec, contiguous_parts, fan_out, replicate_fractions
 from .graph import GenerationError, GraphGenSpec
 from .rules import check_rules, rule_of, ruled
 from .seeds import derive_seed
@@ -235,12 +235,6 @@ def evaluate_point(point: dict[str, float], data: np.ndarray, config: FitConfig)
     return outcome
 
 
-def _parts(count: int, jobs: int) -> list[slice]:
-    """count items as at most jobs contiguous slices of near-equal length."""
-    parts = max(1, min(jobs, count))
-    return [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
-
-
 @dataclass
 class GridResult:
     axes: list[str]
@@ -278,7 +272,7 @@ def grid_explore(data: np.ndarray, space: ParamSpace, config: FitConfig, jobs: i
     meshes = np.meshgrid(*[space.centers(name) for name in axes], indexing="ij")
     points = np.column_stack([m.ravel() for m in meshes])
     cells = [space.full_point({name: float(v) for name, v in zip(axes, row)}) for row in points]
-    parts = fan_out(_grid_part, [(cells[part], data, config) for part in _parts(len(cells), jobs)], jobs)
+    parts = fan_out(_grid_part, [(cells[part], data, config) for part in contiguous_parts(len(cells), jobs)], jobs)
     outcomes = [outcome for part in parts for outcome in part]
     n_cells = len(cells)
     scores = np.full(n_cells, np.nan)
@@ -475,7 +469,7 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
         raise FitError("every grid cell failed; nothing to anneal from")
     points = [grid.point(idx) for idx in starts]
     seeds = [derive_seed(config.seed, "anneal", chain) for chain in range(len(starts))]
-    groups = [(points[part], seeds[part], data, space, config) for part in _parts(len(starts), jobs)]
+    groups = [(points[part], seeds[part], data, space, config) for part in contiguous_parts(len(starts), jobs)]
     outcomes = [outcome for group in fan_out(_run_chains, groups, jobs) for outcome in group]
     best_point, best_score, traces = None, math.inf, []
     for point, score, trace in outcomes:

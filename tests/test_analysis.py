@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from gsm_degroot import dynamics
 from gsm_degroot.analysis import (
     STATISTICS,
     CellResult,
@@ -339,7 +340,25 @@ FAILING_SWEEPS = {
                      axes=[SweepAxis("alpha", 1.100, 1.115, 2)], horizon=260, seed=8),
     # at r = 0 no sbm is strongly connected, so the first replicate fails in generate
     "generate": dict(axes=[SweepAxis("r", 0.0, 0.1, 2)], horizon=60),
+    # n = 6 leaves no room for k = 6 neighbours, so that cell fails in _apply_axes;
+    # Watts-Strogatz k = 6 mixes densely up to n = 56, so the cells' batches
+    # change size and operator
+    "network-size": dict(graph=GraphGenSpec(family="watts-strogatz", n=60, k=6),
+                         params=ModelParams(lam=1.0, gamma=0.5, mu=0.0, sigma=1.0),
+                         axes=[SweepAxis("network-size", 6, 86, 5), SweepAxis("gamma", 0.2, 0.4, 2)], horizon=80),
+    # the nine runs at alpha = 1.115 share a batch; the first run of its second
+    # cell overflows, and the runs after it go on
+    "alpha": dict(graph=GraphGenSpec(family="watts-strogatz", n=60, k=4),
+                  params=ModelParams(lam=1.0, gamma=0.5, mu=0.0, sigma=1.0),
+                  axes=[SweepAxis("alpha", 1.100, 1.115, 2), SweepAxis("gamma", 0.45, 0.55, 3)], horizon=260,
+                  seed=13),
+    # axis r needs an sbm graph, so every cell fails in _apply_axes
+    "axes": dict(graph=GraphGenSpec(family="watts-strogatz", n=40, k=4),
+                 axes=[SweepAxis("r", 0.0, 0.1, 2), SweepAxis("beta", 0.2, 0.8, 2)], horizon=60),
 }
+
+# the seeds each failed cell keeps, in cell order
+FAILED_SEEDS = {"overflow": [2], "generate": [1], "network-size": [0, 0], "alpha": [1], "axes": [0, 0, 0, 0]}
 
 
 @pytest.mark.parametrize("case", sorted(FAILING_SWEEPS))
@@ -347,13 +366,54 @@ def test_failed_cells_keep_the_outputs_of_one_replicate_at_a_time(tmp_path, case
     spec = sweep_spec(statistics=STATISTICS, **FAILING_SWEEPS[case])
     reference = one_replicate_at_a_time(spec)
     failed = reference.failures()
-    assert len(failed) == 1
-    kept = {"overflow": 1, "generate": 0}[case]
-    assert len(failed[0].seeds) == kept + 1
-    assert all(len(values) == kept for values in failed[0].values.values())
+    assert [len(cell.seeds) for cell in failed] == FAILED_SEEDS[case]
+    for cell in failed:
+        assert all(len(values) == max(0, len(cell.seeds) - 1) for values in cell.values.values())
     want = sweep_files(reference, tmp_path / "want")
     for jobs in (1, 2):
         got = run_sweep(spec, jobs=jobs)
         assert [cell.seeds for cell in got.cells] == [cell.seeds for cell in reference.cells]
         assert sweep_files(got, tmp_path / f"jobs-{jobs}") == want, f"jobs {jobs}"
 
+
+def curves_by_csv_writer(result, path):
+    """write_curves_csv's rows, written through csv.writer one at a time."""
+    names = result.axis_names
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["axis1", "axis2", "replicate", "t", "value"])
+        for cell in result.cells:
+            first = repr(cell.coords[names[0]])
+            second = repr(cell.coords[names[1]]) if len(names) > 1 else ""
+            for rep, curve in enumerate(cell.values.get("event_fraction_curve", [])):
+                for t, value in enumerate(curve):
+                    writer.writerow([first, second, rep, t, repr(float(value))])
+
+
+@pytest.mark.parametrize("case", ["overflow", "network-size"])
+def test_curves_csv_equals_the_rows_of_csv_writer(tmp_path, case):
+    # "overflow" has one axis, so a blank axis2, and a failed cell that keeps
+    # the curve of its first replicate; "network-size" has two axes
+    result = run_sweep(sweep_spec(statistics=STATISTICS, **FAILING_SWEEPS[case]))
+    assert result.failures()
+    write_curves_csv(result, tmp_path / "got.csv")
+    curves_by_csv_writer(result, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_a_sweep_batches_its_replicates_across_cells(monkeypatch):
+    # 108 Watts-Strogatz runs at n = 300 (31 kB of CSR each, so 33 to a
+    # batch) take 4 calls of the tick loop, not one per cell
+    sizes = []
+    run_members = dynamics._run_members
+
+    def counted(members, *args, **kwargs):
+        sizes.append(len(members))
+        return run_members(members, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_run_members", counted)
+    spec = sweep_spec(graph=GraphGenSpec(family="watts-strogatz", n=300, k=6, rewire_prob=0.1), horizon=5,
+                      axes=[SweepAxis("gamma", 0.0, 2.0, 6), SweepAxis("beta", 0.1, 0.9, 6)])
+    assert not run_sweep(spec).failures()
+    assert sum(sizes) == 108
+    assert len(sizes) <= 4

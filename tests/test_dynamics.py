@@ -637,7 +637,7 @@ def test_replicate_fractions_batches_within_the_operator_budget(monkeypatch, n, 
     assert sizes_seen == sizes
 
 
-@pytest.mark.parametrize("n, sizes", [(300, [30]), (2000, [5] * 6)])
+@pytest.mark.parametrize("n, sizes", [(300, [30]), (2000, [1] * 30), (1000, [10] * 3), (1500, [6] * 5)])
 def test_sparse_replicates_batch_by_their_csr_bytes(monkeypatch, n, sizes):
     sizes_seen = []
 
@@ -646,7 +646,8 @@ def test_sparse_replicates_batch_by_their_csr_bytes(monkeypatch, n, sizes):
         return [np.zeros(1)] * len(members)
 
     # Watts-Strogatz k=6 stores 7 entries a row: 31 kB of CSR at n = 300,
-    # 208 kB at n = 2000
+    # 104 kB at n = 1000 and 156 kB at n = 1500; above _BATCH_MAX_N = 1500
+    # nodes each member runs alone
     graph = generate(GraphGenSpec(family="watts-strogatz", n=n, k=6, seed=1))
     assert not dynamics._dense_operator(graph)
     monkeypatch.setattr(dynamics, "_replicate_inputs", lambda *task: (graph, None, 0))
@@ -662,12 +663,58 @@ def test_replicate_summaries_equal_replicate(mode):
     # four sparse members of one batch, under a decaying weight_scale
     params = ModelParams(lam=1.0, gamma=0.4)
     tasks = [(GraphGenSpec(family="watts-strogatz", n=300, k=6), PopulationSpec(stubborn_fraction=0.05 * (k % 2)),
-              params, 60 + k) for k in range(4)]
-    for task, got in zip(tasks, replicate_summaries(tasks, 40, mode, weight_scale=0.97)):
-        want = replicate(*task[:3], 40, task[3], mode=mode, weight_scale=0.97)[1]
+              params, 60 + k, 0.97) for k in range(4)]
+    for task, got in zip(tasks, replicate_summaries(tasks, 40, mode)):
+        want = replicate(*task[:3], 40, task[3], mode=mode, weight_scale=task[4])[1]
         assert got.event_fraction.tobytes() == want.event_fraction.tobytes()
         assert got.max_diversity.tobytes() == want.max_diversity.tobytes()
         assert got.final_opinions.tobytes() == want.opinions[-1].tobytes()
+
+
+def test_replicate_summaries_close_a_batch_where_size_or_weight_scale_changes(monkeypatch):
+    batches = []
+    run_members = dynamics._run_members
+
+    def spied(members, horizon, mode, weight_scale, **kwargs):
+        batches.append((len(members), members[0][0].n, weight_scale))
+        return run_members(members, horizon, mode, weight_scale, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_run_members", spied)
+    params = ModelParams(lam=1.0, gamma=0.4)
+    ws = {n: GraphGenSpec(family="watts-strogatz", n=n, k=6) for n in (40, 100)}
+    # the sbm at r = 0 fails in generate, between two members of one batch;
+    # Watts-Strogatz k = 6 mixes densely at n = 40 and sparsely at n = 100,
+    # the default sbm densely
+    specs = [ws[40], ws[40], ws[100], GraphGenSpec(family="sbm", n=100, inter_prob=0.0), ws[100], ws[100],
+             GraphGenSpec(family="sbm", n=100)]
+    scales = [1.0, 1.0, 1.0, 1.0, 1.0, 0.97, 0.97]
+    tasks = [(spec, PopulationSpec(), params, k, scale) for k, (spec, scale) in enumerate(zip(specs, scales))]
+    outcomes = list(replicate_summaries(tasks, 30))
+    assert batches == [(2, 40, 1.0), (2, 100, 1.0), (2, 100, 0.97)]
+    for task, got in zip(tasks, outcomes):
+        try:
+            want = replicate(*task[:3], 30, task[3], weight_scale=task[4])[1]
+        except GenerationError as exc:
+            assert_same_outcome(got, exc)
+            continue
+        assert got.event_fraction.tobytes() == want.event_fraction.tobytes()
+        assert got.max_diversity.tobytes() == want.max_diversity.tobytes()
+        assert got.final_opinions.tobytes() == want.opinions[-1].tobytes()
+
+
+def test_a_failed_batch_fails_each_of_its_replicates_and_not_the_stream(monkeypatch):
+    run_members = dynamics._run_members
+
+    def failing(members, horizon, mode, weight_scale, **kwargs):
+        if weight_scale != 1.0:
+            raise MemoryError("no room for the batch")
+        return run_members(members, horizon, mode, weight_scale, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_run_members", failing)
+    spec = GraphGenSpec(family="watts-strogatz", n=40, k=4)
+    tasks = [(spec, PopulationSpec(), ModelParams(), k, scale) for k, scale in enumerate([1.0, 0.9, 0.9, 1.0])]
+    outcomes = list(replicate_summaries(tasks, 10))
+    assert [type(run).__name__ for run in outcomes] == ["RunSummary", "MemoryError", "MemoryError", "RunSummary"]
 
 
 def test_replicate_runs_check_connectivity_only_in_generate(monkeypatch):
@@ -687,7 +734,7 @@ def test_replicate_runs_check_connectivity_only_in_generate(monkeypatch):
     tasks = [(GraphGenSpec(family=family, n=60), PopulationSpec(), params, k)
              for k, family in enumerate(["sbm", "watts-strogatz"] * 3)]
     assert not any(isinstance(run, Exception) for run in replicate_fractions(tasks, 20, "expected"))
-    assert not any(isinstance(run, Exception) for run in replicate_summaries(tasks, 20))
+    assert not any(isinstance(run, Exception) for run in replicate_summaries([(*task, 1.0) for task in tasks], 20))
     # every structure connected at its first attempt: 2 sweeps a member, not 4
     assert counts == {"attempts": 12, "sweeps": 24}
 
