@@ -205,36 +205,6 @@ def _advance(x, g, operator, population, weight_scale=1.0):
     return nxt
 
 
-def signed_opinion_step(x_row: np.ndarray, signed_weights: np.ndarray) -> np.ndarray:
-    """Opinion update under signed weights normalized by absolute value.
-
-    Row i of signed_weights holds the incoming weights of node i, each in
-    [-1, 1], with absolute values summing to 1. Provided to exercise the
-    antagonistic-influence bounds; simulate does not accept signed graphs.
-    """
-    x_row = np.asarray(x_row, dtype=np.float64)
-    w = np.asarray(signed_weights, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] != x_row.size:
-        raise ValueError(f"signed weight matrix shape {w.shape} does not match {x_row.size} opinions")
-    if np.max(np.abs(w)) > 1.0 + 1e-12:
-        raise ValueError("signed weights must lie in [-1, 1]")
-    sums = np.abs(w).sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-12:
-        worst = int(np.argmax(np.abs(sums - 1.0)))
-        raise ValueError(f"absolute incoming weights of node {worst} sum to {sums[worst]!r}, not 1")
-    return w @ x_row
-
-
-def random_signed_weights(n: int, rng: np.random.Generator, density: float = 0.6) -> np.ndarray:
-    """Random dense-ish signed weight matrix satisfying the signed invariants."""
-    w = np.where(rng.random((n, n)) < density, rng.uniform(-1.0, 1.0, (n, n)), 0.0)
-    for i in range(n):
-        if not np.any(w[i]):
-            w[i, rng.integers(n)] = rng.uniform(0.1, 1.0) * (1 if rng.random() < 0.5 else -1)
-        w[i] /= np.abs(w[i]).sum()
-    return w
-
-
 @dataclass
 class Trajectory:
     """Recorded run: row t holds the opinions and the events drawn from them.
@@ -362,13 +332,46 @@ def _block_diagonal(matrices: list, n: int) -> tuple:
     """(indptr, indices, data) of the block-diagonal CSR of n x n matrices.
 
     The rows of block k keep their entries in the order of matrices[k], so
-    each row of a product sums exactly as in matrices[k] @ x.
+    each row of a product sums exactly as in matrices[k] @ x. The index
+    arrays are int32 copies whenever every index fits, which csr_matvec
+    reads faster (one product, median of 15 rounds: 62.3 against 64.5 us
+    for 33 Watts-Strogatz n = 300 members, 289 against 298 us for one
+    Barabasi-Albert n = 20000 graph); the graphs' own stay int64, which
+    randomize_weights needs.
     """
     starts = np.cumsum([0] + [matrix.nnz for matrix in matrices])
-    indptr = np.concatenate([matrix.indptr[:-1] + start for matrix, start in zip(matrices, starts)] + [starts[-1:]])
-    indices = np.concatenate([matrix.indices + k * n for k, matrix in enumerate(matrices)])
+    index = np.int32 if max(starts[-1], len(matrices) * n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate([matrix.indptr[:-1] + start for matrix, start in zip(matrices, starts)] + [starts[-1:]],
+                            dtype=index)
+    indices = np.concatenate([matrix.indices + k * n for k, matrix in enumerate(matrices)], dtype=index)
     data = np.concatenate([matrix.data for matrix in matrices], dtype=np.float64)
-    return indptr.astype(indices.dtype), indices, data
+    return indptr, indices, data
+
+
+# Stochastic members draw their uniforms a block of ticks at a time, within
+# this many bytes for the whole batch (at least one tick). Measured on a
+# 2-core Xeon VM, _run_members over 1000 stochastic ticks, budgets alternated
+# in 14-20 rounds: 33 Watts-Strogatz n = 300 members took 332 ms at one tick
+# per call and 290 ms at this budget (13 ticks), level from 256 kB to 4 MB
+# (276-300 ms); 25 sbm n = 100 members 195 against 158 ms (52 ticks). A lone
+# n = 20000 run draws 6 ticks per call, with the same peak memory within
+# 0.2 MB.
+_DRAW_BYTES = 1 << 20
+
+
+def _aligned_empty(size: int) -> np.ndarray:
+    """An uninitialised float64 vector that starts on a 64-byte boundary.
+
+    np.empty promises only 16 bytes, so where a stack of dense operators
+    starts would vary with what was allocated before. On a 2-core Xeon
+    VM, 3 members at n = 100 took 27.5 ms over 2000 expected ticks from a
+    64-byte boundary, 27.9 ms from 32 bytes past one and 30.4-31.4 ms
+    from 16 or 48 (medians of 12 alternating rounds); their products
+    had the same bytes at every offset.
+    """
+    buffer = np.empty(size + 7)
+    start = (-buffer.ctypes.data % 64) // 8
+    return buffer[start:start + size]
 
 
 def _tick_rows(buffer: np.ndarray, horizon: int):
@@ -405,7 +408,10 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
     batch: _bound_terms' largest gain and floor, and the push max reach *
     |gamma|, as the event fraction lies in [0, 1]. Exact peaks are taken
     only at the ticks _first_check names; they decide every error and
-    restart the bound.
+    restart the bound. A stochastic member draws the uniforms of a block
+    of ticks, as many as keep the batch's draws within _DRAW_BYTES, in one
+    call on its own generator: the doubles that one call per tick would
+    draw, in the same order, so each member stays on its lone run's stream.
     """
     dense = [_dense_operator(member[0]) for member in members]
     # sorted is stable, so the dense and the sparse members each keep their order
@@ -416,7 +422,7 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
     lone = size == 1
     if stacked:
         # filled in place, where np.stack would briefly hold a second copy
-        operator = np.empty((stacked, n, n))
+        operator = _aligned_empty(stacked * n * n).reshape(stacked, n, n)
         for k in range(stacked):
             graphs[k].matrix.toarray(out=operator[k])
     if flat:
@@ -465,8 +471,10 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
     if spread:
         spreads, peak, trough = np.empty((horizon, size)), np.empty(size), np.empty(size)
     probability = np.empty((size, n))
-    draws = np.empty((size, n))
-    draw_rows = list(zip(rngs, draws))
+    if stochastic:
+        block = max(1, min(horizon, _DRAW_BYTES // (8 * size * n)))
+        draws = np.empty((size, block, n))
+        tick_draws = list(draws.swapaxes(0, 1))
     g = np.empty((size, 1))
     push = np.empty((size, n))
     xs[0][...] = initial
@@ -482,9 +490,11 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
             p += 1.0
             np.divide(1.0, p, out=p)
             if stochastic:
-                for rng, row in draw_rows:
-                    rng.random(out=row)
-                np.less(draws, p, out=s)
+                b = t % block
+                if b == 0:
+                    for rng, rows in zip(rngs, draws[:, :horizon - t]):
+                        rng.random(out=rows)
+                np.less(tick_draws[b], p, out=s)
             if lone:
                 f = float(np.count_nonzero(s) if stochastic else np.add.reduce(s, axis=None)) / n
                 lone_fractions[t] = f

@@ -209,6 +209,8 @@ def is_strongly_connected(graph: WeightedDigraph) -> bool:
 
 
 def _reaches_all(pattern: sparse.csr_array) -> bool:
+    """Node 0 reaches every node along the edges j -> i of the entries (i, j)
+    of pattern, all of which are positive."""
     n = pattern.shape[0]
     reached = np.zeros(n, dtype=np.float64)
     reached[0] = 1.0
@@ -289,11 +291,15 @@ def generate(spec: GraphGenSpec) -> WeightedDigraph:
     """Sample a strongly connected graph and draw its incoming weights.
 
     Structures are resampled with derived seeds until strongly connected,
-    up to 100 attempts. Weights start uniform per node and are then mixed
-    by randomize_weights unless spec.weight_rounds is 0. An sbm with
-    inter_prob 0 and two non-empty blocks, or an Erdos-Renyi graph with
-    edge_prob 0, can never be strongly connected, so it fails before any
-    attempt.
+    up to 100 attempts. Every structure holds both directions of each of
+    its edges, so node 0 reaches every node exactly when every node
+    reaches node 0: one forward _reaches_all sweep on the uniform matrix,
+    whose entries are all positive, decides strong connectivity, with no
+    backward sweep on a transposed copy. Weights start uniform per node
+    and are then mixed by randomize_weights unless spec.weight_rounds is
+    0. An sbm with inter_prob 0 and two non-empty blocks, or an
+    Erdos-Renyi graph with edge_prob 0, can never be strongly connected,
+    so it fails before any attempt.
     """
     if spec.family == "sbm" and spec.inter_prob == 0.0 and 0 < _first_block(spec) < spec.n:
         raise GenerationError(
@@ -310,7 +316,7 @@ def generate(spec: GraphGenSpec) -> WeightedDigraph:
             graph = _uniform_graph(spec.n, src, dst, clusters)
         except GraphError:
             continue
-        if not is_strongly_connected(graph):
+        if not _reaches_all(graph.matrix):
             continue
         if spec.weight_rounds > 0:
             graph = randomize_weights(graph, spec.weight_rounds, derive_seed(spec.seed, "weights", attempt))
@@ -323,16 +329,17 @@ def generate(spec: GraphGenSpec) -> WeightedDigraph:
 def _uniform_graph(n: int, src: np.ndarray, dst: np.ndarray, clusters) -> WeightedDigraph:
     if src.size == 0:
         raise GraphError("no edges")
-    matrix = sparse.csr_array(
-        sparse.coo_array((np.ones(src.size), (dst, src)), shape=(n, n))
-    )
-    matrix.sort_indices()
-    if matrix.nnz != src.size:
+    # sorted row-major keys are the CSR's entries in order: row dst, column src
+    keys = np.sort(dst * n + src)
+    if np.any(keys[1:] == keys[:-1]):
         raise GraphError("duplicate edges")
-    indeg = np.diff(matrix.indptr)
+    rows, cols = np.divmod(keys, n)
+    indeg = np.bincount(rows, minlength=n)
     if np.any(indeg == 0):
         raise GraphError("isolated node")
-    matrix.data = np.repeat(1.0 / indeg, indeg)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(indeg, out=indptr[1:])
+    matrix = sparse.csr_array((np.repeat(1.0 / indeg, indeg), cols, indptr), shape=(n, n))
     return WeightedDigraph(matrix=matrix, clusters=clusters)
 
 

@@ -24,8 +24,6 @@ from gsm_degroot.dynamics import (
     Population,
     PopulationSpec,
     event_fractions,
-    random_signed_weights,
-    signed_opinion_step,
     simulate,
 )
 from gsm_degroot.fitting import (
@@ -41,6 +39,7 @@ from gsm_degroot.fitting import (
 )
 from gsm_degroot.graph import GraphGenSpec, generate, identity_graph, stationary_distribution
 from gsm_degroot.seeds import derive_seed, rng_from
+from signed_weights import random_signed_weights, signed_opinion_step
 
 
 def build_population(n, rng, mu=0.0, sigma=1.0, positive_fraction=0.5, clusters=None):

@@ -27,13 +27,11 @@ from gsm_degroot.dynamics import (
     event_fractions,
     event_probability,
     fan_out,
-    random_signed_weights,
     replicate,
     replicate_fractions,
     replicate_summaries,
     sample_reactions,
     sample_stubborn_mask,
-    signed_opinion_step,
     simulate,
 )
 from gsm_degroot.graph import (
@@ -47,6 +45,7 @@ from gsm_degroot.graph import (
     stationary_distribution,
 )
 from gsm_degroot.seeds import rng_from
+from signed_weights import random_signed_weights, signed_opinion_step
 
 
 def uniform_population(n, reactions=1.0, opinions=0.0, **kwargs):
@@ -602,6 +601,70 @@ def test_a_batch_on_both_sides_of_the_density_threshold_equals_lone_runs(mode):
         assert got.final_opinions.tobytes() == want.opinions[-1].tobytes()
 
 
+class RecordedGenerator:
+    """A Generator that records the rows each random(out=...) call fills."""
+
+    def __init__(self, seed, calls):
+        self.rng, self.calls = np.random.Generator(np.random.PCG64(seed)), calls
+
+    def random(self, out):
+        self.calls.append(out.shape[0])
+        return self.rng.random(out=out)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("block, draws", [(1, [1] * 100), (7, [7] * 14 + [2]), (100, [100]), (250, [100])])
+def test_blocked_draws_keep_every_members_bytes(monkeypatch, block, draws):
+    # each stochastic member draws a block of ticks' uniforms per call; 7
+    # does not divide the horizon, and the last block draws only what is left
+    n, horizon = 100, 100
+    graphs = [generate(GraphGenSpec(family="watts-strogatz", n=n, k=6, seed=12)),
+              generate(GraphGenSpec(family="sbm", n=n, seed=12, inter_prob=0.05)),
+              generate(GraphGenSpec(family="erdos-renyi", n=n, edge_prob=0.05, seed=12)),
+              generate(GraphGenSpec(family="barabasi-albert", n=n, m=3, seed=12))]
+    members = [batch_member(graph, k) for k, graph in enumerate(graphs)]
+    # all reactions +1 under a huge feedback: overflows at step 11, inside a block of 7
+    members[2] = (graphs[2], Population(np.ones(n), np.zeros(n)), ModelParams(lam=1.0, gamma=1e11), 3)
+    row = 8 * len(members) * n
+    monkeypatch.setattr(dynamics, "_DRAW_BYTES", (block + 1) * row - 1)
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics.np.random, "default_rng", lambda seed: RecordedGenerator(seed, calls))
+        runs = dynamics._member_runs(members, horizon, "stochastic", spread=True)
+    assert calls == [rows for rows in draws for _ in members]
+    for member, got in zip(members, runs):
+        try:
+            opinions, _, fractions = reference_simulate(*member[:3], horizon, member[3], "stochastic")
+        except OpinionOverflowError as exc:
+            assert exc.step == 11
+            assert_same_outcome(got, exc)
+            continue
+        assert got.event_fraction.tobytes() == fractions.tobytes()
+        assert got.max_diversity.tobytes() == (opinions.max(axis=1) - opinions.min(axis=1)).tobytes()
+        assert got.final_opinions.tobytes() == opinions[-1].tobytes()
+    assert isinstance(runs[2], OpinionOverflowError)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 13])
+def test_a_block_of_uniforms_equals_its_rows_drawn_one_at_a_time(rows):
+    # the tick loop fills each member's (block, n) draws with one call
+    block, one_at_a_time = np.random.default_rng(5), np.random.default_rng(5)
+    drawn = np.empty((rows, 300))
+    block.random(out=drawn)
+    assert drawn.tobytes() == np.concatenate([one_at_a_time.random(300) for _ in range(rows)]).tobytes()
+    # and leaves the generator where the row draws leave it
+    assert block.random(5).tobytes() == one_at_a_time.random(5).tobytes()
+
+
+def test_expected_mode_draws_nothing(monkeypatch):
+    graph = generate(GraphGenSpec(family="watts-strogatz", n=100, k=6, seed=12))
+    members = [batch_member(graph, k) for k in range(3)]
+    calls = []
+    monkeypatch.setattr(dynamics.np.random, "default_rng", lambda seed: RecordedGenerator(seed, calls))
+    dynamics._member_runs(members, 50, "expected")
+    assert calls == []
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_replicate_fractions_equal_replicate_across_batches(mode):
     # n = 150 puts five members in a batch, so seven replicates take two
@@ -718,8 +781,8 @@ def test_a_failed_batch_fails_each_of_its_replicates_and_not_the_stream(monkeypa
 
 
 def test_replicate_runs_check_connectivity_only_in_generate(monkeypatch):
-    # generate checks each structure with two _reaches_all sweeps; the runs
-    # of replicate_fractions and replicate_summaries do not repeat them
+    # generate checks each structure with one _reaches_all sweep; the runs
+    # of replicate_fractions and replicate_summaries do not repeat it
     counts = {"attempts": 0, "sweeps": 0}
 
     def counted(name, fn):
@@ -735,8 +798,8 @@ def test_replicate_runs_check_connectivity_only_in_generate(monkeypatch):
              for k, family in enumerate(["sbm", "watts-strogatz"] * 3)]
     assert not any(isinstance(run, Exception) for run in replicate_fractions(tasks, 20, "expected"))
     assert not any(isinstance(run, Exception) for run in replicate_summaries([(*task, 1.0) for task in tasks], 20))
-    # every structure connected at its first attempt: 2 sweeps a member, not 4
-    assert counts == {"attempts": 12, "sweeps": 24}
+    # every structure connected at its first attempt: 1 sweep a member, not 3
+    assert counts == {"attempts": 12, "sweeps": 12}
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +833,19 @@ def test_block_diagonal_product_equals_the_members_products():
               for s, family in enumerate(sorted(SPARSE_FAMILIES))]
     x = rng_from(9, "x").normal(size=(len(graphs), n))
     indptr, indices, data = _block_diagonal([graph.matrix for graph in graphs], n)
+    # int32 copies for the product; the graphs keep their int64 indices
+    assert indptr.dtype == indices.dtype == np.int32
+    assert all(graph.matrix.indices.dtype == graph.matrix.indptr.dtype == np.int64 for graph in graphs)
     y = np.zeros(x.size)
     csr_matvec(x.size, x.size, indptr, indices, data, x.reshape(-1), y)
     assert y.tobytes() == np.concatenate([graph.matrix @ row for graph, row in zip(graphs, x)]).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 7, 30000])
+def test_aligned_buffers_start_on_a_64_byte_boundary(size):
+    buffer = dynamics._aligned_empty(size)
+    assert buffer.shape == (size,) and buffer.dtype == np.float64 and buffer.flags.c_contiguous
+    assert buffer.ctypes.data % 64 == 0
 
 
 def test_the_dense_operator_needs_a_small_and_dense_enough_graph():

@@ -117,6 +117,74 @@ def test_ensure_self_loops():
     assert validate(g).normalized
 
 
+def coo_uniform_graph(n, src, dst):
+    """_uniform_graph's matrix as scipy's COO round trip built it, or the
+    text of the GraphError it raised."""
+    if src.size == 0:
+        return "no edges"
+    matrix = sparse.csr_array(sparse.coo_array((np.ones(src.size), (dst, src)), shape=(n, n)))
+    matrix.sort_indices()
+    if matrix.nnz != src.size:
+        return "duplicate edges"
+    indeg = np.diff(matrix.indptr)
+    if np.any(indeg == 0):
+        return "isolated node"
+    matrix.data = np.repeat(1.0 / indeg, indeg)
+    return matrix
+
+
+# specs whose samples are often not strongly connected, and a default one per family
+SPARSE_SPECS = [
+    dict(family="sbm", n=60, intra_prob=0.3, inter_prob=0.002),
+    dict(family="erdos-renyi", n=40, edge_prob=0.1),
+    dict(family="watts-strogatz", n=30, k=2, rewire_prob=0.5),
+] + [dict(family=family, n=50) for family in FAMILIES]
+
+
+@pytest.mark.parametrize("ensure_self_loops", [False, True])
+@pytest.mark.parametrize("kwargs", SPARSE_SPECS, ids=lambda kwargs: "-".join(str(v) for v in kwargs.values()))
+def test_one_forward_sweep_decides_strong_connectivity(kwargs, ensure_self_loops):
+    # every structure holds both directions of each edge, so generate checks
+    # only that node 0 reaches every node
+    spec = GraphGenSpec(ensure_self_loops=ensure_self_loops, **kwargs)
+    verdicts = []
+    for seed in range(50):
+        src, dst, clusters = graph_module._structure_edges(spec, seed)
+        want = coo_uniform_graph(spec.n, src, dst)
+        try:
+            got = graph_module._uniform_graph(spec.n, src, dst, clusters)
+        except GraphError as exc:
+            assert str(exc) == want
+            continue
+        for mine, theirs in zip((got.matrix.data, got.matrix.indices, got.matrix.indptr),
+                                (want.data, want.indices, want.indptr)):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        verdicts.append(graph_module._reaches_all(got.matrix))
+        assert verdicts[-1] == graph_module.is_strongly_connected(got)
+    if kwargs in SPARSE_SPECS[:3] and (ensure_self_loops or kwargs["family"] != "erdos-renyi"):
+        assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_generate_keeps_its_attempt_counts(monkeypatch):
+    # _structure_edges calls per graph, as when generate swept both ways
+    attempts = []
+    structure_edges = graph_module._structure_edges
+
+    def counted(*args):
+        attempts[-1] += 1
+        return structure_edges(*args)
+
+    specs = [GraphGenSpec(seed=seed, ensure_self_loops=loops, **kwargs)
+             for kwargs, loops in [(SPARSE_SPECS[0], False), (SPARSE_SPECS[1], False), (SPARSE_SPECS[1], True),
+                                   (SPARSE_SPECS[2], False)]
+             for seed in range(6)]
+    monkeypatch.setattr(graph_module, "_structure_edges", counted)
+    for spec in specs:
+        attempts.append(0)
+        generate(spec)
+    assert attempts == [1, 1, 1, 1, 1, 2, 1, 1, 2, 2, 4, 3, 1, 1, 2, 2, 4, 3, 1, 1, 2, 1, 1, 2]
+
+
 # ---------------------------------------------------------------------------
 # structure samplers: the same random stream, hence the same graphs, as
 # networkx's generators for the same int seed
@@ -170,9 +238,16 @@ def test_erdos_renyi_pairs_match_networkx(n, p):
      "9712b001a3e46f71bd65c9ee997f17a768a9a105a2853788b90a36aed33a7b26"),
     (GraphGenSpec(family="watts-strogatz", n=50, k=6, seed=4, weight_rounds=40),
      "84e55a0812e8cc9edb3d529040b8a21506fed3fbd72b502c27f210ce8d606eb0"),
-], ids=["barabasi-albert", "watts-strogatz", "erdos-renyi", "weight-rounds-30", "weight-rounds-40"])
+    # the fit's default surrogate
+    (GraphGenSpec(family="sbm", n=100, cluster_ratios=(0.7, 0.3), intra_prob=0.5, inter_prob=0.1),
+     "c9e9f5be46ecec636c8adc69fc47940fe342ff7dad1def8d87a3d8e4ca601f3c"),
+    (GraphGenSpec(family="watts-strogatz", n=300, k=6, rewire_prob=0.1, seed=12, ensure_self_loops=True),
+     "5fbc2a9f3a11cfa83648263a689c5ffee70e17a5aa43eaa0eaf79f9db98cfaf9"),
+], ids=["barabasi-albert", "watts-strogatz", "erdos-renyi", "weight-rounds-30", "weight-rounds-40", "sbm",
+        "watts-strogatz-self-loops"])
 def test_generated_graphs_keep_their_bytes(spec, digest):
-    # digests of the graphs these specs gave when networkx drew them
+    # digests of the graphs these specs gave when networkx drew them, and of the
+    # sbm and self-loop graphs before generate built its own CSR
     g = generate(spec)
     assert validate(g).normalized
     m = g.matrix

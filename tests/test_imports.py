@@ -50,10 +50,9 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-# Kept although the package never calls them: the one-step reference that
-# tests/test_dynamics.py checks simulate against (and a benchmark hook), and
-# the signed-weight update of acceptance criterion 7.
-UNCALLED_ON_PURPOSE = {"_advance", "signed_opinion_step", "random_signed_weights"}
+# Kept although the package never calls it: the one-step reference that
+# tests/test_dynamics.py checks simulate against (and a benchmark hook).
+UNCALLED_ON_PURPOSE = {"_advance"}
 
 
 def unreferenced_definitions(sources: dict[str, str], exported) -> list[str]:
