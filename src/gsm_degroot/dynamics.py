@@ -184,7 +184,12 @@ def sample_stubborn_mask(n: int, fraction: float, rng: np.random.Generator) -> n
 
 
 def event_probability(opinions: np.ndarray, lam: float) -> np.ndarray:
-    """Per-agent event probability sigmoid(lam * opinion)."""
+    """Per-agent event probability sigmoid(lam * opinion).
+
+    Kept as API: the tick loop (_run_members) inlines it into preallocated
+    rows, and the reference loop in the tests and perfbench's tracer call
+    it.
+    """
     z = lam * np.asarray(opinions, dtype=np.float64)
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-z))
@@ -309,12 +314,14 @@ def _dense_operator(graph: WeightedDigraph) -> bool:
     """Whether the tick loop mixes graph with a dense operator: n at most
     _DENSE_MAX_N and at least n**2 / 8 stored entries.
 
-    One product into a preallocated row, measured on a 2-core Xeon VM: the
-    direct CSR product took less time than the dense one on every graph
-    measured below an eighth (n = 100 and 300, densities 0.06 to 0.15;
-    2.5 against 3.6 us for a Watts-Strogatz graph at n = 100, 10.0 against
-    16.4 us for an Erdos-Renyi one at n = 300, density 0.10), and more at
-    the default sbm's third (4.5 against 3.6 us at n = 100).
+    One product into a preallocated row, measured on a 2-core Xeon VM with
+    the CSR rows in natural order, before the tick loop sorted them by
+    length (_block_diagonal): the direct CSR product took less time than the
+    dense one on every graph measured below an eighth (n = 100 and 300,
+    densities 0.06 to 0.15; 2.5 against 3.6 us for a Watts-Strogatz graph at
+    n = 100, 10.0 against 16.4 us for an Erdos-Renyi one at n = 300, density
+    0.10), and more at the default sbm's third (4.5 against 3.6 us at n =
+    100).
     """
     n = graph.n
     return n <= _DENSE_MAX_N and 8 * graph.matrix.nnz >= n * n
@@ -328,24 +335,53 @@ def _operator_bytes(graph: WeightedDigraph) -> int:
     return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
 
 
-def _block_diagonal(matrices: list, n: int) -> tuple:
-    """(indptr, indices, data) of the block-diagonal CSR of n x n matrices.
+# _block_diagonal writes the sorted arrays this many rows at a time. Index
+# arrays as long as all of a Barabasi-Albert n = 20000 graph's entries, though
+# freed before the tick loop, left the peak resident memory of a process that
+# generates and simulates it three times about 1 MB higher: 277.1-277.4 MB,
+# against 276.2-276.5 MB written in blocks and 276.0-276.6 MB for the
+# unsorted CSR (VmHWM, two processes each).
+_WRITE_ROWS = 4096
 
-    The rows of block k keep their entries in the order of matrices[k], so
-    each row of a product sums exactly as in matrices[k] @ x. The index
-    arrays are int32 copies whenever every index fits, which csr_matvec
-    reads faster (one product, median of 15 rounds: 62.3 against 64.5 us
-    for 33 Watts-Strogatz n = 300 members, 289 against 298 us for one
-    Barabasi-Albert n = 20000 graph); the graphs' own stay int64, which
-    randomize_weights needs.
+
+def _block_diagonal(matrices: list, n: int) -> tuple:
+    """(indptr, indices, data, inverse) of the block-diagonal CSR of n x n
+    matrices, its rows stably sorted by their count of stored entries.
+
+    Row r of the block-diagonal matrix is row inverse[r] of the sorted one,
+    so np.take(product, inverse) puts a product's rows back in order. Each
+    row keeps its entries in the order of its matrix, so it sums exactly as
+    in matrices[k] @ x. csr_matvec mostly waits on mispredicted row ends
+    when row lengths vary: one Barabasi-Albert n = 20000 product took
+    218-237 us with its rows in natural order and 103-136 us sorted, 120-179
+    us counting the np.take (2-core Xeon VM, best of 7 x 300 in each of
+    three rounds). The index arrays are int32 copies whenever every index
+    fits, which csr_matvec reads faster (natural row order, median of 15
+    rounds: 62.3 against 64.5 us for 33 Watts-Strogatz n = 300 members, 289
+    against 298 us for one Barabasi-Albert n = 20000 graph); the graphs' own
+    stay int64, which randomize_weights needs. Each sorted array is written
+    straight from the matrices' own, with no unsorted copy held beside it,
+    _WRITE_ROWS rows at a time.
     """
-    starts = np.cumsum([0] + [matrix.nnz for matrix in matrices])
-    index = np.int32 if max(starts[-1], len(matrices) * n) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.concatenate([matrix.indptr[:-1] + start for matrix, start in zip(matrices, starts)] + [starts[-1:]],
-                            dtype=index)
-    indices = np.concatenate([matrix.indices + k * n for k, matrix in enumerate(matrices)], dtype=index)
-    data = np.concatenate([matrix.data for matrix in matrices], dtype=np.float64)
-    return indptr, indices, data
+    lengths = np.concatenate([np.diff(matrix.indptr) for matrix in matrices])
+    inverse = np.empty(lengths.size, dtype=np.intp)
+    inverse[np.argsort(lengths, kind="stable")] = np.arange(lengths.size)
+    nnz = int(lengths.sum())
+    index = np.int32 if max(nnz, lengths.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(lengths.size + 1, dtype=index)
+    indptr[1 + inverse] = lengths
+    np.cumsum(indptr, out=indptr)
+    indices, data = np.empty(nnz, dtype=index), np.empty(nnz)
+    for k, matrix in enumerate(matrices):
+        ptr = matrix.indptr
+        for a in range(0, n, _WRITE_ROWS):
+            b = min(a + _WRITE_ROWS, n)
+            # entry e of row r lands at indptr[inverse[r]] + e - ptr[r]
+            where = np.repeat(indptr[inverse[k * n + a:k * n + b]] - ptr[a:b], lengths[k * n + a:k * n + b])
+            where += np.arange(ptr[a], ptr[b])
+            indices[where] = matrix.indices[ptr[a]:ptr[b]] + k * n
+            data[where] = matrix.data[ptr[a]:ptr[b]]
+    return indptr, indices, data, inverse
 
 
 # Stochastic members draw their uniforms a block of ticks at a time, within
@@ -398,20 +434,21 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
 
     Members whose _dense_operator holds are stacked for one np.matmul per
     tick, the same gemv per member as _advance on the dense matrix. The
-    others are joined into one block-diagonal CSR for one csr_matvec per
-    tick into a zeroed row, the call behind scipy's matrix @ x; each row
-    sums in its own member's order, so every member keeps the bits of its
-    lone product. The loop runs the dense members first and returns every
-    row in the members' order. At K = 1 the event fraction and feedback
-    are Python floats, which cost less than (1, 1) arrays; above, (K, 1)
-    arrays, which cost less than a loop. One bound on |opinion| serves the
-    batch: _bound_terms' largest gain and floor, and the push max reach *
-    |gamma|, as the event fraction lies in [0, 1]. Exact peaks are taken
-    only at the ticks _first_check names; they decide every error and
-    restart the bound. A stochastic member draws the uniforms of a block
-    of ticks, as many as keep the batch's draws within _DRAW_BYTES, in one
-    call on its own generator: the doubles that one call per tick would
-    draw, in the same order, so each member stays on its lone run's stream.
+    others are joined into one block-diagonal CSR, its rows sorted by
+    length, for one csr_matvec per tick into a zeroed scratch row, the call
+    behind scipy's matrix @ x, which np.take puts back in order into the
+    next row; each row sums in its own member's order, so every member keeps
+    the bits of its lone product. The loop runs the dense members first and
+    returns every row in the members' order. At K = 1 the event fraction and
+    feedback are Python floats, which cost less than (1, 1) arrays; above,
+    (K, 1) arrays, which cost less than a loop. One bound on |opinion|
+    serves the batch: _bound_terms' largest gain and floor, and the push max
+    reach * |gamma|, as the event fraction lies in [0, 1]. Exact peaks are
+    taken only at the ticks _first_check names; they decide every error and
+    restart the bound. A stochastic member draws the uniforms of a block of
+    ticks, as many as keep the batch's draws within _DRAW_BYTES, in one call
+    on its own generator: the doubles that one call per tick would draw, in
+    the same order, so each member stays on its lone run's stream.
     """
     dense = [_dense_operator(member[0]) for member in members]
     # sorted is stable, so the dense and the sparse members each keep their order
@@ -426,7 +463,8 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
         for k in range(stacked):
             graphs[k].matrix.toarray(out=operator[k])
     if flat:
-        indptr, indices, data = _block_diagonal([graph.matrix for graph in graphs[stacked:]], n)
+        indptr, indices, data, inverse = _block_diagonal([graph.matrix for graph in graphs[stacked:]], n)
+        product = np.empty(flat)
     stochastic = mode == "stochastic"
     rngs = [np.random.default_rng(seed) for seed in seeds]
     # x * -lam is exactly -(x * lam): IEEE rounding is symmetric about zero
@@ -508,9 +546,9 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
             if stacked:
                 np.matmul(operator, x3s[t], out=x3s[t + 1])
             if flat:
-                y = ys[t + 1]
-                y.fill(0.0)
-                csr_matvec(flat, flat, indptr, indices, data, ys[t], y)
+                product.fill(0.0)
+                csr_matvec(flat, flat, indptr, indices, data, ys[t], product)
+                np.take(product, inverse, out=ys[t + 1], mode="clip")
             if weight_scale != 1.0:
                 nxt *= weight_scale
             if lone:
@@ -572,8 +610,8 @@ def simulate(
     step, for growth or decay protocols where the sums equal alpha != 1.
     """
     _check_run(graph, population, horizon, mode, weight_scale, check_connectivity)
-    errors, series, opinions, states, _ = _run_members(
-        [(graph, population, params, seed)], horizon, mode, weight_scale, record=True
+    errors, series, opinions, states, spreads = _run_members(
+        [(graph, population, params, seed)], horizon, mode, weight_scale, record=True, spread=True
     )
     if errors[0] is not None:
         raise errors[0]
@@ -585,7 +623,7 @@ def simulate(
         states=states,
         event_fraction=series[0],
         mean_opinion=opinions.mean(axis=1),
-        max_diversity=opinions.max(axis=1) - opinions.min(axis=1),
+        max_diversity=spreads[0],
         seed=seed,
         mode=mode,
     )
@@ -693,17 +731,18 @@ def replicate(
 # members: 3.8 us; 52 members: 5.0 and 6.2 us), and more than a lone run at
 # n = 300 (3 members: 26 against 20 us expected). Sparse members share one
 # block-diagonal CSR. Watts-Strogatz k = 6 graphs, stochastic, ten rounds
-# alternating the batch sizes: at n = 300 (31 kB each) 12.7 us per member-tick
-# at 3 members, 8.5 at 10 and 7.7-7.9 at 15 to 30; at n = 1000 (104 kB) 31.6
-# us alone and 23-25 us at 3 to 10 members, and at n = 1500 (156 kB) 47.9 us
-# alone and 43.6-43.8 us at 3 and 6, lower in 9 or 10 of 10 rounds.
+# alternating the batch sizes, with the CSR rows in natural order: at n = 300
+# (31 kB each) 12.7 us per member-tick at 3 members, 8.5 at 10 and 7.7-7.9 at
+# 15 to 30; at n = 1000 (104 kB) 31.6 us alone and 23-25 us at 3 to 10
+# members, and at n = 1500 (156 kB) 47.9 us alone and 43.6-43.8 us at 3 and
+# 6, lower in 9 or 10 of 10 rounds.
 _BATCH_BYTES = 1 << 20
 # Larger members run alone. At n = 2000 (208 kB each, so the operator budget
-# alone would admit 5) a batch of 2, 3 or 5 cost 39-42 us per member-tick
-# against 38 us alone, lower in only 3 or 4 of 10 rounds. Counting the
-# members' rows in the budget instead cannot draw this line: the rows grow
-# with n as the CSR does, so any budget that admits 27 members at n = 300
-# admits 4 at n = 2000.
+# alone would admit 5), with the CSR rows in natural order, a batch of 2, 3 or
+# 5 cost 39-42 us per member-tick against 38 us alone, lower in only 3 or 4 of
+# 10 rounds. Counting the members' rows in the budget instead cannot draw this
+# line: the rows grow with n as the CSR does, so any budget that admits 27
+# members at n = 300 admits 4 at n = 2000.
 _BATCH_MAX_N = 1500
 
 

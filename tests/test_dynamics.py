@@ -286,18 +286,21 @@ def test_expected_mode_is_deterministic_and_smooth():
 
 
 def test_trajectory_recorded_series_are_consistent():
-    graph = generate(GraphGenSpec(family="erdos-renyi", n=15, edge_prob=0.4, seed=2))
-    pop = PopulationSpec().build(15, rng_from(2, "pop"), mu=-1.0, sigma=1.0)
-    traj = simulate(graph, pop, ModelParams(lam=0.5, gamma=0.2), horizon=60, seed=3)
-    assert traj.opinions.shape == (60, 15)
-    assert traj.states.shape == (60, 15)
-    assert traj.states.dtype == np.int8
-    np.testing.assert_array_equal(traj.event_fraction, traj.states.sum(axis=1) / 15)
-    np.testing.assert_array_equal(traj.mean_opinion, traj.opinions.mean(axis=1))
-    np.testing.assert_array_equal(
-        traj.max_diversity, traj.opinions.max(axis=1) - traj.opinions.min(axis=1)
-    )
-    assert np.all(traj.max_diversity >= 0)
+    # a dense operator, a hub-heavy sparse one, and a start with no spread;
+    # bytes, because assert_array_equal takes -0.0 for 0.0
+    for family, n, sigma in [("erdos-renyi", 15, 1.0), ("barabasi-albert", 2000, 1.0), ("erdos-renyi", 15, 0.0)]:
+        graph = generate(GraphGenSpec(family=family, n=n, edge_prob=0.4, seed=2))
+        pop = PopulationSpec().build(n, rng_from(2, "pop"), mu=-1.0, sigma=sigma)
+        traj = simulate(graph, pop, ModelParams(lam=0.5, gamma=0.2), horizon=60, seed=3)
+        assert traj.opinions.shape == (60, n)
+        assert traj.states.shape == (60, n)
+        assert traj.states.dtype == np.int8
+        assert traj.event_fraction.tobytes() == (traj.states.sum(axis=1) / n).tobytes()
+        assert traj.mean_opinion.tobytes() == traj.opinions.mean(axis=1).tobytes()
+        spread = traj.opinions.max(axis=1) - traj.opinions.min(axis=1)
+        assert traj.max_diversity.dtype == spread.dtype and traj.max_diversity.tobytes() == spread.tobytes()
+        assert np.all(traj.max_diversity >= 0)
+        assert (traj.max_diversity[0] == 0.0) == (sigma == 0.0)
 
 
 def test_simulate_is_deterministic_given_seed():
@@ -403,10 +406,13 @@ def assert_same_run(graph, population, params, horizon, seed, mode, weight_scale
     return got
 
 
-@pytest.fixture(scope="module", params=["dense", "sparse"])
+@pytest.fixture(scope="module", params=["dense", "sparse", "hubs"])
 def mixing_graph(request):
     if request.param == "dense":
         return generate(GraphGenSpec(family="sbm", n=100, seed=12, inter_prob=0.05))
+    if request.param == "hubs":
+        # rows of many lengths, which the sparse product takes sorted by length
+        return generate(GraphGenSpec(family="barabasi-albert", n=2000, m=3, seed=12))
     return generate(GraphGenSpec(family="watts-strogatz", n=600, k=6, seed=12))
 
 
@@ -583,8 +589,9 @@ def test_a_batch_on_both_sides_of_the_density_threshold_equals_lone_runs(mode):
               generate(GraphGenSpec(family="sbm", n=n, seed=12, inter_prob=0.05)),
               generate(GraphGenSpec(family="erdos-renyi", n=n, edge_prob=0.05, seed=12)),
               generate(GraphGenSpec(family="sbm", n=n, seed=13, inter_prob=0.05)),
-              generate(GraphGenSpec(family="barabasi-albert", n=n, m=3, seed=12))]
-    assert [_dense_operator(graph) for graph in graphs] == [False, True, False, True, False]
+              generate(GraphGenSpec(family="barabasi-albert", n=n, m=3, seed=12)),
+              generate(GraphGenSpec(family="barabasi-albert", n=n, m=1, seed=13))]
+    assert [_dense_operator(graph) for graph in graphs] == [False, True, False, True, False, False]
     members = [batch_member(graph, k) for k, graph in enumerate(graphs)]
     # all reactions +1 under a huge feedback: a sparse member that overflows
     members[2] = (graphs[2], Population(np.ones(n), np.zeros(n)), ModelParams(lam=1.0, gamma=1e11), 3)
@@ -827,18 +834,52 @@ def test_csr_matvec_into_a_zeroed_row_equals_the_sparse_product(family, n):
     assert y.tobytes() == (matrix @ x).tobytes()
 
 
-def test_block_diagonal_product_equals_the_members_products():
+def block_diagonal_product(graphs):
+    """The members' products through _block_diagonal, checked to take its
+    rows stably sorted by length; returns the inverse permutation."""
+    n = graphs[0].n
+    x = rng_from(9, "x").normal(size=(len(graphs), n))
+    indptr, indices, data, inverse = _block_diagonal([graph.matrix for graph in graphs], n)
+    # int32 copies for the product; the graphs keep their int64 indices
+    assert indptr.dtype == indices.dtype == np.int32 and inverse.dtype == np.intp
+    assert all(graph.matrix.indices.dtype == graph.matrix.indptr.dtype == np.int64 for graph in graphs)
+    lengths = np.diff(indptr)
+    assert np.all(np.diff(lengths) >= 0)
+    assert np.array_equal(np.sort(inverse), np.arange(x.size))
+    # stable: rows of one length keep their order, and each row its entries
+    natural = sparse.block_diag([graph.matrix for graph in graphs], format="csr")
+    order = np.argsort(inverse)
+    assert order.tolist() == sorted(range(x.size), key=lambda r: natural.indptr[r + 1] - natural.indptr[r])
+    for row, r in enumerate(order):
+        entries = slice(natural.indptr[r], natural.indptr[r + 1])
+        mine = slice(indptr[row], indptr[row + 1])
+        assert np.array_equal(indices[mine], natural.indices[entries])
+        assert data[mine].tobytes() == natural.data[entries].tobytes()
+    y = np.zeros(x.size)
+    csr_matvec(x.size, x.size, indptr, indices, data, x.reshape(-1), y)
+    want = np.concatenate([graph.matrix @ row for graph, row in zip(graphs, x)])
+    assert np.take(y, inverse).tobytes() == want.tobytes()
+    return inverse
+
+
+def test_block_diagonal_product_equals_the_members_products(monkeypatch):
     n = 300
     graphs = [generate(GraphGenSpec(family=family, n=n, seed=s, **SPARSE_FAMILIES[family]))
               for s, family in enumerate(sorted(SPARSE_FAMILIES))]
-    x = rng_from(9, "x").normal(size=(len(graphs), n))
-    indptr, indices, data = _block_diagonal([graph.matrix for graph in graphs], n)
-    # int32 copies for the product; the graphs keep their int64 indices
-    assert indptr.dtype == indices.dtype == np.int32
-    assert all(graph.matrix.indices.dtype == graph.matrix.indptr.dtype == np.int64 for graph in graphs)
-    y = np.zeros(x.size)
-    csr_matvec(x.size, x.size, indptr, indices, data, x.reshape(-1), y)
-    assert y.tobytes() == np.concatenate([graph.matrix @ row for graph, row in zip(graphs, x)]).tobytes()
+    inverse = block_diagonal_product(graphs)
+    assert not np.array_equal(inverse, np.arange(len(graphs) * n))
+    # written 7 rows at a time, 7 not dividing n: the same arrays
+    whole = _block_diagonal([graph.matrix for graph in graphs], n)
+    monkeypatch.setattr(dynamics, "_WRITE_ROWS", 7)
+    assert np.array_equal(block_diagonal_product(graphs), inverse)
+    for mine, theirs in zip(_block_diagonal([graph.matrix for graph in graphs], n), whole):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+def test_rows_of_one_length_keep_their_order():
+    # a ring lattice: every node has k in-neighbours
+    graphs = [generate(GraphGenSpec(family="watts-strogatz", n=300, k=6, rewire_prob=0.0, seed=s)) for s in (1, 2)]
+    assert np.array_equal(block_diagonal_product(graphs), np.arange(600))
 
 
 @pytest.mark.parametrize("size", [1, 7, 30000])

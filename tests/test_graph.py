@@ -393,6 +393,14 @@ def test_one_way_edge_is_not_strongly_connected():
     assert not validate(g).strongly_connected
 
 
+def test_a_stored_zero_weight_is_an_edge():
+    # 1 -> 0 with weight 1, 0 -> 1 with a stored 0.0, and a self-loop at 1
+    matrix = sparse.csr_array((np.array([1.0, 0.0, 1.0]), np.array([1, 0, 1]), np.array([0, 1, 3])), shape=(2, 2))
+    assert graph_module.is_strongly_connected(WeightedDigraph(matrix))
+    matrix = sparse.csr_array((np.array([1.0, 1.0]), np.array([1, 1]), np.array([0, 1, 2])), shape=(2, 2))
+    assert not graph_module.is_strongly_connected(WeightedDigraph(matrix))
+
+
 def test_identity_graph_report():
     report = validate(identity_graph(4))
     assert report.normalized
