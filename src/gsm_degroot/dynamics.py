@@ -24,7 +24,6 @@ import numpy as np
 from scipy.sparse._sparsetools import csr_matvec
 
 from .graph import (
-    GenerationError,
     GraphGenSpec,
     WeightedDigraph,
     generate,
@@ -672,23 +671,6 @@ def _member_runs(members: list[tuple], horizon: int, mode: str, weight_scale: fl
     return results
 
 
-def event_fractions(members: list[tuple], horizon: int, mode: str = "stochastic",
-                    check_connectivity: bool = True) -> list:
-    """Event-fraction series of K runs advanced together by one tick loop.
-
-    members holds (graph, population, params, seed) tuples of one size n.
-    Entry k of the result is the event_fraction of simulate(graph,
-    population, params, horizon, seed=seed, mode=mode,
-    check_connectivity=check_connectivity) byte for byte, as a C-contiguous
-    row, or the exception that call would raise: the ValueError of a
-    rejected input, or an OpinionOverflowError with the same step and
-    magnitude. A member that overflows fails alone; the others run on.
-    Only the series are recorded, not the (horizon, n) opinions and states.
-    """
-    return [run if isinstance(run, Exception) else run.event_fraction
-            for run in _member_runs(members, horizon, mode, check_connectivity=check_connectivity)]
-
-
 def _replicate_inputs(graph_spec, pop_spec, params, seed) -> tuple[WeightedDigraph, Population, int]:
     """Graph, population and simulate seed of one replicate of seed."""
     graph = generate(replace(graph_spec, seed=derive_seed(seed, "graph")))
@@ -711,10 +693,9 @@ def replicate(
 
     The three stages draw from seeds derived from seed under the labels
     "graph", "population" and "simulate"; graph_spec.seed is replaced. The
-    simulate command runs through here, every sweep replicate through
-    replicate_summaries and every fit evaluation through
-    replicate_fractions, which build their inputs alike, so each can be
-    rebuilt from its seed alone.
+    simulate command runs through here, and every sweep replicate and fit
+    evaluation through replicate_summaries, which builds its inputs alike,
+    so each can be rebuilt from its seed alone.
     """
     graph, population, sim_seed = _replicate_inputs(graph_spec, pop_spec, params, seed)
     trajectory = simulate(graph, population, params, horizon, seed=sim_seed, mode=mode, weight_scale=weight_scale)
@@ -746,19 +727,26 @@ _BATCH_BYTES = 1 << 20
 _BATCH_MAX_N = 1500
 
 
-def _replicate_batches(replicates, run, caught) -> Iterator:
-    """run's outcome for each (graph_spec, pop_spec, params, seed,
-    weight_scale) replicate, or the exception of a type in caught that
-    building its inputs raised.
+def replicate_summaries(replicates: list[tuple], horizon: int, mode: str = "stochastic",
+                        spread: bool = True) -> Iterator:
+    """RunSummary of each of many replicates, run in batches through _member_runs.
 
-    run takes a list of (graph, population, params, simulate seed) members
-    of one size and one weight_scale, and that weight_scale, and returns
-    one outcome per member; an exception of a type in caught that it raises
-    is the outcome of each of its members. A batch holds as many
-    consecutive replicates as keep their operators within _BATCH_BYTES, and
-    at least one; it closes where the size or the weight_scale changes, and
-    a member above _BATCH_MAX_N nodes runs alone. Batches are built and run
-    one at a time as the items are taken.
+    replicates holds (graph_spec, pop_spec, params, seed, weight_scale)
+    tuples, whose sizes and weight_scales may differ. The k-th item yielded
+    is, byte for byte, the RunSummary of the trajectory of
+    replicate(graph_spec, pop_spec, params, horizon, seed, mode,
+    weight_scale), whose max_diversity is None without spread, or the
+    exception that call would raise. Any exception raised while building a
+    replicate fails that replicate alone, and one raised while running a
+    batch fails each replicate of the batch; neither ends the stream.
+
+    A batch holds as many consecutive replicates as keep their operators
+    within _BATCH_BYTES, and at least one; it closes where the size or the
+    weight_scale changes, and a member above _BATCH_MAX_N nodes runs alone.
+    Batches are built and run one at a time as the items are taken, so
+    only one batch of summaries is held at once. No run records its
+    (horizon, n) opinions and states. generate has checked that each graph
+    is strongly connected, so the runs do not check it again.
     """
     pending: list = []  # per replicate of the batch: its build error, or None for its member
     members: list = []
@@ -766,24 +754,24 @@ def _replicate_batches(replicates, run, caught) -> Iterator:
     for graph_spec, pop_spec, params, seed, weight_scale in replicates:
         try:
             graph, population, sim_seed = _replicate_inputs(graph_spec, pop_spec, params, seed)
-        except caught as exc:
+        except Exception as exc:  # noqa: BLE001 - a failed replicate is an outcome, not a crash
             pending.append(exc)
             continue
         cost = _operator_bytes(graph)
         if members and (load + cost > _BATCH_BYTES or graph.n > _BATCH_MAX_N or (graph.n, weight_scale) != key):
-            yield from _in_order(pending, _run_batch(run, members, key[1], caught))
+            yield from _in_order(pending, _run_batch(members, horizon, mode, key[1], spread))
             pending, members, load = [], [], 0
         pending.append(None)
         members.append((graph, population, params, sim_seed))
         load, key = load + cost, (graph.n, weight_scale)
-    yield from _in_order(pending, _run_batch(run, members, key[1], caught) if members else [])
+    yield from _in_order(pending, _run_batch(members, horizon, mode, key[1], spread) if members else [])
 
 
-def _run_batch(run, members: list, weight_scale: float, caught) -> list:
-    """run(members, weight_scale), or its exception once per member."""
+def _run_batch(members: list, horizon: int, mode: str, weight_scale: float, spread: bool) -> list:
+    """_member_runs' outcomes for members, or its exception once per member."""
     try:
-        return run(members, weight_scale)
-    except caught as exc:
+        return _member_runs(members, horizon, mode, weight_scale, check_connectivity=False, spread=spread)
+    except Exception as exc:  # noqa: BLE001 - a failed batch fails its replicates, not the stream
         return [exc] * len(members)
 
 
@@ -792,44 +780,6 @@ def _in_order(pending: list, outcomes: list) -> Iterator:
     outcomes = iter(outcomes)
     for failure in pending:
         yield next(outcomes) if failure is None else failure
-
-
-def replicate_fractions(replicates: list[tuple], horizon: int, mode: str = "stochastic") -> Iterator:
-    """Event-fraction series of many replicates, run through event_fractions.
-
-    replicates holds (graph_spec, pop_spec, params, seed) tuples. The k-th
-    item yielded is the event_fraction of replicate(graph_spec, pop_spec,
-    params, horizon, seed, mode) byte for byte, or the exception that call
-    would raise; a GenerationError or the ValueError of a rejected
-    population fails its replicate alone. Replicates are generated and run
-    in batches within _BATCH_BYTES, one batch at a time as the items are
-    taken, so only one batch of series is held at once. generate has
-    checked that each graph is strongly connected, so the runs do not check
-    it again.
-    """
-    return _replicate_batches(
-        ((*task, 1.0) for task in replicates),
-        lambda members, _: event_fractions(members, horizon, mode, check_connectivity=False),
-        (GenerationError, ValueError),
-    )
-
-
-def replicate_summaries(replicates: list[tuple], horizon: int, mode: str = "stochastic") -> Iterator:
-    """RunSummary of each of many replicates, batched as replicate_fractions.
-
-    replicates holds (graph_spec, pop_spec, params, seed, weight_scale)
-    tuples, whose sizes and weight_scales may differ. The k-th item yielded
-    is, byte for byte, the RunSummary of the trajectory of
-    replicate(graph_spec, pop_spec, params, horizon, seed, mode,
-    weight_scale), or the exception that call would raise; any exception
-    fails its replicate alone, or each replicate of the batch it ended, and
-    never the stream. No run records its (horizon, n) opinions and states.
-    """
-    return _replicate_batches(
-        replicates,
-        lambda members, weight_scale: _member_runs(members, horizon, mode, weight_scale, False, spread=True),
-        Exception,
-    )
 
 
 def contiguous_parts(count: int, jobs: int) -> list[slice]:

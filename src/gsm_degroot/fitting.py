@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import MODES, ModelParams, PopulationSpec, contiguous_parts, fan_out, replicate_fractions
+from .dynamics import MODES, ModelParams, PopulationSpec, contiguous_parts, fan_out, replicate_summaries
 from .graph import GenerationError, GraphGenSpec
 from .rules import check_rules, rule_of, ruled
 from .seeds import derive_seed
@@ -167,7 +167,7 @@ def _point_seed_parts(point: dict[str, float]) -> list:
 
 
 def _replicates(point: dict[str, float], config: FitConfig) -> list[tuple]:
-    """The replicate_fractions tasks that score point: one two-block sbm
+    """The replicate_summaries tasks that score point: one two-block sbm
     surrogate per replicate, seeded from (config.seed, point, replicate)."""
     params = ModelParams(lam=config.lam, gamma=float(point["gamma"]), mu=float(point["mu"]), sigma=config.sigma)
     pop_spec = PopulationSpec(
@@ -179,25 +179,25 @@ def _replicates(point: dict[str, float], config: FitConfig) -> list[tuple]:
                               intra_prob=config.intra_prob, inter_prob=float(point["r"]))
     point_key = _point_seed_parts(point)
     return [
-        (graph_spec, pop_spec, params, derive_seed(config.seed, "evaluate", *point_key, rep))
+        (graph_spec, pop_spec, params, derive_seed(config.seed, "evaluate", *point_key, rep), 1.0)
         for rep in range(config.replicates)
     ]
 
 
-def _score(point: dict[str, float], data: np.ndarray, config: FitConfig, series: list):
-    """PointScore of point from its replicates' series, or the exception of
+def _score(point: dict[str, float], data: np.ndarray, config: FitConfig, runs: list):
+    """PointScore of point from its replicates' runs, or the exception of
     the first replicate that failed."""
     errors = np.empty(config.replicates)
     scales = np.empty(config.replicates)
-    for rep, fractions in enumerate(series):
-        if isinstance(fractions, GenerationError):
-            failure = FitError(f"surrogate generation failed at {point}: {fractions}")
-            failure.__cause__ = fractions
+    for rep, run in enumerate(runs):
+        if isinstance(run, GenerationError):
+            failure = FitError(f"surrogate generation failed at {point}: {run}")
+            failure.__cause__ = run
             return failure
-        if isinstance(fractions, Exception):
-            return fractions
+        if isinstance(run, Exception):
+            return run
         try:
-            errors[rep], scales[rep] = scale_invariant_distance(data, fractions)
+            errors[rep], scales[rep] = scale_invariant_distance(data, run.event_fraction)
         except ValueError as exc:
             return exc
     mean_error = float(errors.mean())
@@ -212,12 +212,13 @@ def _score(point: dict[str, float], data: np.ndarray, config: FitConfig, series:
 
 def _score_points(points: list[dict[str, float]], data: np.ndarray, config: FitConfig) -> list:
     """Score points in this process, every replicate of every point through
-    one replicate_fractions call. Entry i is the PointScore of points[i],
-    or the exception evaluate_point raises for it."""
+    one replicate_summaries stream. Entry i is the PointScore of points[i],
+    or the exception evaluate_point raises for it: any exception raised
+    while building or running one of its replicates."""
     data = np.asarray(data, dtype=np.float64)
     tasks = [task for point in points for task in _replicates(point, config)]
-    series = replicate_fractions(tasks, data.size, config.mode)
-    return [_score(point, data, config, list(islice(series, config.replicates))) for point in points]
+    runs = replicate_summaries(tasks, data.size, config.mode, spread=False)
+    return [_score(point, data, config, list(islice(runs, config.replicates))) for point in points]
 
 
 def evaluate_point(point: dict[str, float], data: np.ndarray, config: FitConfig) -> PointScore:
@@ -227,7 +228,8 @@ def evaluate_point(point: dict[str, float], data: np.ndarray, config: FitConfig)
     seeds derived from (config.seed, point, replicate), simulates one run
     of len(data) ticks, and measures the scale-invariant distance of its
     event-fraction series to the data. A failed surrogate generation
-    raises FitError.
+    raises FitError; any other failure of a replicate raises its own
+    exception.
     """
     outcome = _score_points([point], data, config)[0]
     if isinstance(outcome, Exception):
@@ -265,8 +267,10 @@ def _grid_part(points, data, config) -> list:
 def grid_explore(data: np.ndarray, space: ParamSpace, config: FitConfig, jobs: int = 1) -> GridResult:
     """Score the center of every grid cell; failures are recorded per cell.
 
+    A cell fails, as "Type: message" in errors, with the exception that
+    evaluate_point would raise for it; the other cells keep their scores.
     The cells are split into jobs contiguous parts, one per worker process,
-    and each part scores its cells replicate_fractions batches at a time.
+    and each part scores its cells through one replicate_summaries stream.
     """
     axes = space.axes
     meshes = np.meshgrid(*[space.centers(name) for name in axes], indexing="ij")
@@ -375,33 +379,31 @@ def anneal(
     point whose volume is neighborhood_volume of the box (per-axis
     half-width = range * volume**(1/dims) / 2), clipped to the bounds.
     The temperature decays geometrically each iteration. A proposal whose
-    evaluation fails is rejected and counted on the trace. Returns the
-    best-ever (point, score, trace).
+    evaluation fails is rejected and counted on the trace. scorer, if
+    given, maps a point of the searched axes to its score in place of
+    evaluate_point's. Returns the best-ever (point, score, trace): the one
+    chain of _run_chains.
     """
-    if scorer is None:
-        scorer = lambda pt: evaluate_point(space.full_point(pt), data, config).score  # noqa: E731
-    chain = _chain(start, space, config, seed)
-    try:
-        point = next(chain)
-        while True:
-            try:
-                score = scorer(point)
-            except Exception as exc:  # noqa: BLE001 - the chain rejects a failed proposal
-                score = exc
-            point = chain.send(score)
-    except StopIteration as stop:
-        return stop.value
+    return _run_chains([start], [seed], data, space, config, scorer)[0]
 
 
-def _run_chains(starts: list[dict[str, float]], seeds: list[int], data, space: ParamSpace, config: FitConfig) -> list:
-    """anneal's result for each start, the chains run in lockstep: each
-    step scores one point of every chain through one _score_points call."""
+def _run_chains(starts: list[dict[str, float]], seeds: list[int], data, space: ParamSpace, config: FitConfig,
+                scorer=None) -> list:
+    """anneal's result for each start, the chains run in lockstep.
+
+    Without a scorer, each step scores one point of every chain through one
+    _score_points call; with one, each point in turn, an exception that
+    scorer raises failing that point.
+    """
     chains = [_chain(start, space, config, seed) for start, seed in zip(starts, seeds)]
     points = [next(chain) for chain in chains]
     results: list = [None] * len(chains)
     pending = list(range(len(chains)))
     while pending:
-        outcomes = _score_points([space.full_point(points[i]) for i in pending], data, config)
+        if scorer is None:
+            outcomes = _score_points([space.full_point(points[i]) for i in pending], data, config)
+        else:
+            outcomes = [_scored(scorer, points[i]) for i in pending]
         running = []
         for i, outcome in zip(pending, outcomes):
             try:
@@ -411,6 +413,14 @@ def _run_chains(starts: list[dict[str, float]], seeds: list[int], data, space: P
                 results[i] = stop.value
         pending = running
     return results
+
+
+def _scored(scorer, point: dict[str, float]):
+    """scorer(point), or the exception it raises."""
+    try:
+        return scorer(point)
+    except Exception as exc:  # noqa: BLE001 - the chain rejects a failed proposal
+        return exc
 
 
 def _spread_starts(grid: GridResult, space: ParamSpace, k: int) -> list[int]:

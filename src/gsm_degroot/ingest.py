@@ -62,9 +62,10 @@ def _parse_timestamp(text: str):
 def load_series(path) -> TimeSeries:
     """Read, validate, and sort a timestamp,value csv.
 
-    Rows whose value does not parse as a float are skipped and reported by
-    line number. Duplicate timestamps, negative values, mixed timestamp
-    kinds, and files with no usable rows are errors.
+    A first line whose timestamp and value both fail to parse is a header.
+    Other rows whose value does not parse as a float are skipped and
+    reported by line number. Duplicate timestamps, negative values, mixed
+    timestamp kinds, and files with no usable rows are errors.
     """
     rows = []
     bad_lines = []
@@ -73,7 +74,7 @@ def load_series(path) -> TimeSeries:
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if lineno == 1 and not _looks_numeric(row[-1]):
+            if lineno == 1 and not _parses(float, row[-1]) and not _parses(_parse_timestamp, row[0]):
                 continue  # header row
             if len(row) < 2:
                 bad_lines.append(lineno)
@@ -104,9 +105,10 @@ def load_series(path) -> TimeSeries:
     )
 
 
-def _looks_numeric(text: str) -> bool:
+def _parses(parse, text: str) -> bool:
+    """Whether parse(text) returns rather than raising ValueError."""
     try:
-        float(text)
+        parse(text)
         return True
     except ValueError:
         return False

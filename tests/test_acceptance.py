@@ -23,7 +23,6 @@ from gsm_degroot.dynamics import (
     ModelParams,
     Population,
     PopulationSpec,
-    event_fractions,
     simulate,
 )
 from gsm_degroot.fitting import (
@@ -345,14 +344,15 @@ def counted_mixing_fit(task):
     it ran, counted as the members that pass through the batched tick loop."""
     truth, space, s = task
     sims = 0
+    member_runs = dynamics._member_runs
 
-    def counted_event_fractions(members, *args, **kwargs):
+    def counted_member_runs(members, *args, **kwargs):
         nonlocal sims
         sims += len(members)
-        return event_fractions(members, *args, **kwargs)
+        return member_runs(members, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "event_fractions", counted_event_fractions)
+        patch.setattr(dynamics, "_member_runs", counted_member_runs)
         result = fit(synthetic_series(truth, s), space=space, config=recovery_config(s))
     return {"r": result.best["r"], "sims": sims}
 

@@ -10,7 +10,6 @@ import yaml
 from gsm_degroot import dynamics
 from gsm_degroot.analysis import regime
 from gsm_degroot.cli import main
-from gsm_degroot.dynamics import event_fractions
 from gsm_degroot.fitting import GridResult, read_grid_csv, write_grid_csv
 
 
@@ -274,13 +273,14 @@ def test_fit_rejects_an_all_zero_series_before_simulating(tmp_path, capsys, monk
     path = tmp_path / "zeros.csv"
     path.write_text("timestamp,value\n" + "".join(f"{t},0\n" for t in range(40)))
     sims = 0
+    member_runs = dynamics._member_runs
 
-    def counted_event_fractions(members, *args, **kwargs):
+    def counted_member_runs(members, *args, **kwargs):
         nonlocal sims
         sims += len(members)
-        return event_fractions(members, *args, **kwargs)
+        return member_runs(members, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "event_fractions", counted_event_fractions)
+    monkeypatch.setattr(dynamics, "_member_runs", counted_member_runs)
     config = write_config(tmp_path, {"fit": dict(FIT_SECTION, data=str(path))})
     assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 2
     assert "zero norm" in capsys.readouterr().err
@@ -382,7 +382,34 @@ def test_rerun_from_resolved_config_is_bit_identical(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# README quick start
+# README
+
+
+def test_readme_names_every_file_a_command_writes(tmp_path):
+    # each command on the config of its tests above, with every optional
+    # file switched on: agent matrices, event-fraction curves, failed cells
+    every_cell_fails = dict(SWEEP_CONFIG, params={"lambda": 1.0, "gamma": 0.1, "mu": 1e9, "sigma": 1.0},
+                            horizon=400, sweep={"axes": [{"name": "alpha", "lo": 1.5, "hi": 1.9, "cells": 2}],
+                                                "replicates": 1, "statistics": ["D_max"]})
+    runs = [
+        ("gen-graph", {"seed": 5, "graph": {"family": "sbm", "n": 40}}, 0),
+        ("simulate", dict(SIM_CONFIG, simulate={"write_agents": True}, horizon=40), 0),
+        ("sweep", dict(SWEEP_CONFIG, sweep=dict(SWEEP_CONFIG["sweep"], statistics=["D_max", "event_fraction_curve"])),
+         0),
+        ("sweep", every_cell_fails, 4),
+        ("fit", {"seed": 3, "fit": dict(FIT_SECTION, data=decaying_series(tmp_path))}, 0),
+        ("identify", {"seed": 3, "identify": {"grid": planted_grid_csv(tmp_path), "q_min": 0.01, "q_max": 0.1,
+                                              "points": 5}}, 0),
+    ]
+    written = set()
+    for k, (command, payload, code) in enumerate(runs):
+        out = tmp_path / f"out{k}"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == code
+        written |= {path.name for path in out.iterdir()}
+    names = {"heatmap_<stat>.csv" if name.startswith("heatmap_") else name for name in written}
+    assert {"curves.csv", "failures.csv", "opinions.csv", "heatmap_<stat>.csv"} <= names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert sorted(name for name in names if f"`{name}`" not in readme) == []
 
 
 def readme_block(language, after):

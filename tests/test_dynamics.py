@@ -24,11 +24,9 @@ from gsm_degroot.dynamics import (
     _advance,
     _block_diagonal,
     _dense_operator,
-    event_fractions,
     event_probability,
     fan_out,
     replicate,
-    replicate_fractions,
     replicate_summaries,
     sample_reactions,
     sample_stubborn_mask,
@@ -538,6 +536,12 @@ def assert_same_outcome(got, want):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def member_fractions(members, horizon, mode):
+    """The event_fraction of each of _member_runs' outcomes, or its exception."""
+    return [run if isinstance(run, Exception) else run.event_fraction
+            for run in dynamics._member_runs(members, horizon, mode)]
+
+
 @pytest.fixture(scope="module", params=["dense", "sparse"])
 def batch_graphs(request):
     if request.param == "dense":
@@ -549,7 +553,7 @@ def batch_graphs(request):
 @pytest.mark.parametrize("size", [1, 2, 3, 36])
 def test_event_fractions_equal_simulate_bit_for_bit(batch_graphs, mode, size):
     members = [batch_member(batch_graphs[k % 3], k) for k in range(size)]
-    for member, got in zip(members, event_fractions(members, 150, mode)):
+    for member, got in zip(members, member_fractions(members, 150, mode)):
         assert_same_outcome(got, simulate_outcome(member, 150, mode))
         graph, population, params, seed = member
         assert got.tobytes() == reference_simulate(graph, population, params, 150, seed, mode)[2].tobytes()
@@ -576,7 +580,7 @@ def test_failed_members_fail_alone_with_the_error_of_simulate(mode):
     assert isinstance(wants[2], OpinionOverflowError) and wants[2].step == 1
     assert isinstance(wants[4], ValueError)
     assert isinstance(wants[6], OpinionOverflowError) and wants[6].step > 300
-    for got, want in zip(event_fractions(members, 400, mode), wants):
+    for got, want in zip(member_fractions(members, 400, mode), wants):
         assert_same_outcome(got, want)
 
 
@@ -595,7 +599,7 @@ def test_a_batch_on_both_sides_of_the_density_threshold_equals_lone_runs(mode):
     members = [batch_member(graph, k) for k, graph in enumerate(graphs)]
     # all reactions +1 under a huge feedback: a sparse member that overflows
     members[2] = (graphs[2], Population(np.ones(n), np.zeros(n)), ModelParams(lam=1.0, gamma=1e11), 3)
-    for member, got in zip(members, event_fractions(members, 150, mode)):
+    for member, got in zip(members, member_fractions(members, 150, mode)):
         assert_same_outcome(got, simulate_outcome(member, 150, mode))
     for member, got in zip(members, dynamics._member_runs(members, 150, mode, spread=True)):
         try:
@@ -677,8 +681,9 @@ def test_replicate_fractions_equal_replicate_across_batches(mode):
     # n = 150 puts five members in a batch, so seven replicates take two
     params = ModelParams(lam=1.0, gamma=0.4)
     tasks = [(GraphGenSpec(family="sbm", n=150, inter_prob=0.0 if k in (1, 5) else 0.05),
-              PopulationSpec(stubborn_fraction=0.05 * (k % 2)), params, 40 + k) for k in range(7)]
-    outcomes = list(replicate_fractions(tasks, 30, mode))
+              PopulationSpec(stubborn_fraction=0.05 * (k % 2)), params, 40 + k, 1.0) for k in range(7)]
+    outcomes = [run if isinstance(run, Exception) else run.event_fraction
+                for run in replicate_summaries(tasks, 30, mode, spread=False)]
     assert [isinstance(got, GenerationError) for got in outcomes] == [k in (1, 5) for k in range(7)]
     for task, got in zip(tasks, outcomes):
         try:
@@ -693,17 +698,17 @@ def test_replicate_fractions_equal_replicate_across_batches(mode):
 def test_replicate_fractions_batches_within_the_operator_budget(monkeypatch, n, sizes):
     sizes_seen = []
 
-    def sized_event_fractions(members, *args, **kwargs):
+    def sized_member_runs(members, *args, **kwargs):
         sizes_seen.append(len(members))
-        return [np.zeros(1)] * len(members)
+        return [None] * len(members)
 
     # a default sbm has about n**2 / 3 edges: dense up to n = 512, and at
     # n = 600 a CSR of 1.9 MB
     graph = generate(GraphGenSpec(family="sbm", n=n, seed=1))
     monkeypatch.setattr(dynamics, "_replicate_inputs", lambda *task: (graph, None, 0))
-    monkeypatch.setattr(dynamics, "event_fractions", sized_event_fractions)
-    tasks = [(GraphGenSpec(family="sbm", n=n), PopulationSpec(), ModelParams(), k) for k in range(30)]
-    assert len(list(replicate_fractions(tasks, 1, "expected"))) == 30
+    monkeypatch.setattr(dynamics, "_member_runs", sized_member_runs)
+    tasks = [(GraphGenSpec(family="sbm", n=n), PopulationSpec(), ModelParams(), k, 1.0) for k in range(30)]
+    assert len(list(replicate_summaries(tasks, 1, "expected", spread=False))) == 30
     assert sizes_seen == sizes
 
 
@@ -711,9 +716,9 @@ def test_replicate_fractions_batches_within_the_operator_budget(monkeypatch, n, 
 def test_sparse_replicates_batch_by_their_csr_bytes(monkeypatch, n, sizes):
     sizes_seen = []
 
-    def sized_event_fractions(members, *args, **kwargs):
+    def sized_member_runs(members, *args, **kwargs):
         sizes_seen.append(len(members))
-        return [np.zeros(1)] * len(members)
+        return [None] * len(members)
 
     # Watts-Strogatz k=6 stores 7 entries a row: 31 kB of CSR at n = 300,
     # 104 kB at n = 1000 and 156 kB at n = 1500; above _BATCH_MAX_N = 1500
@@ -721,10 +726,10 @@ def test_sparse_replicates_batch_by_their_csr_bytes(monkeypatch, n, sizes):
     graph = generate(GraphGenSpec(family="watts-strogatz", n=n, k=6, seed=1))
     assert not dynamics._dense_operator(graph)
     monkeypatch.setattr(dynamics, "_replicate_inputs", lambda *task: (graph, None, 0))
-    monkeypatch.setattr(dynamics, "event_fractions", sized_event_fractions)
-    tasks = [(GraphGenSpec(family="watts-strogatz", n=n, k=6), PopulationSpec(), ModelParams(), k)
+    monkeypatch.setattr(dynamics, "_member_runs", sized_member_runs)
+    tasks = [(GraphGenSpec(family="watts-strogatz", n=n, k=6), PopulationSpec(), ModelParams(), k, 1.0)
              for k in range(30)]
-    assert len(list(replicate_fractions(tasks, 1, "expected"))) == 30
+    assert len(list(replicate_summaries(tasks, 1, "expected", spread=False))) == 30
     assert sizes_seen == sizes
 
 
@@ -789,7 +794,7 @@ def test_a_failed_batch_fails_each_of_its_replicates_and_not_the_stream(monkeypa
 
 def test_replicate_runs_check_connectivity_only_in_generate(monkeypatch):
     # generate checks each structure with one _reaches_all sweep; the runs
-    # of replicate_fractions and replicate_summaries do not repeat it
+    # of replicate_summaries, with or without the spread, do not repeat it
     counts = {"attempts": 0, "sweeps": 0}
 
     def counted(name, fn):
@@ -801,10 +806,10 @@ def test_replicate_runs_check_connectivity_only_in_generate(monkeypatch):
     monkeypatch.setattr(graph_module, "_structure_edges", counted("attempts", graph_module._structure_edges))
     monkeypatch.setattr(graph_module, "_reaches_all", counted("sweeps", graph_module._reaches_all))
     params = ModelParams(lam=1.0, gamma=0.3)
-    tasks = [(GraphGenSpec(family=family, n=60), PopulationSpec(), params, k)
+    tasks = [(GraphGenSpec(family=family, n=60), PopulationSpec(), params, k, 1.0)
              for k, family in enumerate(["sbm", "watts-strogatz"] * 3)]
-    assert not any(isinstance(run, Exception) for run in replicate_fractions(tasks, 20, "expected"))
-    assert not any(isinstance(run, Exception) for run in replicate_summaries([(*task, 1.0) for task in tasks], 20))
+    assert not any(isinstance(run, Exception) for run in replicate_summaries(tasks, 20, "expected", spread=False))
+    assert not any(isinstance(run, Exception) for run in replicate_summaries(tasks, 20))
     # every structure connected at its first attempt: 1 sweep a member, not 3
     assert counts == {"attempts": 12, "sweeps": 12}
 

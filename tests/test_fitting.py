@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsm_degroot.dynamics import ModelParams, PopulationSpec, simulate
+from gsm_degroot import dynamics
+from gsm_degroot.dynamics import MODES, ModelParams, PopulationSpec, simulate
 from gsm_degroot.fitting import (
     FitConfig,
     FitError,
     GridResult,
     ParamSpace,
     _accept,
+    _run_chains,
     _spread_starts,
     anneal,
     evaluate_point,
@@ -299,6 +301,32 @@ def test_failed_cells_recorded_without_aborting():
         grid.best_index()
 
 
+def test_a_cell_whose_replicates_raise_fails_alone():
+    # any exception raised while building a surrogate fails the cell it
+    # scores, as a generation failure does, and no other cell
+    space = ParamSpace(bounds={"r": (0.1, 0.4)}, resolution={"r": 3}, pinned={"mu": -20.0, "gamma": 3.0})
+    data = np.linspace(0.4, 0.3, 30)
+    config = FitConfig(n=30, replicates=2, seed=7)
+    plain = grid_explore(data, space, config)
+    doomed = float(space.centers("r")[1])
+    build = dynamics._replicate_inputs
+
+    def failing(graph_spec, *args):
+        if graph_spec.inter_prob == doomed:
+            raise RuntimeError("surrogate build stand-in")
+        return build(graph_spec, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_replicate_inputs", failing)
+        grid = grid_explore(data, space, config)
+    assert plain.errors == []
+    assert grid.errors == [(1, "RuntimeError: surrogate build stand-in")]
+    for i in (0, 2):
+        for field in ("scores", "mean_errors", "error_stds", "mean_scales"):
+            assert repr(getattr(grid, field)[i]) == repr(getattr(plain, field)[i])
+    assert math.isnan(grid.scores[1])
+
+
 def test_grid_argmin_lands_in_generating_cell():
     # coarse 4x4 box around a truth point at a cell center; expected-mode
     # scoring keeps the data's sampling noise out of the comparison, and
@@ -403,6 +431,35 @@ def test_failing_proposals_are_rejected_not_fatal():
     assert score == 1.0
     assert trace.failures == 50
     assert not any(trace.accepted)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_lone_chain_equals_the_same_chain_run_in_lockstep(mode):
+    # a start near r = 0 clips some proposals onto r = 0.0, where every
+    # surrogate fails, so the trace holds failed proposals
+    space = ParamSpace()
+    data = 0.2 + 0.1 * np.sin(np.linspace(0.0, 6.0, 40))
+    config = FitConfig(n=30, replicates=2, mode=mode, anneal_iters=25, seed=11)
+    start = {"mu": -20.0, "gamma": 3.0, "r": 0.01}
+    others = [{"mu": 100.0, "gamma": 10.0, "r": 0.3}, {"mu": -200.0, "gamma": 1.0, "r": 0.45}]
+    alone = anneal(start, data, space, config, seed=1)
+    lockstep = _run_chains([others[0], start, others[1]], [3, 1, 4], data, space, config)[1]
+
+    def text(result):
+        best, score, trace = result
+        return (
+            {name: repr(value) for name, value in best.items()},
+            repr(score),
+            [{name: repr(value) for name, value in point.items()} for point in trace.points],
+            [repr(value) for value in trace.scores],
+            trace.accepted,
+            [repr(value) for value in trace.temps],
+            [repr(value) for value in trace.best_scores],
+            trace.failures,
+        )
+
+    assert alone[2].failures > 0
+    assert text(alone) == text(lockstep)
 
 
 def test_spread_starts_skip_adjacent_cells():

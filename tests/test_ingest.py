@@ -57,6 +57,16 @@ def test_unparseable_values_skipped_and_logged(tmp_path, caplog):
     assert "[3]" in caplog.text  # file line of the bad row, header included
 
 
+def test_a_malformed_first_row_is_logged_not_read_as_a_header(tmp_path, caplog):
+    # its timestamp parses, so the line is data with a bad value
+    path = write_csv(tmp_path, "0,abc\n1,0.5\n2,0.4\n")
+    with caplog.at_level(logging.WARNING, logger="gsm_degroot.ingest"):
+        series = load_series(path)
+    assert series.timestamps == (1, 2)
+    assert "skipped 1 rows" in caplog.text
+    assert "[1]" in caplog.text
+
+
 def test_short_rows_are_skipped_not_fatal(tmp_path):
     path = write_csv(tmp_path, "timestamp,value\n1,1.0\n2\n3,3.0\n")
     series = load_series(path)
