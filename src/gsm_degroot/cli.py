@@ -40,17 +40,17 @@ from .fitting import (
     write_chi_csv,
     write_fit_csv,
     write_grid_csv,
+    write_grid_failures_csv,
 )
 from .graph import (
     ConvergenceError,
     GenerationError,
-    GraphError,
     GraphGenSpec,
     generate,
     save_edge_list,
     validate,
 )
-from .ingest import SeriesError, load_series, preprocess
+from .ingest import load_series, preprocess
 from .seeds import derive_seed
 
 EXIT_OK = 0
@@ -153,6 +153,10 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> int:
     write_fit_csv(result, out / "fit.csv", label)
     write_grid_csv(result.grid, out / "grid.csv")
     write_anneal_trace_csv(result, out / "anneal_trace.csv")
+    failed = result.grid.errors
+    if failed:
+        write_grid_failures_csv(result.grid, out / "grid_failures.csv")
+        print(f"{len(failed)} of {len(result.grid.scores)} grid cells failed; see grid_failures.csv", file=sys.stderr)
     best = result.full_best()
     print("best: " + " ".join(f"{name}={best[name]:.6g}" for name in sorted(best)))
     print(f"error={result.error:.6g} scale={result.scale:.6g}")
@@ -220,10 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FitError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZATION
-    except GenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, GraphError, SeriesError, ValueError) as exc:
+    except (GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -637,40 +637,6 @@ class RunSummary(NamedTuple):
     final_opinions: np.ndarray
 
 
-def _member_runs(members: list[tuple], horizon: int, mode: str, weight_scale: float = 1.0,
-                 check_connectivity: bool = True, spread: bool = False) -> list:
-    """Outcomes of K runs advanced together by one tick loop.
-
-    members holds (graph, population, params, seed) tuples of one size n.
-    Entry k is the exception that simulate(graph, population, params,
-    horizon, seed, mode, check_connectivity, weight_scale) would raise for
-    member k, else the RunSummary of its trajectory, byte for byte, whose
-    max_diversity is None without spread. A member that overflows fails
-    alone; the others run on.
-    """
-    results: list = [None] * len(members)
-    live = []
-    for k, (graph, population, _, _) in enumerate(members):
-        try:
-            _check_run(graph, population, horizon, mode, weight_scale, check_connectivity)
-            live.append(k)
-        except ValueError as exc:
-            results[k] = exc
-    if not live:
-        return results
-    sizes = {members[k][0].n for k in live}
-    if len(sizes) > 1:
-        raise ValueError(f"members differ in size: {sorted(sizes)}")
-    errors, series, last, _, spreads = _run_members([members[k] for k in live], horizon, mode, weight_scale,
-                                                    spread=spread)
-    for i, k in enumerate(live):
-        if errors[i] is not None:
-            results[k] = errors[i]
-        else:
-            results[k] = RunSummary(series[i], spreads[i] if spread else None, last[i])
-    return results
-
-
 def _replicate_inputs(graph_spec, pop_spec, params, seed) -> tuple[WeightedDigraph, Population, int]:
     """Graph, population and simulate seed of one replicate of seed."""
     graph = generate(replace(graph_spec, seed=derive_seed(seed, "graph")))
@@ -695,10 +661,12 @@ def replicate(
     "graph", "population" and "simulate"; graph_spec.seed is replaced. The
     simulate command runs through here, and every sweep replicate and fit
     evaluation through replicate_summaries, which builds its inputs alike,
-    so each can be rebuilt from its seed alone.
+    so each can be rebuilt from its seed alone. generate has checked that
+    the graph is strongly connected, so simulate does not check it again.
     """
     graph, population, sim_seed = _replicate_inputs(graph_spec, pop_spec, params, seed)
-    trajectory = simulate(graph, population, params, horizon, seed=sim_seed, mode=mode, weight_scale=weight_scale)
+    trajectory = simulate(graph, population, params, horizon, seed=sim_seed, mode=mode, check_connectivity=False,
+                          weight_scale=weight_scale)
     return population, trajectory
 
 
@@ -729,57 +697,58 @@ _BATCH_MAX_N = 1500
 
 def replicate_summaries(replicates: list[tuple], horizon: int, mode: str = "stochastic",
                         spread: bool = True) -> Iterator:
-    """RunSummary of each of many replicates, run in batches through _member_runs.
+    """RunSummary of each of many replicates, run in batches through _run_members.
 
     replicates holds (graph_spec, pop_spec, params, seed, weight_scale)
     tuples, whose sizes and weight_scales may differ. The k-th item yielded
     is, byte for byte, the RunSummary of the trajectory of
     replicate(graph_spec, pop_spec, params, horizon, seed, mode,
     weight_scale), whose max_diversity is None without spread, or the
-    exception that call would raise. Any exception raised while building a
-    replicate fails that replicate alone, and one raised while running a
-    batch fails each replicate of the batch; neither ends the stream.
+    exception that call would raise. Any exception raised while building
+    or checking a replicate fails that replicate alone, and one raised
+    while running a batch fails each replicate of the batch; neither ends
+    the stream.
 
-    A batch holds as many consecutive replicates as keep their operators
-    within _BATCH_BYTES, and at least one; it closes where the size or the
-    weight_scale changes, and a member above _BATCH_MAX_N nodes runs alone.
-    Batches are built and run one at a time as the items are taken, so
-    only one batch of summaries is held at once. No run records its
-    (horizon, n) opinions and states. generate has checked that each graph
-    is strongly connected, so the runs do not check it again.
+    A batch holds as many consecutive built replicates as keep their
+    operators within _BATCH_BYTES, and at least one; it closes where the
+    size or the weight_scale changes, and a member above _BATCH_MAX_N nodes
+    runs alone. Batches are built and run one at a time as the items are
+    taken, so only one batch of summaries is held at once. No run records
+    its (horizon, n) opinions and states. generate has checked that each
+    graph is strongly connected, so the runs do not check it again.
     """
-    pending: list = []  # per replicate of the batch: its build error, or None for its member
-    members: list = []
-    load, key = 0, None
+    batch: list = []  # per replicate since the last batch ran: its failure, or its member
+    load, n, scale = 0, None, None
     for graph_spec, pop_spec, params, seed, weight_scale in replicates:
         try:
             graph, population, sim_seed = _replicate_inputs(graph_spec, pop_spec, params, seed)
+            _check_run(graph, population, horizon, mode, weight_scale, check_connectivity=False)
         except Exception as exc:  # noqa: BLE001 - a failed replicate is an outcome, not a crash
-            pending.append(exc)
+            batch.append(exc)
             continue
         cost = _operator_bytes(graph)
-        if members and (load + cost > _BATCH_BYTES or graph.n > _BATCH_MAX_N or (graph.n, weight_scale) != key):
-            yield from _in_order(pending, _run_batch(members, horizon, mode, key[1], spread))
-            pending, members, load = [], [], 0
-        pending.append(None)
-        members.append((graph, population, params, sim_seed))
-        load, key = load + cost, (graph.n, weight_scale)
-    yield from _in_order(pending, _run_batch(members, horizon, mode, key[1], spread) if members else [])
+        if load + cost > _BATCH_BYTES or graph.n > _BATCH_MAX_N or (graph.n, weight_scale) != (n, scale):
+            yield from _run_batch(batch, horizon, mode, scale, spread)
+            batch, load = [], 0
+        batch.append((graph, population, params, sim_seed))
+        load, n, scale = load + cost, graph.n, weight_scale
+    yield from _run_batch(batch, horizon, mode, scale, spread)
 
 
-def _run_batch(members: list, horizon: int, mode: str, weight_scale: float, spread: bool) -> list:
-    """_member_runs' outcomes for members, or its exception once per member."""
+def _run_batch(batch: list, horizon: int, mode: str, weight_scale: float | None, spread: bool) -> list:
+    """batch with each checked (graph, population, params, seed) member, all
+    of one size, replaced by its RunSummary or OpinionOverflowError from one
+    _run_members call; an exception raised by that call replaces each."""
+    members = [item for item in batch if not isinstance(item, Exception)]
+    if not members:
+        return batch
     try:
-        return _member_runs(members, horizon, mode, weight_scale, check_connectivity=False, spread=spread)
+        errors, series, last, _, spreads = _run_members(members, horizon, mode, weight_scale, spread=spread)
+        runs = iter([error or RunSummary(series[k], spreads[k] if spread else None, last[k])
+                     for k, error in enumerate(errors)])
     except Exception as exc:  # noqa: BLE001 - a failed batch fails its replicates, not the stream
-        return [exc] * len(members)
-
-
-def _in_order(pending: list, outcomes: list) -> Iterator:
-    """pending with each None replaced by the next of outcomes."""
-    outcomes = iter(outcomes)
-    for failure in pending:
-        yield next(outcomes) if failure is None else failure
+        runs = iter([exc] * len(members))
+    return [item if isinstance(item, Exception) else next(runs) for item in batch]
 
 
 def contiguous_parts(count: int, jobs: int) -> list[slice]:

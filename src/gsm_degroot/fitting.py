@@ -602,6 +602,15 @@ def write_grid_csv(grid: GridResult, path) -> None:
             writer.writerow(row)
 
 
+def write_grid_failures_csv(grid: GridResult, path) -> None:
+    """One row per failed grid cell: its center on each axis, then the error."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(grid.axes) + ["error"])
+        for index, error in grid.errors:
+            writer.writerow([repr(float(v)) for v in grid.points[index]] + [error])
+
+
 def write_anneal_trace_csv(result: FitResult, path) -> None:
     """Anneal chains: one row per proposal; a failed proposal scores inf."""
     axes = result.space.axes

@@ -156,7 +156,7 @@ def from_edges(
     return graph
 
 
-def from_dense(mat: np.ndarray, clusters: tuple[int, ...] | None = None) -> WeightedDigraph:
+def from_dense(mat: np.ndarray) -> WeightedDigraph:
     """Build a graph from a dense operator; mat[i, j] is the weight of j -> i."""
     arr = np.asarray(mat, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

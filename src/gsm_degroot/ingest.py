@@ -64,8 +64,9 @@ def load_series(path) -> TimeSeries:
 
     A first line whose timestamp and value both fail to parse is a header.
     Other rows whose value does not parse as a float are skipped and
-    reported by line number. Duplicate timestamps, negative values, mixed
-    timestamp kinds, and files with no usable rows are errors.
+    reported by line number. A timestamp that does not parse, duplicate
+    timestamps, negative values, mixed timestamp kinds, and files with no
+    usable rows are errors.
     """
     rows = []
     bad_lines = []
@@ -84,7 +85,11 @@ def load_series(path) -> TimeSeries:
             except ValueError:
                 bad_lines.append(lineno)
                 continue
-            rows.append((lineno, _parse_timestamp(row[0]), value))
+            try:
+                timestamp = _parse_timestamp(row[0])
+            except SeriesError as exc:
+                raise SeriesError(f"line {lineno}: {exc}") from None
+            rows.append((lineno, timestamp, value))
     if bad_lines:
         logger.warning("skipped %d rows with unparseable values (lines %s)", len(bad_lines), bad_lines)
     if not rows:

@@ -343,17 +343,19 @@ def counted_mixing_fit(task):
     """One criterion-14 fit; returns the fitted r and the surrogate simulations
     it ran, counted as the members that pass through the batched tick loop."""
     truth, space, s = task
+    # simulate runs through the tick loop too, so the data is drawn uncounted
+    data = synthetic_series(truth, s)
     sims = 0
-    member_runs = dynamics._member_runs
+    run_members = dynamics._run_members
 
-    def counted_member_runs(members, *args, **kwargs):
+    def counted_run_members(members, *args, **kwargs):
         nonlocal sims
         sims += len(members)
-        return member_runs(members, *args, **kwargs)
+        return run_members(members, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_member_runs", counted_member_runs)
-        result = fit(synthetic_series(truth, s), space=space, config=recovery_config(s))
+        patch.setattr(dynamics, "_run_members", counted_run_members)
+        result = fit(data, space=space, config=recovery_config(s))
     return {"r": result.best["r"], "sims": sims}
 
 

@@ -269,18 +269,48 @@ def test_fit_with_a_tick_window_on_a_dated_series_exits_2(tmp_path, capsys):
     assert "does not match the series timestamps" in capsys.readouterr().err
 
 
+def test_fit_writes_the_cause_of_each_failed_grid_cell(tmp_path, capsys, monkeypatch):
+    # the middle of three r cells fails to build its surrogate; the fit
+    # still finishes, and names the cell and its error
+    section = dict(FIT_SECTION, data=decaying_series(tmp_path), space={"r": [0.1, 0.4, 3]},
+                   pinned={"mu": -20.0, "gamma": 3.0})
+    config = write_config(tmp_path, {"seed": 3, "fit": section})
+    assert main(["fit", "--config", config, "--out", str(tmp_path / "plain")]) == 0
+    assert not (tmp_path / "plain" / "grid_failures.csv").exists()
+    assert "grid cells failed" not in capsys.readouterr().err
+    build = dynamics._replicate_inputs
+
+    def failing(graph_spec, *args):
+        if abs(graph_spec.inter_prob - 0.25) < 1e-9:
+            raise RuntimeError("surrogate build stand-in")
+        return build(graph_spec, *args)
+
+    monkeypatch.setattr(dynamics, "_replicate_inputs", failing)
+    out = tmp_path / "out"
+    assert main(["fit", "--config", config, "--out", str(out)]) == 0
+    assert "1 of 3 grid cells failed; see grid_failures.csv" in capsys.readouterr().err
+    with open(out / "grid_failures.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["r", "error"]
+    assert len(rows) == 2 and abs(float(rows[1][0]) - 0.25) < 1e-9
+    assert rows[1][1] == "RuntimeError: surrogate build stand-in"
+    grid = list(csv.reader((out / "grid.csv").read_text().splitlines()))
+    assert [row[1] for row in grid[1:]].count("nan") == 1
+    assert "`grid_failures.csv`" in (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def test_fit_rejects_an_all_zero_series_before_simulating(tmp_path, capsys, monkeypatch):
     path = tmp_path / "zeros.csv"
     path.write_text("timestamp,value\n" + "".join(f"{t},0\n" for t in range(40)))
     sims = 0
-    member_runs = dynamics._member_runs
+    run_members = dynamics._run_members
 
-    def counted_member_runs(members, *args, **kwargs):
+    def counted_run_members(members, *args, **kwargs):
         nonlocal sims
         sims += len(members)
-        return member_runs(members, *args, **kwargs)
+        return run_members(members, *args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "_member_runs", counted_member_runs)
+    monkeypatch.setattr(dynamics, "_run_members", counted_run_members)
     config = write_config(tmp_path, {"fit": dict(FIT_SECTION, data=str(path))})
     assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 2
     assert "zero norm" in capsys.readouterr().err

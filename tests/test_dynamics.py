@@ -21,6 +21,7 @@ from gsm_degroot.dynamics import (
     OpinionOverflowError,
     Population,
     PopulationSpec,
+    RunSummary,
     _advance,
     _block_diagonal,
     _dense_operator,
@@ -536,10 +537,16 @@ def assert_same_outcome(got, want):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def member_runs(members, horizon, mode, spread=False):
+    """The RunSummary of each member from one _run_members call, or its
+    OpinionOverflowError."""
+    errors, series, last, _, spreads = dynamics._run_members(members, horizon, mode, 1.0, spread=spread)
+    return [error or RunSummary(series[k], spreads[k] if spread else None, last[k]) for k, error in enumerate(errors)]
+
+
 def member_fractions(members, horizon, mode):
-    """The event_fraction of each of _member_runs' outcomes, or its exception."""
-    return [run if isinstance(run, Exception) else run.event_fraction
-            for run in dynamics._member_runs(members, horizon, mode)]
+    """The event_fraction of each of member_runs' outcomes, or its exception."""
+    return [run if isinstance(run, Exception) else run.event_fraction for run in member_runs(members, horizon, mode)]
 
 
 @pytest.fixture(scope="module", params=["dense", "sparse"])
@@ -570,7 +577,6 @@ def test_failed_members_fail_alone_with_the_error_of_simulate(mode):
     nan_start = members[2][1].initial_opinions.copy()
     nan_start[7] = math.nan
     members[2] = (graph, Population(members[2][1].reactions, nan_start, susceptibility=0.5), *members[2][2:])
-    members[4] = (graph, uniform_population(31), *members[4][2:])
     # 18 of 30 reactions +1: the bound passes 1e12 near step 100, the
     # opinions only some 250 steps later, after many exact checks
     drift = Population(np.where(np.arange(30) < 18, 1.0, -1.0), np.zeros(30))
@@ -578,7 +584,6 @@ def test_failed_members_fail_alone_with_the_error_of_simulate(mode):
     wants = [simulate_outcome(member, 400, mode) for member in members]
     assert isinstance(wants[1], OpinionOverflowError) and 1 < wants[1].step < 50
     assert isinstance(wants[2], OpinionOverflowError) and wants[2].step == 1
-    assert isinstance(wants[4], ValueError)
     assert isinstance(wants[6], OpinionOverflowError) and wants[6].step > 300
     for got, want in zip(member_fractions(members, 400, mode), wants):
         assert_same_outcome(got, want)
@@ -601,7 +606,7 @@ def test_a_batch_on_both_sides_of_the_density_threshold_equals_lone_runs(mode):
     members[2] = (graphs[2], Population(np.ones(n), np.zeros(n)), ModelParams(lam=1.0, gamma=1e11), 3)
     for member, got in zip(members, member_fractions(members, 150, mode)):
         assert_same_outcome(got, simulate_outcome(member, 150, mode))
-    for member, got in zip(members, dynamics._member_runs(members, 150, mode, spread=True)):
+    for member, got in zip(members, member_runs(members, 150, mode, spread=True)):
         try:
             want = simulate(*member[:3], 150, seed=member[3], mode=mode)
         except OpinionOverflowError as exc:
@@ -641,7 +646,7 @@ def test_blocked_draws_keep_every_members_bytes(monkeypatch, block, draws):
     calls = []
     with monkeypatch.context() as patch:
         patch.setattr(dynamics.np.random, "default_rng", lambda seed: RecordedGenerator(seed, calls))
-        runs = dynamics._member_runs(members, horizon, "stochastic", spread=True)
+        runs = member_runs(members, horizon, "stochastic", spread=True)
     assert calls == [rows for rows in draws for _ in members]
     for member, got in zip(members, runs):
         try:
@@ -672,7 +677,7 @@ def test_expected_mode_draws_nothing(monkeypatch):
     members = [batch_member(graph, k) for k in range(3)]
     calls = []
     monkeypatch.setattr(dynamics.np.random, "default_rng", lambda seed: RecordedGenerator(seed, calls))
-    dynamics._member_runs(members, 50, "expected")
+    member_runs(members, 50, "expected")
     assert calls == []
 
 
@@ -697,16 +702,17 @@ def test_replicate_fractions_equal_replicate_across_batches(mode):
                                       (600, [1] * 30)])
 def test_replicate_fractions_batches_within_the_operator_budget(monkeypatch, n, sizes):
     sizes_seen = []
+    run_members = dynamics._run_members
 
-    def sized_member_runs(members, *args, **kwargs):
+    def sized_run_members(members, *args, **kwargs):
         sizes_seen.append(len(members))
-        return [None] * len(members)
+        return run_members(members, *args, **kwargs)
 
     # a default sbm has about n**2 / 3 edges: dense up to n = 512, and at
     # n = 600 a CSR of 1.9 MB
     graph = generate(GraphGenSpec(family="sbm", n=n, seed=1))
-    monkeypatch.setattr(dynamics, "_replicate_inputs", lambda *task: (graph, None, 0))
-    monkeypatch.setattr(dynamics, "_member_runs", sized_member_runs)
+    monkeypatch.setattr(dynamics, "_replicate_inputs", lambda *task: (graph, uniform_population(n), 0))
+    monkeypatch.setattr(dynamics, "_run_members", sized_run_members)
     tasks = [(GraphGenSpec(family="sbm", n=n), PopulationSpec(), ModelParams(), k, 1.0) for k in range(30)]
     assert len(list(replicate_summaries(tasks, 1, "expected", spread=False))) == 30
     assert sizes_seen == sizes
@@ -715,18 +721,19 @@ def test_replicate_fractions_batches_within_the_operator_budget(monkeypatch, n, 
 @pytest.mark.parametrize("n, sizes", [(300, [30]), (2000, [1] * 30), (1000, [10] * 3), (1500, [6] * 5)])
 def test_sparse_replicates_batch_by_their_csr_bytes(monkeypatch, n, sizes):
     sizes_seen = []
+    run_members = dynamics._run_members
 
-    def sized_member_runs(members, *args, **kwargs):
+    def sized_run_members(members, *args, **kwargs):
         sizes_seen.append(len(members))
-        return [None] * len(members)
+        return run_members(members, *args, **kwargs)
 
     # Watts-Strogatz k=6 stores 7 entries a row: 31 kB of CSR at n = 300,
     # 104 kB at n = 1000 and 156 kB at n = 1500; above _BATCH_MAX_N = 1500
     # nodes each member runs alone
     graph = generate(GraphGenSpec(family="watts-strogatz", n=n, k=6, seed=1))
     assert not dynamics._dense_operator(graph)
-    monkeypatch.setattr(dynamics, "_replicate_inputs", lambda *task: (graph, None, 0))
-    monkeypatch.setattr(dynamics, "_member_runs", sized_member_runs)
+    monkeypatch.setattr(dynamics, "_replicate_inputs", lambda *task: (graph, uniform_population(n), 0))
+    monkeypatch.setattr(dynamics, "_run_members", sized_run_members)
     tasks = [(GraphGenSpec(family="watts-strogatz", n=n, k=6), PopulationSpec(), ModelParams(), k, 1.0)
              for k in range(30)]
     assert len(list(replicate_summaries(tasks, 1, "expected", spread=False))) == 30
@@ -792,9 +799,37 @@ def test_a_failed_batch_fails_each_of_its_replicates_and_not_the_stream(monkeypa
     assert [type(run).__name__ for run in outcomes] == ["RunSummary", "MemoryError", "MemoryError", "RunSummary"]
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_replicate_that_simulate_rejects_fails_alone_outside_the_batch(monkeypatch, mode):
+    # the middle replicate is checked, and rejected, where it is built: it
+    # joins no batch, and its neighbours still run as one batch of 2
+    batches = []
+    run_members = dynamics._run_members
+
+    def spied(members, horizon, mode, weight_scale, **kwargs):
+        batches.append((len(members), weight_scale))
+        return run_members(members, horizon, mode, weight_scale, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_run_members", spied)
+    spec = GraphGenSpec(family="watts-strogatz", n=40, k=4)
+    params = ModelParams(lam=1.0, gamma=0.4)
+    tasks = [(spec, PopulationSpec(), params, 70 + k, scale) for k, scale in enumerate([1.0, -1.0, 1.0])]
+    outcomes = list(replicate_summaries(tasks, 30, mode))
+    assert batches == [(2, 1.0)]
+    with pytest.raises(ValueError, match="weight_scale must be positive") as rejected:
+        replicate(*tasks[1][:3], 30, tasks[1][3], mode=mode, weight_scale=-1.0)
+    assert_same_outcome(outcomes[1], rejected.value)
+    for k in (0, 2):
+        want = replicate(*tasks[k][:3], 30, tasks[k][3], mode=mode)[1]
+        assert outcomes[k].event_fraction.tobytes() == want.event_fraction.tobytes()
+        assert outcomes[k].max_diversity.tobytes() == want.max_diversity.tobytes()
+        assert outcomes[k].final_opinions.tobytes() == want.opinions[-1].tobytes()
+
+
 def test_replicate_runs_check_connectivity_only_in_generate(monkeypatch):
     # generate checks each structure with one _reaches_all sweep; the runs
-    # of replicate_summaries, with or without the spread, do not repeat it
+    # of replicate_summaries, with or without the spread, and of replicate
+    # do not repeat it
     counts = {"attempts": 0, "sweeps": 0}
 
     def counted(name, fn):
@@ -810,8 +845,10 @@ def test_replicate_runs_check_connectivity_only_in_generate(monkeypatch):
              for k, family in enumerate(["sbm", "watts-strogatz"] * 3)]
     assert not any(isinstance(run, Exception) for run in replicate_summaries(tasks, 20, "expected", spread=False))
     assert not any(isinstance(run, Exception) for run in replicate_summaries(tasks, 20))
-    # every structure connected at its first attempt: 1 sweep a member, not 3
-    assert counts == {"attempts": 12, "sweeps": 12}
+    for task in tasks:
+        replicate(*task[:3], 20, task[3], mode="expected")
+    # every structure connected at its first attempt: 1 sweep a run, not 3
+    assert counts == {"attempts": 18, "sweeps": 18}
 
 
 # ---------------------------------------------------------------------------

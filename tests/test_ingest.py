@@ -103,6 +103,12 @@ def test_unrecognized_timestamp_rejected(tmp_path):
         load_series(path)
 
 
+def test_an_unrecognized_timestamp_names_its_line(tmp_path):
+    path = write_csv(tmp_path, "timestamp,value\n1,0.5\n2,0.4\nyesterday,0.4\n4,0.2\n")
+    with pytest.raises(SeriesError, match=r"^line 4: timestamp 'yesterday' is neither"):
+        load_series(path)
+
+
 def test_blank_lines_ignored(tmp_path):
     path = write_csv(tmp_path, "timestamp,value\n\n1,1.0\n\n2,2.0\n")
     assert len(load_series(path)) == 2
