@@ -105,8 +105,9 @@ class Population:
             self.susceptibility = np.asarray(self.susceptibility, dtype=np.float64)
             if self.susceptibility.shape != self.reactions.shape:
                 raise ValueError("susceptibility length mismatch")
-        xi = self.susceptibility
-        if np.any(np.asarray(xi) < 0.0) or np.any(np.asarray(xi) > 1.0):
+        xi = np.asarray(self.susceptibility)
+        # written so that NaN, which fails both comparisons, is rejected
+        if not np.all((xi >= 0.0) & (xi <= 1.0)):
             raise ValueError("susceptibility must lie in [0, 1]")
 
     @property
@@ -420,8 +421,8 @@ def _tick_rows(buffer: np.ndarray, horizon: int):
 def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: float, record: bool = False,
                  spread: bool = False) -> tuple:
     """Advance K checked (graph, population, params, seed) members of one
-    size n through one tick loop: event_probability and _advance, written
-    into preallocated rows.
+    size n and one operator kind through one tick loop: event_probability
+    and _advance, written into preallocated rows.
 
     Returns (errors, series, opinions, states, spreads): errors[k] is None
     or member k's OpinionOverflowError, row k of series its event
@@ -431,38 +432,35 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
     None. A member that overflows is frozen at zero, so it neither warns
     nor touches the others; the loop stops once all have failed.
 
-    Members whose _dense_operator holds are stacked for one np.matmul per
-    tick, the same gemv per member as _advance on the dense matrix. The
-    others are joined into one block-diagonal CSR, its rows sorted by
-    length, for one csr_matvec per tick into a zeroed scratch row, the call
-    behind scipy's matrix @ x, which np.take puts back in order into the
-    next row; each row sums in its own member's order, so every member keeps
-    the bits of its lone product. The loop runs the dense members first and
-    returns every row in the members' order. At K = 1 the event fraction and
-    feedback are Python floats, which cost less than (1, 1) arrays; above,
-    (K, 1) arrays, which cost less than a loop. One bound on |opinion|
-    serves the batch: _bound_terms' largest gain and floor, and the push max
-    reach * |gamma|, as the event fraction lies in [0, 1]. Exact peaks are
-    taken only at the ticks _first_check names; they decide every error and
-    restart the bound. A stochastic member draws the uniforms of a block of
-    ticks, as many as keep the batch's draws within _DRAW_BYTES, in one call
-    on its own generator: the doubles that one call per tick would draw, in
-    the same order, so each member stays on its lone run's stream.
+    The kind is that of the first graph: where _dense_operator holds, the
+    members are stacked for one np.matmul per tick, the same gemv per member
+    as _advance on the dense matrix. Otherwise they are joined into one
+    block-diagonal CSR, its rows sorted by length, for one csr_matvec per
+    tick into a zeroed scratch row, the call behind scipy's matrix @ x,
+    which np.take puts back in order into the next row; each row sums in its
+    own member's order, so every member keeps the bits of its lone product.
+    At K = 1 the event fraction and feedback are Python floats, which cost
+    less than (1, 1) arrays; above, (K, 1) arrays, which cost less than a
+    loop. One bound on |opinion| serves the batch: _bound_terms' largest
+    gain and floor, and the push max reach * |gamma|, as the event fraction
+    lies in [0, 1]. Exact peaks are taken only at the ticks _first_check
+    names; they decide every error and restart the bound. A stochastic
+    member draws the uniforms of a block of ticks, as many as keep the
+    batch's draws within _DRAW_BYTES, in one call on its own generator: the
+    doubles that one call per tick would draw, in the same order, so each
+    member stays on its lone run's stream.
     """
-    dense = [_dense_operator(member[0]) for member in members]
-    # sorted is stable, so the dense and the sparse members each keep their order
-    order = sorted(range(len(members)), key=lambda k: not dense[k])
-    graphs, pops, params, seeds = zip(*(members[k] for k in order))
-    size, n, stacked = len(members), graphs[0].n, sum(dense)
-    flat = (size - stacked) * n
+    graphs, pops, params, seeds = zip(*members)
+    size, n, dense = len(members), graphs[0].n, _dense_operator(graphs[0])
+    flat = size * n
     lone = size == 1
-    if stacked:
+    if dense:
         # filled in place, where np.stack would briefly hold a second copy
-        operator = _aligned_empty(stacked * n * n).reshape(stacked, n, n)
-        for k in range(stacked):
-            graphs[k].matrix.toarray(out=operator[k])
-    if flat:
-        indptr, indices, data, inverse = _block_diagonal([graph.matrix for graph in graphs[stacked:]], n)
+        operator = _aligned_empty(size * n * n).reshape(size, n, n)
+        for graph, rows in zip(graphs, operator):
+            graph.matrix.toarray(out=rows)
+    else:
+        indptr, indices, data, inverse = _block_diagonal([graph.matrix for graph in graphs], n)
         product = np.empty(flat)
     stochastic = mode == "stochastic"
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -498,10 +496,10 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
 
     opinions = np.empty((horizon if record else 2, size, n))
     states = np.empty((horizon if record else 1, size, n), dtype=np.int8 if stochastic else np.float64)
-    # x3s holds the dense members' rows as (K, n, 1) stacks of columns for
-    # np.matmul, ys the sparse members' rows as one (K * n) row each
-    xs, x3s, ys, ss = (_tick_rows(rows, horizon) for rows in (
-        opinions, opinions[:, :stacked, :, None], opinions[:, stacked:].reshape(len(opinions), flat), states))
+    # ys holds the rows the operator reads and writes: (K, n, 1) stacks of
+    # columns for np.matmul, or one (K * n) row for csr_matvec
+    ys = opinions[..., None] if dense else opinions.reshape(len(opinions), flat)
+    xs, ys, ss = (_tick_rows(rows, horizon) for rows in (opinions, ys, states))
     fractions = np.empty((horizon, size, 1))
     lone_fractions = fractions.reshape(-1)
     spreads = peak = trough = None
@@ -532,6 +530,13 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
                     for rng, rows in zip(rngs, draws[:, :horizon - t]):
                         rng.random(out=rows)
                 np.less(tick_draws[b], p, out=s)
+            # The batched branch gives a lone run the same bytes, and this one
+            # is kept only for speed: on a (1, 20000) int8 row np.count_nonzero
+            # took 2.1-2.7 us against 18.0-19.3 us for the float64 reduce, and
+            # simulate on a default sbm n = 100 over 2000 stochastic ticks was
+            # faster with it in every round: 25.7-28.1 against 30.3-50.6 ms,
+            # and 37.7-42.6 against 47.7-49.8 ms on a busier host (2-core Xeon
+            # VM, best of 30, three alternating rounds each)
             if lone:
                 f = float(np.count_nonzero(s) if stochastic else np.add.reduce(s, axis=None)) / n
                 lone_fractions[t] = f
@@ -542,9 +547,9 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
             if t + 1 == horizon:
                 break
             nxt = xs[t + 1]
-            if stacked:
-                np.matmul(operator, x3s[t], out=x3s[t + 1])
-            if flat:
+            if dense:
+                np.matmul(operator, ys[t], out=ys[t + 1])
+            else:
                 product.fill(0.0)
                 csr_matvec(flat, flat, indptr, indices, data, ys[t], product)
                 np.take(product, inverse, out=ys[t + 1], mode="clip")
@@ -576,12 +581,6 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
         spreads = np.ascontiguousarray(spreads.T)
     if not record:
         opinions, states = xs[horizon - 1], ss[horizon - 1]
-    if order != list(range(size)):
-        back = np.argsort(order)
-        errors = [errors[k] for k in back]
-        series, opinions, states = series[back], np.take(opinions, back, axis=-2), np.take(states, back, axis=-2)
-        if spread:
-            spreads = spreads[back]
     return errors, series, opinions, states, spreads
 
 
@@ -711,14 +710,15 @@ def replicate_summaries(replicates: list[tuple], horizon: int, mode: str = "stoc
 
     A batch holds as many consecutive built replicates as keep their
     operators within _BATCH_BYTES, and at least one; it closes where the
-    size or the weight_scale changes, and a member above _BATCH_MAX_N nodes
-    runs alone. Batches are built and run one at a time as the items are
-    taken, so only one batch of summaries is held at once. No run records
-    its (horizon, n) opinions and states. generate has checked that each
-    graph is strongly connected, so the runs do not check it again.
+    size, the weight_scale or the operator kind (_dense_operator) changes,
+    and a member above _BATCH_MAX_N nodes runs alone. Batches are built and
+    run one at a time as the items are taken, so only one batch of summaries
+    is held at once. No run records its (horizon, n) opinions and states.
+    generate has checked that each graph is strongly connected, so the runs
+    do not check it again.
     """
     batch: list = []  # per replicate since the last batch ran: its failure, or its member
-    load, n, scale = 0, None, None
+    load, last = 0, (None, None, None)  # the batch's size, weight_scale and operator kind
     for graph_spec, pop_spec, params, seed, weight_scale in replicates:
         try:
             graph, population, sim_seed = _replicate_inputs(graph_spec, pop_spec, params, seed)
@@ -726,19 +726,20 @@ def replicate_summaries(replicates: list[tuple], horizon: int, mode: str = "stoc
         except Exception as exc:  # noqa: BLE001 - a failed replicate is an outcome, not a crash
             batch.append(exc)
             continue
-        cost = _operator_bytes(graph)
-        if load + cost > _BATCH_BYTES or graph.n > _BATCH_MAX_N or (graph.n, weight_scale) != (n, scale):
-            yield from _run_batch(batch, horizon, mode, scale, spread)
+        cost, key = _operator_bytes(graph), (graph.n, weight_scale, _dense_operator(graph))
+        if load + cost > _BATCH_BYTES or graph.n > _BATCH_MAX_N or key != last:
+            yield from _run_batch(batch, horizon, mode, last[1], spread)
             batch, load = [], 0
         batch.append((graph, population, params, sim_seed))
-        load, n, scale = load + cost, graph.n, weight_scale
-    yield from _run_batch(batch, horizon, mode, scale, spread)
+        load, last = load + cost, key
+    yield from _run_batch(batch, horizon, mode, last[1], spread)
 
 
 def _run_batch(batch: list, horizon: int, mode: str, weight_scale: float | None, spread: bool) -> list:
     """batch with each checked (graph, population, params, seed) member, all
-    of one size, replaced by its RunSummary or OpinionOverflowError from one
-    _run_members call; an exception raised by that call replaces each."""
+    of one size and operator kind, replaced by its RunSummary or
+    OpinionOverflowError from one _run_members call; an exception raised by
+    that call replaces each."""
     members = [item for item in batch if not isinstance(item, Exception)]
     if not members:
         return batch

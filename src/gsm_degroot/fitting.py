@@ -244,7 +244,6 @@ class GridResult:
     scores: np.ndarray
     mean_errors: np.ndarray
     error_stds: np.ndarray
-    mean_scales: np.ndarray
     errors: list[tuple[int, str]]
 
     def best_index(self) -> int:
@@ -282,7 +281,6 @@ def grid_explore(data: np.ndarray, space: ParamSpace, config: FitConfig, jobs: i
     scores = np.full(n_cells, np.nan)
     mean_errors = np.full(n_cells, np.nan)
     error_stds = np.full(n_cells, np.nan)
-    mean_scales = np.full(n_cells, np.nan)
     errors = []
     for i, ps in enumerate(outcomes):
         if isinstance(ps, str):
@@ -291,11 +289,9 @@ def grid_explore(data: np.ndarray, space: ParamSpace, config: FitConfig, jobs: i
             scores[i] = ps.score
             mean_errors[i] = ps.mean_error
             error_stds[i] = ps.error_std
-            mean_scales[i] = ps.mean_scale
     return GridResult(
         axes=list(axes), points=points, scores=scores,
-        mean_errors=mean_errors, error_stds=error_stds, mean_scales=mean_scales,
-        errors=errors,
+        mean_errors=mean_errors, error_stds=error_stds, errors=errors,
     )
 
 

@@ -111,46 +111,26 @@ class WeightedDigraph:
             yield int(coo.col[idx]), int(coo.row[idx]), float(coo.data[idx])
 
 
-def from_edges(
-    n: int,
-    edges,
-    clusters: tuple[int, ...] | None = None,
-    normalize: bool = False,
-) -> WeightedDigraph:
+def from_edges(n: int, edges) -> WeightedDigraph:
     """Build a graph from (source, target, weight) triples.
 
-    Duplicate edges, out-of-range ids, negative weights, and nodes without
-    any incoming edge are rejected. With normalize=False the incoming sums
-    must already be 1 within NORMALIZATION_TOL.
+    Duplicate edges, out-of-range ids, negative weights, nodes without any
+    incoming edge, and incoming sums further than NORMALIZATION_TOL from 1
+    are rejected.
     """
     triples = list(edges)
-    if not triples:
-        raise GraphError("no edges")
     src = np.asarray([t[0] for t in triples], dtype=np.int64)
     dst = np.asarray([t[1] for t in triples], dtype=np.int64)
     wts = np.asarray([t[2] for t in triples], dtype=np.float64)
-    if src.min() < 0 or dst.min() < 0 or src.max() >= n or dst.max() >= n:
+    if np.any((src < 0) | (src >= n) | (dst < 0) | (dst >= n)):
         raise GraphError(f"edge endpoint outside [0, {n})")
     if np.any(wts < 0.0) or not np.all(np.isfinite(wts)):
         raise GraphError("edge weights must be finite and non-negative")
-    keys = dst * n + src
-    if np.unique(keys).size != keys.size:
-        raise GraphError("duplicate edges")
-    matrix = sparse.csr_array(
-        sparse.coo_array((wts, (dst, src)), shape=(n, n))
-    )
-    matrix.sort_indices()
-    graph = WeightedDigraph(matrix=matrix, clusters=clusters)
-    if np.any(graph.indegrees() == 0):
-        missing = int(np.flatnonzero(graph.indegrees() == 0)[0])
-        raise GraphError(f"node {missing} has no incoming edge")
+    order = np.argsort(dst * n + src)
+    graph = _uniform_graph(n, src[order], dst[order], None)
+    graph.matrix.data = wts[order]
     sums = graph.incoming_sums()
-    if normalize:
-        inv = 1.0 / sums
-        scaled = matrix.multiply(inv[:, None]).tocsr()
-        scaled.sort_indices()
-        graph = WeightedDigraph(matrix=sparse.csr_array(scaled), clusters=clusters)
-    elif np.max(np.abs(sums - 1.0)) > NORMALIZATION_TOL:
+    if np.max(np.abs(sums - 1.0)) > NORMALIZATION_TOL:
         worst = int(np.argmax(np.abs(sums - 1.0)))
         raise GraphError(f"incoming weights of node {worst} sum to {sums[worst]!r}, not 1")
     return graph
@@ -336,7 +316,7 @@ def _uniform_graph(n: int, src: np.ndarray, dst: np.ndarray, clusters) -> Weight
     rows, cols = np.divmod(keys, n)
     indeg = np.bincount(rows, minlength=n)
     if np.any(indeg == 0):
-        raise GraphError("isolated node")
+        raise GraphError(f"node {int(np.argmin(indeg))} has no incoming edge")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(indeg, out=indptr[1:])
     matrix = sparse.csr_array((np.repeat(1.0 / indeg, indeg), cols, indptr), shape=(n, n))
@@ -518,7 +498,7 @@ def save_edge_list(graph: WeightedDigraph, path) -> None:
             writer.writerow([source, target, repr(weight)])
 
 
-def load_edge_list(path, normalize: bool = False) -> WeightedDigraph:
+def load_edge_list(path) -> WeightedDigraph:
     """Read a source,target,weight file written by save_edge_list."""
     triples = []
     with open(path, newline="") as fh:
@@ -533,4 +513,4 @@ def load_edge_list(path, normalize: bool = False) -> WeightedDigraph:
     if not triples:
         raise GraphError(f"no edges in {path}")
     n = max(max(s, t) for s, t, _ in triples) + 1
-    return from_edges(n, triples, normalize=normalize)
+    return from_edges(n, triples)

@@ -75,7 +75,8 @@ def load_series(path) -> TimeSeries:
         for lineno, row in enumerate(reader, start=1):
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if lineno == 1 and not _parses(float, row[-1]) and not _parses(_parse_timestamp, row[0]):
+            # row[:2][-1] is the value column, or the one cell of a one-column line
+            if lineno == 1 and not _parses(float, row[:2][-1]) and not _parses(_parse_timestamp, row[0]):
                 continue  # header row
             if len(row) < 2:
                 bad_lines.append(lineno)

@@ -512,8 +512,7 @@ def test_criterion_17(tmp_path):
     grid_points = np.column_stack([mesh_mu.ravel(), mesh_gamma.ravel()])
     grid_scores = np.linalg.norm(grid_points - np.array([0.4, 0.6]), axis=1)
     grid = GridResult(axes=["mu", "gamma"], points=grid_points, scores=grid_scores,
-                      mean_errors=grid_scores, error_stds=np.zeros(grid_scores.size),
-                      mean_scales=np.ones(grid_scores.size), errors=[])
+                      mean_errors=grid_scores, error_stds=np.zeros(grid_scores.size), errors=[])
     grid_path = tmp_path / "grid.csv"
     write_grid_csv(grid, grid_path)
     replay_matches(tmp_path, "identify", {

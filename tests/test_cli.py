@@ -358,8 +358,7 @@ def planted_grid_csv(tmp_path):
     scores = np.linalg.norm(points - np.array([0.4, 0.6]), axis=1)
     grid = GridResult(
         axes=["mu", "gamma"], points=points, scores=scores,
-        mean_errors=scores, error_stds=np.zeros(scores.size),
-        mean_scales=np.ones(scores.size), errors=[],
+        mean_errors=scores, error_stds=np.zeros(scores.size), errors=[],
     )
     path = tmp_path / "grid.csv"
     write_grid_csv(grid, path)

@@ -592,7 +592,7 @@ def test_failed_members_fail_alone_with_the_error_of_simulate(mode):
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 @pytest.mark.parametrize("mode", MODES)
 def test_a_batch_on_both_sides_of_the_density_threshold_equals_lone_runs(mode):
-    # the loop runs the dense members first and hands every row back in order
+    # a batch holds one operator kind: the dense members run in one call, the sparse ones in another
     n = 100
     graphs = [generate(GraphGenSpec(family="watts-strogatz", n=n, k=6, seed=12)),
               generate(GraphGenSpec(family="sbm", n=n, seed=12, inter_prob=0.05)),
@@ -604,17 +604,19 @@ def test_a_batch_on_both_sides_of_the_density_threshold_equals_lone_runs(mode):
     members = [batch_member(graph, k) for k, graph in enumerate(graphs)]
     # all reactions +1 under a huge feedback: a sparse member that overflows
     members[2] = (graphs[2], Population(np.ones(n), np.zeros(n)), ModelParams(lam=1.0, gamma=1e11), 3)
-    for member, got in zip(members, member_fractions(members, 150, mode)):
-        assert_same_outcome(got, simulate_outcome(member, 150, mode))
-    for member, got in zip(members, member_runs(members, 150, mode, spread=True)):
-        try:
-            want = simulate(*member[:3], 150, seed=member[3], mode=mode)
-        except OpinionOverflowError as exc:
-            assert_same_outcome(got, exc)
-            continue
-        assert got.event_fraction.tobytes() == want.event_fraction.tobytes()
-        assert got.max_diversity.tobytes() == want.max_diversity.tobytes()
-        assert got.final_opinions.tobytes() == want.opinions[-1].tobytes()
+    for dense in (True, False):
+        batch = [member for member in members if _dense_operator(member[0]) == dense]
+        for member, got in zip(batch, member_fractions(batch, 150, mode)):
+            assert_same_outcome(got, simulate_outcome(member, 150, mode))
+        for member, got in zip(batch, member_runs(batch, 150, mode, spread=True)):
+            try:
+                want = simulate(*member[:3], 150, seed=member[3], mode=mode)
+            except OpinionOverflowError as exc:
+                assert_same_outcome(got, exc)
+                continue
+            assert got.event_fraction.tobytes() == want.event_fraction.tobytes()
+            assert got.max_diversity.tobytes() == want.max_diversity.tobytes()
+            assert got.final_opinions.tobytes() == want.opinions[-1].tobytes()
 
 
 class RecordedGenerator:
@@ -635,9 +637,10 @@ def test_blocked_draws_keep_every_members_bytes(monkeypatch, block, draws):
     # does not divide the horizon, and the last block draws only what is left
     n, horizon = 100, 100
     graphs = [generate(GraphGenSpec(family="watts-strogatz", n=n, k=6, seed=12)),
-              generate(GraphGenSpec(family="sbm", n=n, seed=12, inter_prob=0.05)),
+              generate(GraphGenSpec(family="barabasi-albert", n=n, m=1, seed=13)),
               generate(GraphGenSpec(family="erdos-renyi", n=n, edge_prob=0.05, seed=12)),
               generate(GraphGenSpec(family="barabasi-albert", n=n, m=3, seed=12))]
+    assert not any(_dense_operator(graph) for graph in graphs)
     members = [batch_member(graph, k) for k, graph in enumerate(graphs)]
     # all reactions +1 under a huge feedback: overflows at step 11, inside a block of 7
     members[2] = (graphs[2], Population(np.ones(n), np.zeros(n)), ModelParams(lam=1.0, gamma=1e11), 3)
@@ -766,13 +769,13 @@ def test_replicate_summaries_close_a_batch_where_size_or_weight_scale_changes(mo
     ws = {n: GraphGenSpec(family="watts-strogatz", n=n, k=6) for n in (40, 100)}
     # the sbm at r = 0 fails in generate, between two members of one batch;
     # Watts-Strogatz k = 6 mixes densely at n = 40 and sparsely at n = 100,
-    # the default sbm densely
+    # the default sbm densely, so the last two run apart
     specs = [ws[40], ws[40], ws[100], GraphGenSpec(family="sbm", n=100, inter_prob=0.0), ws[100], ws[100],
              GraphGenSpec(family="sbm", n=100)]
     scales = [1.0, 1.0, 1.0, 1.0, 1.0, 0.97, 0.97]
     tasks = [(spec, PopulationSpec(), params, k, scale) for k, (spec, scale) in enumerate(zip(specs, scales))]
     outcomes = list(replicate_summaries(tasks, 30))
-    assert batches == [(2, 40, 1.0), (2, 100, 1.0), (2, 100, 0.97)]
+    assert batches == [(2, 40, 1.0), (2, 100, 1.0), (1, 100, 0.97), (1, 100, 0.97)]
     for task, got in zip(tasks, outcomes):
         try:
             want = replicate(*task[:3], 30, task[3], weight_scale=task[4])[1]
@@ -1029,8 +1032,9 @@ def test_all_false_stubborn_mask_collapses_to_none():
 
 
 def test_population_rejects_out_of_range_susceptibility():
-    with pytest.raises(ValueError, match="susceptibility"):
-        Population(reactions=np.ones(2), initial_opinions=np.zeros(2), susceptibility=1.5)
+    for xi in (1.5, -0.1, math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match=r"susceptibility must lie in \[0, 1\]"):
+            Population(reactions=np.ones(2), initial_opinions=np.zeros(2), susceptibility=xi)
 
 
 def test_sample_reactions_exact_count():

@@ -281,7 +281,7 @@ def test_grid_reproducible_and_jobs_invariant():
     parallel = grid_explore(data, space, config, jobs=2)
     assert np.array_equal(first.scores, second.scores)
     assert np.array_equal(first.scores, parallel.scores)
-    assert np.array_equal(first.mean_scales, parallel.mean_scales)
+    assert np.array_equal(first.mean_errors, parallel.mean_errors)
 
 
 def test_failed_cells_recorded_without_aborting():
@@ -322,7 +322,7 @@ def test_a_cell_whose_replicates_raise_fails_alone():
     assert plain.errors == []
     assert grid.errors == [(1, "RuntimeError: surrogate build stand-in")]
     for i in (0, 2):
-        for field in ("scores", "mean_errors", "error_stds", "mean_scales"):
+        for field in ("scores", "mean_errors", "error_stds"):
             assert repr(getattr(grid, field)[i]) == repr(getattr(plain, field)[i])
     assert math.isnan(grid.scores[1])
 
@@ -476,7 +476,7 @@ def test_spread_starts_skip_adjacent_cells():
     scores[8] = 0.3  # far corner
     grid = GridResult(
         axes=["mu", "gamma"], points=points, scores=scores,
-        mean_errors=scores, error_stds=np.zeros(9), mean_scales=np.ones(9), errors=[],
+        mean_errors=scores, error_stds=np.zeros(9), errors=[],
     )
     assert _spread_starts(grid, space, 2) == [3, 8]
 

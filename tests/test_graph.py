@@ -128,7 +128,7 @@ def coo_uniform_graph(n, src, dst):
         return "duplicate edges"
     indeg = np.diff(matrix.indptr)
     if np.any(indeg == 0):
-        return "isolated node"
+        return f"node {int(np.flatnonzero(indeg == 0)[0])} has no incoming edge"
     matrix.data = np.repeat(1.0 / indeg, indeg)
     return matrix
 
@@ -420,6 +420,17 @@ def test_from_edges_rejects_duplicates():
 def test_from_edges_rejects_uncovered_node():
     with pytest.raises(GraphError, match="incoming"):
         from_edges(3, [(0, 1, 1.0), (1, 0, 1.0)])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_from_edges_in_any_order_rebuilds_the_generated_arrays(family):
+    g = generate(GraphGenSpec(family=family, n=60, seed=8))
+    edges = list(g.edges())
+    random.Random(3).shuffle(edges)
+    rebuilt = from_edges(g.n, edges).matrix
+    for mine, theirs in zip((rebuilt.data, rebuilt.indices, rebuilt.indptr),
+                            (g.matrix.data, g.matrix.indices, g.matrix.indptr)):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
 
 
 def test_edge_list_roundtrip_is_exact(tmp_path):

@@ -107,6 +107,10 @@ def test_an_unrecognized_timestamp_names_its_line(tmp_path):
     path = write_csv(tmp_path, "timestamp,value\n1,0.5\n2,0.4\nyesterday,0.4\n4,0.2\n")
     with pytest.raises(SeriesError, match=r"^line 4: timestamp 'yesterday' is neither"):
         load_series(path)
+    # a first line whose value parses is data, whatever follows its value column
+    path = write_csv(tmp_path, "abc,0.3,x\n1,0.5\n")
+    with pytest.raises(SeriesError, match=r"^line 1: timestamp 'abc' is neither"):
+        load_series(path)
 
 
 def test_blank_lines_ignored(tmp_path):
