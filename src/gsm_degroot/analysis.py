@@ -9,7 +9,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .dynamics import ModelParams, PopulationSpec, Trajectory, contiguous_parts, fan_out, replicate_summaries
+from .dynamics import ModelParams, PopulationSpec, Trajectory, fan_out, replicate_summaries
 from .graph import GraphGenSpec
 from .rules import check_rules, ruled
 from .seeds import derive_seed
@@ -76,8 +76,6 @@ class SweepAxis:
             raise ValueError(f"single-cell axis {self.name!r} needs lo == hi")
 
     def values(self) -> np.ndarray:
-        if self.cells == 1:
-            return np.asarray([self.lo])
         return np.linspace(self.lo, self.hi, self.cells)
 
 
@@ -176,7 +174,7 @@ def _family_param(graph_spec: GraphGenSpec, value: float) -> GraphGenSpec:
     return replace(graph_spec, intra_prob=value)
 
 
-def _run_cells(spec: SweepSpec, cells: list[tuple[int, dict[str, float]]]) -> list[CellResult]:
+def _run_cells(cells: list[tuple[int, dict[str, float]]], spec: SweepSpec) -> list[CellResult]:
     """The CellResult of each (cell index, coords), every replicate of every
     cell run through one replicate_summaries stream.
 
@@ -225,18 +223,17 @@ def _failure(exc: Exception) -> str:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate every cell of the axis grid with seeded replicates.
 
-    The replicates of all cells run through one replicate_summaries stream,
-    so its batches take members from several cells. Cell failures are
-    recorded on the cell instead of aborting. Results are identical for any
-    jobs value; jobs > 1 splits the cells into contiguous chunks, one per
-    worker process.
+    fan_out splits the cells into at most jobs contiguous parts, one per
+    worker process; the replicates of a part's cells run through one
+    replicate_summaries stream, so its batches take members from several
+    cells. Cell failures are recorded on the cell instead of aborting.
+    Results are identical for any jobs value.
     """
     grids = [axis.values() for axis in spec.axes]
     names = [axis.name for axis in spec.axes]
     cells = [(cell_index, {name: float(v) for name, v in zip(names, combo)})
              for cell_index, combo in enumerate(product(*grids))]
-    parts = fan_out(_run_cells, [(spec, cells[part]) for part in contiguous_parts(len(cells), jobs)], jobs)
-    return SweepResult(spec=spec, cells=[cell for part in parts for cell in part])
+    return SweepResult(spec=spec, cells=fan_out(_run_cells, cells, spec, jobs=jobs))
 
 
 def write_long_csv(result: SweepResult, path) -> None:

@@ -69,7 +69,7 @@ class ModelParams:
 
     lam: float = ruled(1.0, gt=0.0)
     gamma: float = ruled(0.0, ge=0.0)
-    mu: float = 0.0
+    mu: float = ruled(0.0)
     sigma: float = ruled(1.0, ge=0.0)
 
     def __post_init__(self) -> None:
@@ -263,8 +263,8 @@ class Trajectory:
 
 def _check_run(graph, population, horizon, mode, weight_scale=1.0, check_connectivity=True) -> None:
     """Raise ValueError for a run that simulate rejects."""
-    if weight_scale <= 0.0:
-        raise ValueError(f"weight_scale must be positive, got {weight_scale!r}")
+    if not 0.0 < weight_scale < math.inf:
+        raise ValueError(f"weight_scale must be positive and finite, got {weight_scale!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     if mode not in MODES:
@@ -752,19 +752,17 @@ def _run_batch(batch: list, horizon: int, mode: str, weight_scale: float | None,
     return [item if isinstance(item, Exception) else next(runs) for item in batch]
 
 
-def contiguous_parts(count: int, jobs: int) -> list[slice]:
-    """count items as at most jobs contiguous slices of near-equal length."""
-    parts = max(1, min(jobs, count))
-    return [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
+def fan_out(fn, items: list, *shared, jobs: int = 1) -> list:
+    """fn(part, *shared) for items split into at most jobs contiguous parts
+    of near-equal length, one per worker process, the parts' result lists
+    joined in item order.
 
-
-def fan_out(fn, tasks: list[tuple], jobs: int = 1) -> list:
-    """[fn(*task) for task in tasks], spread over jobs worker processes.
-
-    Results keep the task order, so they do not depend on jobs; with
-    jobs > 1, fn, its arguments and its results must pickle.
+    The results do not depend on jobs; with more than one part, fn, its
+    arguments and its results must pickle.
     """
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (jobs * 4))))
-    return [fn(*task) for task in tasks]
+    count = max(1, min(jobs, len(items)))
+    if count == 1:
+        return fn(items, *shared)
+    parts = [items[len(items) * i // count:len(items) * (i + 1) // count] for i in range(count)]
+    with ProcessPoolExecutor(max_workers=count) as pool:
+        return [result for part in pool.map(fn, parts, *[[arg] * count for arg in shared]) for result in part]

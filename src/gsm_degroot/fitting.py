@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dynamics import MODES, ModelParams, PopulationSpec, contiguous_parts, fan_out, replicate_summaries
+from .dynamics import MODES, ModelParams, PopulationSpec, fan_out, replicate_summaries
 from .graph import GenerationError, GraphGenSpec
 from .rules import check_rules, rule_of, ruled
 from .seeds import derive_seed
@@ -79,6 +79,9 @@ class ParamSpace:
             lo, hi = self.bounds.get(name, (0.0, 0.5))
             if lo < 0.0 or hi > 0.5:
                 raise ValueError(f"{name} bounds must stay within [0, 0.5], got ({lo}, {hi})")
+        for name, value in self.pinned.items():
+            if not math.isfinite(value):
+                raise ValueError(f"pinned {name!r} must be finite, got {value}")
         overlap = set(self.bounds) & set(self.pinned)
         if overlap:
             raise ValueError(f"parameters both searched and pinned: {sorted(overlap)}")
@@ -268,15 +271,15 @@ def grid_explore(data: np.ndarray, space: ParamSpace, config: FitConfig, jobs: i
 
     A cell fails, as "Type: message" in errors, with the exception that
     evaluate_point would raise for it; the other cells keep their scores.
-    The cells are split into jobs contiguous parts, one per worker process,
-    and each part scores its cells through one replicate_summaries stream.
+    fan_out splits the cells into at most jobs contiguous parts, one per
+    worker process, and each part scores its cells through one
+    replicate_summaries stream; the scores do not depend on jobs.
     """
     axes = space.axes
     meshes = np.meshgrid(*[space.centers(name) for name in axes], indexing="ij")
     points = np.column_stack([m.ravel() for m in meshes])
     cells = [space.full_point({name: float(v) for name, v in zip(axes, row)}) for row in points]
-    parts = fan_out(_grid_part, [(cells[part], data, config) for part in contiguous_parts(len(cells), jobs)], jobs)
-    outcomes = [outcome for part in parts for outcome in part]
+    outcomes = fan_out(_grid_part, cells, data, config, jobs=jobs)
     n_cells = len(cells)
     scores = np.full(n_cells, np.nan)
     mean_errors = np.full(n_cells, np.nan)
@@ -314,53 +317,6 @@ class AnnealTrace:
     failures: int = 0
 
 
-def _chain(start: dict[str, float], space: ParamSpace, config: FitConfig, seed: int):
-    """One annealing chain as a generator.
-
-    It yields each point to score, the start and then every proposal, and
-    is sent back its score or the exception its scoring raised; it returns
-    (best point, best score, trace). A failed start raises its exception.
-    """
-    rng = np.random.default_rng(seed)
-    axes = space.axes
-    lows = np.asarray([space.bounds[a][0] for a in axes])
-    highs = np.asarray([space.bounds[a][1] for a in axes])
-    half_widths = (highs - lows) * config.neighborhood_volume ** (1.0 / len(axes)) / 2.0
-
-    current = np.asarray([float(start[a]) for a in axes])
-    if np.any(current < lows) or np.any(current > highs):
-        raise FitError(f"start point {start} lies outside the search box")
-    current_score = yield {a: float(v) for a, v in zip(axes, current)}
-    if isinstance(current_score, Exception):
-        raise current_score
-    best = current.copy()
-    best_score = current_score
-    temp = config.initial_temp
-    trace = AnnealTrace(points=[], scores=[], accepted=[], temps=[], best_scores=[])
-    for _ in range(config.anneal_iters):
-        proposal = np.clip(current + rng.uniform(-half_widths, half_widths), lows, highs)
-        candidate = {a: float(v) for a, v in zip(axes, proposal)}
-        score = yield candidate
-        failed = isinstance(score, Exception)
-        if failed:
-            score = math.inf
-            trace.failures += 1
-        took = (not failed) and _accept(score - current_score, temp, rng)
-        if took:
-            current = proposal
-            current_score = score
-            if score < best_score:
-                best = proposal.copy()
-                best_score = score
-        trace.points.append(candidate)
-        trace.scores.append(score)
-        trace.accepted.append(took)
-        trace.temps.append(temp)
-        trace.best_scores.append(best_score)
-        temp *= config.cooling
-    return {a: float(v) for a, v in zip(axes, best)}, float(best_score), trace
-
-
 def anneal(
     start: dict[str, float],
     data: np.ndarray,
@@ -375,40 +331,76 @@ def anneal(
     point whose volume is neighborhood_volume of the box (per-axis
     half-width = range * volume**(1/dims) / 2), clipped to the bounds.
     The temperature decays geometrically each iteration. A proposal whose
-    evaluation fails is rejected and counted on the trace. scorer, if
-    given, maps a point of the searched axes to its score in place of
-    evaluate_point's. Returns the best-ever (point, score, trace): the one
-    chain of _run_chains.
+    evaluation fails is rejected and counted on the trace; a start whose
+    evaluation fails raises its exception. scorer, if given, maps a point
+    of the searched axes to its score in place of evaluate_point's.
+    Returns the best-ever (point, score, trace): _run_chains with one chain.
     """
-    return _run_chains([start], [seed], data, space, config, scorer)[0]
+    return _run_chains([(start, seed)], data, space, config, scorer)[0]
 
 
-def _run_chains(starts: list[dict[str, float]], seeds: list[int], data, space: ParamSpace, config: FitConfig,
+def _run_chains(chains: list[tuple[dict[str, float], int]], data, space: ParamSpace, config: FitConfig,
                 scorer=None) -> list:
-    """anneal's result for each start, the chains run in lockstep.
+    """anneal's result for each (start, seed) chain, the chains run in lockstep.
 
-    Without a scorer, each step scores one point of every chain through one
-    _score_points call; with one, each point in turn, an exception that
-    scorer raises failing that point.
+    Every start is checked against the box, then all starts are scored; a
+    failed start raises its exception before any proposal is drawn. Each
+    step draws one proposal per chain from that chain's own generator,
+    scores the proposals of every chain together, then applies each chain's
+    accept rule, whose draw comes from the same generator; so a chain's
+    result does not depend on the chains beside it.
     """
-    chains = [_chain(start, space, config, seed) for start, seed in zip(starts, seeds)]
-    points = [next(chain) for chain in chains]
-    results: list = [None] * len(chains)
-    pending = list(range(len(chains)))
-    while pending:
-        if scorer is None:
-            outcomes = _score_points([space.full_point(points[i]) for i in pending], data, config)
-        else:
-            outcomes = [_scored(scorer, points[i]) for i in pending]
-        running = []
-        for i, outcome in zip(pending, outcomes):
-            try:
-                points[i] = chains[i].send(outcome.score if isinstance(outcome, PointScore) else outcome)
-                running.append(i)
-            except StopIteration as stop:
-                results[i] = stop.value
-        pending = running
-    return results
+    axes = space.axes
+    lows = np.asarray([space.bounds[a][0] for a in axes])
+    highs = np.asarray([space.bounds[a][1] for a in axes])
+    half_widths = (highs - lows) * config.neighborhood_volume ** (1.0 / len(axes)) / 2.0
+
+    def named(point: np.ndarray) -> dict[str, float]:
+        return {a: float(v) for a, v in zip(axes, point)}
+
+    current = [np.asarray([float(start[a]) for a in axes]) for start, _ in chains]
+    for (start, _), point in zip(chains, current):
+        if np.any(point < lows) or np.any(point > highs):
+            raise FitError(f"start point {start} lies outside the search box")
+    current_scores = _scores([named(point) for point in current], data, space, config, scorer)
+    for score in current_scores:
+        if isinstance(score, Exception):
+            raise score
+    rngs = [np.random.default_rng(seed) for _, seed in chains]
+    best, best_scores = list(current), list(current_scores)
+    traces = [AnnealTrace(points=[], scores=[], accepted=[], temps=[], best_scores=[]) for _ in chains]
+    temp = config.initial_temp
+    for _ in range(config.anneal_iters):
+        proposals = [np.clip(point + rng.uniform(-half_widths, half_widths), lows, highs)
+                     for point, rng in zip(current, rngs)]
+        candidates = [named(proposal) for proposal in proposals]
+        for i, score in enumerate(_scores(candidates, data, space, config, scorer)):
+            failed = isinstance(score, Exception)
+            if failed:
+                score = math.inf
+                traces[i].failures += 1
+            took = (not failed) and _accept(score - current_scores[i], temp, rngs[i])
+            if took:
+                current[i], current_scores[i] = proposals[i], score
+                if score < best_scores[i]:
+                    best[i], best_scores[i] = proposals[i], score
+            traces[i].points.append(candidates[i])
+            traces[i].scores.append(score)
+            traces[i].accepted.append(took)
+            traces[i].temps.append(temp)
+            traces[i].best_scores.append(best_scores[i])
+        temp *= config.cooling
+    return [(named(point), float(score), trace) for point, score, trace in zip(best, best_scores, traces)]
+
+
+def _scores(points: list[dict[str, float]], data, space: ParamSpace, config: FitConfig, scorer) -> list:
+    """The score of each point of the searched axes, or the exception its
+    scoring raised: without a scorer, evaluate_point's, every point through
+    one _score_points call; with one, scorer's, each point in turn."""
+    if scorer is not None:
+        return [_scored(scorer, point) for point in points]
+    outcomes = _score_points([space.full_point(point) for point in points], data, config)
+    return [outcome.score if isinstance(outcome, PointScore) else outcome for outcome in outcomes]
 
 
 def _scored(scorer, point: dict[str, float]):
@@ -456,9 +448,9 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
     """Grid pass, then annealing chains from the spread-out best cells.
 
     The chains start from the restarts best grid cells separated by at
-    least one cell diagonal; the overall best-scoring point wins. jobs
-    worker processes share the grid cells, then the chains, which run in
-    lockstep within each process. Raises ValueError for fewer than 2
+    least one cell diagonal; the overall best-scoring point wins, the first
+    chain's on a tie. fan_out shares the grid cells, then the chains, among
+    jobs worker processes; the chains of one process run in lockstep. Raises ValueError for fewer than 2
     samples or an all-zero series, which no cell could score, and FitError
     if every grid cell fails.
     """
@@ -473,15 +465,9 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
     starts = _spread_starts(grid, space, config.restarts)
     if not starts:
         raise FitError("every grid cell failed; nothing to anneal from")
-    points = [grid.point(idx) for idx in starts]
-    seeds = [derive_seed(config.seed, "anneal", chain) for chain in range(len(starts))]
-    groups = [(points[part], seeds[part], data, space, config) for part in contiguous_parts(len(starts), jobs)]
-    outcomes = [outcome for group in fan_out(_run_chains, groups, jobs) for outcome in group]
-    best_point, best_score, traces = None, math.inf, []
-    for point, score, trace in outcomes:
-        traces.append(trace)
-        if score < best_score:
-            best_point, best_score = point, score
+    chains = [(grid.point(idx), derive_seed(config.seed, "anneal", chain)) for chain, idx in enumerate(starts)]
+    outcomes = fan_out(_run_chains, chains, data, space, config, jobs=jobs)
+    best_point = min(outcomes, key=lambda outcome: outcome[1])[0]
     final = evaluate_point(space.full_point(best_point), data, config)
     return FitResult(
         best=best_point,
@@ -490,7 +476,7 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
         error_std=float(final.error_std),
         scale=float(final.mean_scale),
         grid=grid,
-        traces=traces,
+        traces=[trace for _, _, trace in outcomes],
         seed=config.seed,
         space=space,
         config=config,

@@ -2,13 +2,15 @@
 
 A field made with `ruled(default, ...)` carries a Rule in its metadata: a
 closed or open range, or a set of allowed values, applied to every item
-when the value is a tuple or list. Each dataclass enforces its rules with
-`check_rules` in __post_init__, and the config loader reads the same
-metadata, so a default and its rule are written once, on the field.
+when the value is a tuple or list; a float item must also be finite. Each
+dataclass enforces its rules with `check_rules` in __post_init__, and the
+config loader reads the same metadata, so a default and its rule are
+written once, on the field.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, fields
 
@@ -28,6 +30,8 @@ class Rule:
         for item in value if isinstance(value, (list, tuple)) else (value,):
             if item is None:
                 continue
+            if isinstance(item, float) and not math.isfinite(item):
+                return f"must be finite, got {item!r}"
             if self.among is not None and item not in self.among:
                 return f"must be one of {', '.join(map(repr, self.among))}; got {item!r}"
             for name, holds, sign in _BOUNDS:

@@ -66,6 +66,12 @@ def test_schema_violation_exits_2_with_field_path(tmp_path, capsys):
     assert "params.lambda" in capsys.readouterr().err
 
 
+def test_a_non_finite_parameter_exits_2_naming_its_field(tmp_path, capsys):
+    config = write_config(tmp_path, dict(SIM_CONFIG, params={"lambda": 1.0, "mu": float("nan")}))
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "config field params.mu: must be finite, got nan" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     code = main(["gen-graph", "--config", str(tmp_path / "absent.yaml"), "--out", str(tmp_path / "out")])
     assert code == 1

@@ -1,6 +1,7 @@
 """Config checking, default merging, and resolved-config round-trips."""
 
 import inspect
+import math
 from dataclasses import fields
 
 import pytest
@@ -270,6 +271,9 @@ REJECTED = [
     # rules of preprocess and identifiability, checked at load
     ("fit.preprocess.smooth", _with("fit.preprocess", smooth=2)),
     ("identify.q_max", _with("identify", q_min=0.5, q_max=0.1)),
+    # non-finite values, which pass every range
+    ("params.lambda", _with("params", **{"lambda": math.inf})),
+    ("params.mu", _with("params", mu=math.nan)),
 ]
 
 

@@ -334,6 +334,9 @@ def test_simulate_validates_inputs():
     with pytest.raises(ValueError, match="population size"):
         simulate(graph, uniform_population(4), params, horizon=10, seed=0,
                  check_connectivity=False)
+    for scale in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="weight_scale must be positive"):
+            simulate(graph, pop, params, horizon=10, seed=0, check_connectivity=False, weight_scale=scale)
 
 
 def test_replicate_ignores_the_spec_seed():
@@ -346,12 +349,16 @@ def test_replicate_ignores_the_spec_seed():
     assert traj_a.states.tobytes() == traj_b.states.tobytes()
 
 
+def divmods(part, divisor):
+    return [divmod(item, divisor) for item in part]
+
+
 def test_fan_out_keeps_task_order_at_any_jobs():
-    tasks = [(7, 2), (9, 4), (1, 1), (20, 6), (5, 5)]
-    want = [divmod(*task) for task in tasks]
-    assert fan_out(divmod, tasks) == want
-    assert fan_out(divmod, tasks, jobs=2) == want
-    assert fan_out(divmod, [], jobs=2) == []
+    items = [7, 9, 1, 20, 5]
+    want = [divmod(item, 3) for item in items]
+    assert fan_out(divmods, items, 3) == want
+    assert fan_out(divmods, items, 3, jobs=2) == want
+    assert fan_out(divmods, [], 3, jobs=2) == []
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,8 @@ def test_full_point_merges_pinned_values():
             dict(bounds={"mu": (0.0, 1.0), "gamma": (0.0, 1.0), "r": (0.0, 0.5)}, resolution={"p": 3}),
             "unsearched parameter",
         ),
+        (dict(bounds={"mu": (0.0, 1.0), "r": (0.0, 0.5)}, pinned={"gamma": math.inf}), "'gamma' must be finite"),
+        (dict(bounds={"gamma": (0.0, 1.0), "r": (0.0, 0.5)}, pinned={"mu": math.nan}), "'mu' must be finite"),
     ],
 )
 def test_invalid_spaces_are_rejected(kwargs, message):
@@ -414,6 +416,30 @@ def test_start_outside_box_rejected():
                scorer=planted_scorer({"mu": 0.0, "gamma": 0.0}))
 
 
+def test_a_failed_start_raises_before_any_proposal_is_scored():
+    failure = ValueError("start failure stand-in")
+    bad = {"mu": 10.0, "gamma": 3.0}
+    healthy = {"mu": -50.0, "gamma": 8.0}
+    calls = []
+
+    def scorer(point):
+        calls.append(point)
+        if point == bad:
+            raise failure
+        return 1.0
+
+    config = FitConfig(anneal_iters=50, seed=1)
+    with pytest.raises(ValueError) as alone:
+        anneal(bad, None, small_space(), config, seed=6, scorer=scorer)
+    assert alone.value is failure
+    assert calls == [bad]
+    calls.clear()
+    with pytest.raises(ValueError) as lockstep:
+        _run_chains([(healthy, 5), (bad, 6)], None, small_space(), config, scorer)
+    assert lockstep.value is failure
+    assert calls == [healthy, bad]
+
+
 def test_failing_proposals_are_rejected_not_fatal():
     calls = []
 
@@ -443,7 +469,7 @@ def test_a_lone_chain_equals_the_same_chain_run_in_lockstep(mode):
     start = {"mu": -20.0, "gamma": 3.0, "r": 0.01}
     others = [{"mu": 100.0, "gamma": 10.0, "r": 0.3}, {"mu": -200.0, "gamma": 1.0, "r": 0.45}]
     alone = anneal(start, data, space, config, seed=1)
-    lockstep = _run_chains([others[0], start, others[1]], [3, 1, 4], data, space, config)[1]
+    lockstep = _run_chains([(others[0], 3), (start, 1), (others[1], 4)], data, space, config)[1]
 
     def text(result):
         best, score, trace = result

@@ -1,5 +1,7 @@
 """Defaults and rules declared on the dataclass fields a run config feeds."""
 
+import math
+
 import pytest
 import yaml
 
@@ -57,3 +59,6 @@ def test_rule_checks_every_item_and_skips_none():
     assert rule.violation(None) is None
     assert rule.violation([0.5, 0.0]) == "must be > 0.0, got 0.0"
     assert Rule(among=("a", "b")).violation("c") == "must be one of 'a', 'b'; got 'c'"
+    assert Rule().violation(0.5) is None
+    assert Rule().violation(math.inf) == "must be finite, got inf"
+    assert rule.violation([0.5, math.nan]) == "must be finite, got nan"
