@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from itertools import islice, product
 
 import numpy as np
 
+from .csvio import failure_text, write_csv
 from .dynamics import ModelParams, PopulationSpec, Trajectory, fan_out, replicate_summaries
 from .graph import GraphGenSpec
 from .rules import check_rules, ruled
@@ -139,6 +139,11 @@ class SweepResult:
     def failures(self) -> list[CellResult]:
         return [cell for cell in self.cells if cell.error is not None]
 
+    def axis_fields(self, cell: CellResult) -> tuple[str, str]:
+        """The axis1,axis2 fields of cell's rows; axis2 is blank for a one-axis sweep."""
+        names = self.axis_names
+        return repr(cell.coords[names[0]]), repr(cell.coords[names[1]]) if len(names) > 1 else ""
+
 
 def _apply_axes(spec: SweepSpec, coords: dict[str, float]):
     graph_spec, pop_spec, params, alpha = spec.graph, spec.population, spec.params, 1.0
@@ -188,7 +193,7 @@ def _run_cells(cells: list[tuple[int, dict[str, float]]], spec: SweepSpec) -> li
         try:
             graph_spec, pop_spec, params, alpha = _apply_axes(spec, coords)
         except Exception as exc:  # noqa: BLE001 - cell failures are data, not crashes
-            plans.append((_failure(exc), []))
+            plans.append((failure_text(exc), []))
             continue
         plans.append((None, [(graph_spec, pop_spec, params, derive_seed(spec.seed, "cell", cell_index, rep), alpha)
                              for rep in range(spec.replicates)]))
@@ -200,7 +205,7 @@ def _run_cells(cells: list[tuple[int, dict[str, float]]], spec: SweepSpec) -> li
         # take all of the cell's runs, read or not, so the next cell starts at its own
         for rep, run in enumerate(list(islice(runs, len(tasks)))):
             if isinstance(run, Exception):
-                seeds, error = seeds[:rep + 1], _failure(run)
+                seeds, error = seeds[:rep + 1], failure_text(run)
                 break
             indices = _spread_indices(run.max_diversity)
             for stat in spec.statistics:
@@ -214,10 +219,6 @@ def _run_cells(cells: list[tuple[int, dict[str, float]]], spec: SweepSpec) -> li
                     values[stat].append(run.event_fraction)
         results.append(CellResult(coords=coords, values=values, seeds=seeds, error=error))
     return results
-
-
-def _failure(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
@@ -238,18 +239,12 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
 
 def write_long_csv(result: SweepResult, path) -> None:
     """Long format: axis1,axis2,replicate,statistic,value (axis2 blank for 1-axis)."""
-    names = result.axis_names
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis1", "axis2", "replicate", "statistic", "value"])
-        for cell in result.cells:
-            first = repr(cell.coords[names[0]])
-            second = repr(cell.coords[names[1]]) if len(names) > 1 else ""
-            for stat, values in cell.values.items():
-                if stat == _CURVE:
-                    continue
-                for rep, value in enumerate(values):
-                    writer.writerow([first, second, rep, stat, repr(float(value))])
+    write_csv(path, ["axis1", "axis2", "replicate", "statistic", "value"], (
+        [*result.axis_fields(cell), rep, stat, repr(float(value))]
+        for cell in result.cells
+        for stat, values in cell.values.items() if stat != _CURVE
+        for rep, value in enumerate(values)
+    ))
 
 
 def write_heatmap_csv(result: SweepResult, stat: str, path) -> None:
@@ -263,28 +258,18 @@ def write_heatmap_csv(result: SweepResult, stat: str, path) -> None:
     for cell in result.cells:
         key = (cell.coords[names[0]], cell.coords[names[1]] if len(names) > 1 else None)
         lookup[key] = cell.mean(stat)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [names[0]] + ([repr(c) for c in cols] if cols != [None] else [stat])
-        writer.writerow(header)
-        for r in rows:
-            row = [repr(r)]
-            for c in cols:
-                value = lookup.get((r, c), math.nan)
-                row.append(repr(float(value)))
-            writer.writerow(row)
+    header = [names[0]] + ([repr(c) for c in cols] if cols != [None] else [stat])
+    write_csv(path, header, ([repr(r)] + [repr(float(lookup.get((r, c), math.nan))) for c in cols] for r in rows))
 
 
 def write_curves_csv(result: SweepResult, path) -> None:
     """Per-replicate event-fraction curves: axis1,axis2,replicate,t,value."""
-    names = result.axis_names
     with open(path, "w", newline="") as fh:
-        # the rows csv.writer would write: no field needs quoting, and its
-        # rows end in \r\n
+        # the rows csvio.write_csv would write, at a third of its cost over
+        # this file's many rows: no field needs quoting, and rows end in \r\n
         fh.write("axis1,axis2,replicate,t,value\r\n")
         for cell in result.cells:
-            first = repr(cell.coords[names[0]])
-            second = repr(cell.coords[names[1]]) if len(names) > 1 else ""
+            first, second = result.axis_fields(cell)
             for rep, curve in enumerate(cell.values.get(_CURVE, [])):
                 head = f"{first},{second},{rep},"
                 fh.write("".join(f"{head}{t},{value!r}\r\n"
@@ -293,11 +278,5 @@ def write_curves_csv(result: SweepResult, path) -> None:
 
 def write_failures_csv(result: SweepResult, path) -> None:
     """One row per failed cell: axis coordinates and the recorded error."""
-    names = result.axis_names
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis1", "axis2", "error"])
-        for cell in result.failures():
-            first = repr(cell.coords[names[0]])
-            second = repr(cell.coords[names[1]]) if len(names) > 1 else ""
-            writer.writerow([first, second, cell.error])
+    write_csv(path, ["axis1", "axis2", "error"],
+              ([*result.axis_fields(cell), cell.error] for cell in result.failures()))

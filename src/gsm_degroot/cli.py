@@ -43,7 +43,6 @@ from .fitting import (
     write_grid_failures_csv,
 )
 from .graph import (
-    ConvergenceError,
     GenerationError,
     GraphGenSpec,
     generate,
@@ -221,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     except OpinionOverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FitError, ConvergenceError) as exc:
+    except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZATION
     except (GenerationError, ValueError) as exc:

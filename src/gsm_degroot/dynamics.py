@@ -14,7 +14,6 @@ opinion.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -23,6 +22,7 @@ from typing import Iterator, NamedTuple, Union
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec
 
+from .csvio import write_csv
 from .graph import (
     GraphGenSpec,
     WeightedDigraph,
@@ -95,6 +95,8 @@ class Population:
         self.initial_opinions = np.asarray(self.initial_opinions, dtype=np.float64)
         if self.reactions.shape != self.initial_opinions.shape or self.reactions.ndim != 1:
             raise ValueError("reactions and initial_opinions must be equal-length vectors")
+        if not np.isfinite(self.reactions).all():
+            raise ValueError("reactions must be finite")
         if self.fully_stubborn is not None:
             self.fully_stubborn = np.asarray(self.fully_stubborn, dtype=bool)
             if self.fully_stubborn.shape != self.reactions.shape:
@@ -237,28 +239,18 @@ class Trajectory:
 
     def write_summary_csv(self, path) -> None:
         """Write t,event_fraction,mean_opinion,max_diversity rows."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "event_fraction", "mean_opinion", "max_diversity"])
-            for t in range(self.horizon):
-                writer.writerow([
-                    t,
-                    repr(float(self.event_fraction[t])),
-                    repr(float(self.mean_opinion[t])),
-                    repr(float(self.max_diversity[t])),
-                ])
+        write_csv(path, ["t", "event_fraction", "mean_opinion", "max_diversity"], (
+            [t, repr(float(self.event_fraction[t])), repr(float(self.mean_opinion[t])),
+             repr(float(self.max_diversity[t]))]
+            for t in range(self.horizon)
+        ))
 
     def write_agent_csv(self, path, which: str = "opinions") -> None:
         """Write a wide per-agent matrix: t,agent_0,...,agent_{n-1}."""
         matrix = self.opinions if which == "opinions" else self.states
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"agent_{i}" for i in range(self.n)])
-            for t in range(self.horizon):
-                if matrix.dtype == np.int8:
-                    writer.writerow([t] + [int(v) for v in matrix[t]])
-                else:
-                    writer.writerow([t] + [repr(float(v)) for v in matrix[t]])
+        # tolist gives Python ints for the int8 states and floats for the opinions
+        write_csv(path, ["t"] + [f"agent_{i}" for i in range(self.n)],
+                  ([t, *map(repr, matrix[t].tolist())] for t in range(self.horizon)))
 
 
 def _check_run(graph, population, horizon, mode, weight_scale=1.0, check_connectivity=True) -> None:

@@ -9,13 +9,13 @@ chains; the best point over all chains wins.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
+from .csvio import failure_text, read_csv, write_csv
 from .dynamics import MODES, ModelParams, PopulationSpec, fan_out, replicate_summaries
 from .graph import GenerationError, GraphGenSpec
 from .rules import check_rules, rule_of, ruled
@@ -259,9 +259,9 @@ class GridResult:
 
 
 def _grid_part(points, data, config) -> list:
-    """_score_points with each failure as its "Type: message" text."""
+    """_score_points with each failure as its failure_text."""
     return [
-        outcome if isinstance(outcome, PointScore) else f"{type(outcome).__name__}: {outcome}"
+        outcome if isinstance(outcome, PointScore) else failure_text(outcome)
         for outcome in _score_points(points, data, config)
     ]
 
@@ -558,78 +558,62 @@ def _dispersion(unit_points: np.ndarray) -> float:
 def write_fit_csv(result: FitResult, path, label: str) -> None:
     """Single-row summary: label,error,mu,gamma,r,p,scale,seed."""
     best = result.full_best()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "error", "mu", "gamma", "r", "p", "scale", "seed"])
-        writer.writerow([
-            label,
-            repr(result.error),
-            repr(float(best["mu"])),
-            repr(float(best["gamma"])),
-            repr(float(best["r"])),
-            repr(float(best.get("p", 0.0))),
-            repr(result.scale),
-            result.seed,
-        ])
+    write_csv(path, ["label", "error", "mu", "gamma", "r", "p", "scale", "seed"], [[
+        label,
+        repr(result.error),
+        repr(float(best["mu"])),
+        repr(float(best["gamma"])),
+        repr(float(best["r"])),
+        repr(float(best.get("p", 0.0))),
+        repr(result.scale),
+        result.seed,
+    ]])
 
 
 def write_grid_csv(grid: GridResult, path) -> None:
     """Grid scores: one row per cell center with score decomposition."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(grid.axes) + ["score", "mean_error", "error_std"])
-        for i in range(grid.points.shape[0]):
-            row = [repr(float(v)) for v in grid.points[i]]
-            row += [repr(float(grid.scores[i])), repr(float(grid.mean_errors[i])), repr(float(grid.error_stds[i]))]
-            writer.writerow(row)
+    write_csv(path, list(grid.axes) + ["score", "mean_error", "error_std"], (
+        [repr(float(v)) for v in grid.points[i]]
+        + [repr(float(grid.scores[i])), repr(float(grid.mean_errors[i])), repr(float(grid.error_stds[i]))]
+        for i in range(grid.points.shape[0])
+    ))
 
 
 def write_grid_failures_csv(grid: GridResult, path) -> None:
     """One row per failed grid cell: its center on each axis, then the error."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(grid.axes) + ["error"])
-        for index, error in grid.errors:
-            writer.writerow([repr(float(v)) for v in grid.points[index]] + [error])
+    write_csv(path, list(grid.axes) + ["error"],
+              ([repr(float(v)) for v in grid.points[index]] + [error] for index, error in grid.errors))
 
 
 def write_anneal_trace_csv(result: FitResult, path) -> None:
     """Anneal chains: one row per proposal; a failed proposal scores inf."""
     axes = result.space.axes
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain", "iter", *axes, "score", "accepted", "temp", "best"])
-        for chain, trace in enumerate(result.traces):
-            for i, point in enumerate(trace.points):
-                writer.writerow([
-                    chain, i, *(repr(float(point[a])) for a in axes), repr(float(trace.scores[i])),
-                    int(trace.accepted[i]), repr(float(trace.temps[i])), repr(float(trace.best_scores[i])),
-                ])
+    write_csv(path, ["chain", "iter", *axes, "score", "accepted", "temp", "best"], (
+        [chain, i, *(repr(float(point[a])) for a in axes), repr(float(trace.scores[i])),
+         int(trace.accepted[i]), repr(float(trace.temps[i])), repr(float(trace.best_scores[i]))]
+        for chain, trace in enumerate(result.traces)
+        for i, point in enumerate(trace.points)
+    ))
 
 
 def read_grid_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Read a grid CSV back as (axes, points, scores)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or "score" not in header:
-            raise ValueError(f"not a grid csv: {path}")
-        split = header.index("score")
-        axes = header[:split]
-        pts, scs = [], []
-        for row in reader:
-            if not row:
-                continue
-            pts.append([float(v) for v in row[:split]])
-            scs.append(float(row[split]))
+    rows = read_csv(path)
+    _, header = next(rows, (None, None))
+    if header is None or "score" not in header:
+        raise ValueError(f"not a grid csv: {path}")
+    split = header.index("score")
+    axes = header[:split]
+    pts, scs = [], []
+    for line, row in rows:
+        if len(row) < len(header):
+            raise ValueError(f"{path} line {line}: {len(row)} fields, the header has {len(header)}")
+        pts.append([float(v) for v in row[:split]])
+        scs.append(float(row[split]))
     if not pts:
         raise ValueError(f"no grid rows in {path}")
     return axes, np.asarray(pts), np.asarray(scs)
 
 
 def write_chi_csv(curve: IdentifiabilityCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "chi"])
-        for q, c in zip(curve.qs, curve.chi):
-            writer.writerow([repr(float(q)), repr(float(c))])
+    write_csv(path, ["q", "chi"], ([repr(float(q)), repr(float(c))] for q, c in zip(curve.qs, curve.chi)))

@@ -8,7 +8,6 @@ itself: next_opinions = matrix @ opinions.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from collections import deque
@@ -18,6 +17,7 @@ from typing import Iterator
 import numpy as np
 from scipy import sparse
 
+from .csvio import read_csv, write_csv
 from .rules import check_rules, ruled
 from .seeds import derive_seed
 
@@ -491,25 +491,21 @@ def stationary_distribution(graph: WeightedDigraph, tol: float = 1e-12, max_iter
 
 def save_edge_list(graph: WeightedDigraph, path) -> None:
     """Write source,target,weight rows with full float precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "target", "weight"])
-        for source, target, weight in graph.edges():
-            writer.writerow([source, target, repr(weight)])
+    write_csv(path, ["source", "target", "weight"],
+              ([source, target, repr(weight)] for source, target, weight in graph.edges()))
 
 
 def load_edge_list(path) -> WeightedDigraph:
     """Read a source,target,weight file written by save_edge_list."""
     triples = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["source", "target", "weight"]:
-            raise GraphError(f"expected header source,target,weight in {path}")
-        for row in reader:
-            if not row:
-                continue
-            triples.append((int(row[0]), int(row[1]), float(row[2])))
+    rows = read_csv(path)
+    _, header = next(rows, (None, None))
+    if header is None or [h.strip() for h in header[:3]] != ["source", "target", "weight"]:
+        raise GraphError(f"expected header source,target,weight in {path}")
+    for line, row in rows:
+        if len(row) < 3:
+            raise GraphError(f"{path} line {line}: {len(row)} fields, an edge has 3")
+        triples.append((int(row[0]), int(row[1]), float(row[2])))
     if not triples:
         raise GraphError(f"no edges in {path}")
     n = max(max(s, t) for s, t, _ in triples) + 1

@@ -8,12 +8,13 @@ keeping the series non-negative and its length equal to the cropped range.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from datetime import date, timedelta
 
 import numpy as np
+
+from .csvio import read_csv
 
 logger = logging.getLogger(__name__)
 
@@ -70,27 +71,25 @@ def load_series(path) -> TimeSeries:
     """
     rows = []
     bad_lines = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            # row[:2][-1] is the value column, or the one cell of a one-column line
-            if lineno == 1 and not _parses(float, row[:2][-1]) and not _parses(_parse_timestamp, row[0]):
-                continue  # header row
-            if len(row) < 2:
-                bad_lines.append(lineno)
-                continue
-            try:
-                value = float(row[1])
-            except ValueError:
-                bad_lines.append(lineno)
-                continue
-            try:
-                timestamp = _parse_timestamp(row[0])
-            except SeriesError as exc:
-                raise SeriesError(f"line {lineno}: {exc}") from None
-            rows.append((lineno, timestamp, value))
+    for lineno, row in read_csv(path):
+        if all(not cell.strip() for cell in row):
+            continue
+        # row[:2][-1] is the value column, or the one cell of a one-column line
+        if lineno == 1 and not _parses(float, row[:2][-1]) and not _parses(_parse_timestamp, row[0]):
+            continue  # header row
+        if len(row) < 2:
+            bad_lines.append(lineno)
+            continue
+        try:
+            value = float(row[1])
+        except ValueError:
+            bad_lines.append(lineno)
+            continue
+        try:
+            timestamp = _parse_timestamp(row[0])
+        except SeriesError as exc:
+            raise SeriesError(f"line {lineno}: {exc}") from None
+        rows.append((lineno, timestamp, value))
     if bad_lines:
         logger.warning("skipped %d rows with unparseable values (lines %s)", len(bad_lines), bad_lines)
     if not rows:

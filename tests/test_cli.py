@@ -396,6 +396,14 @@ def test_identify_with_too_few_valid_cells_exits_2(tmp_path, capsys):
     assert "99 valid cells of 399" in capsys.readouterr().err
 
 
+def test_identify_on_a_grid_row_shorter_than_its_header_exits_2_naming_the_line(tmp_path, capsys):
+    grid_path = tmp_path / "grid.csv"
+    grid_path.write_text("mu,gamma,score,mean_error,error_std\n0.1,0.2,0.5,0.5,0.0\n0.3,0.4\n")
+    config = write_config(tmp_path, {"identify": {"grid": str(grid_path), "q_min": 0.01}})
+    assert main(["identify", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "line 3: 2 fields, the header has 5" in capsys.readouterr().err
+
+
 def test_identify_without_grid_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, {})
     assert main(["identify", "--config", config, "--out", str(tmp_path / "out")]) == 2
@@ -420,9 +428,10 @@ def test_rerun_from_resolved_config_is_bit_identical(tmp_path):
 # README
 
 
-def test_readme_names_every_file_a_command_writes(tmp_path):
-    # each command on the config of its tests above, with every optional
-    # file switched on: agent matrices, event-fraction curves, failed cells
+def run_every_command(tmp_path) -> list:
+    """Each command on the config of its tests above, with every optional
+    file switched on (agent matrices, event-fraction curves, failed cells);
+    returns the output directories in run order."""
     every_cell_fails = dict(SWEEP_CONFIG, params={"lambda": 1.0, "gamma": 0.1, "mu": 1e9, "sigma": 1.0},
                             horizon=400, sweep={"axes": [{"name": "alpha", "lo": 1.5, "hi": 1.9, "cells": 2}],
                                                 "replicates": 1, "statistics": ["D_max"]})
@@ -436,15 +445,62 @@ def test_readme_names_every_file_a_command_writes(tmp_path):
         ("identify", {"seed": 3, "identify": {"grid": planted_grid_csv(tmp_path), "q_min": 0.01, "q_max": 0.1,
                                               "points": 5}}, 0),
     ]
-    written = set()
+    outs = []
     for k, (command, payload, code) in enumerate(runs):
         out = tmp_path / f"out{k}"
         assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == code
-        written |= {path.name for path in out.iterdir()}
+        outs.append(out)
+    return outs
+
+
+def test_readme_names_every_file_a_command_writes(tmp_path):
+    written = {path.name for out in run_every_command(tmp_path) for path in out.iterdir()}
     names = {"heatmap_<stat>.csv" if name.startswith("heatmap_") else name for name in written}
     assert {"curves.csv", "failures.csv", "opinions.csv", "heatmap_<stat>.csv"} <= names
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert sorted(name for name in names if f"`{name}`" not in readme) == []
+
+
+# sha256 of every file the runs of run_every_command write, taken before
+# one module took over writing and reading CSV; the resolved configs of fit
+# and identify name their input file, so the run's directory reads as TMP
+EVERY_COMMAND_FINGERPRINT = {
+    "out0/edges.csv": "84acfac6564688dc09ab3ca2931c0e24e57f33c80e2a5e45972b7f07a0e585ba",
+    "out0/resolved_config.yaml": "d9b42c0f9b002e98cd0a494346ce991501175f3e519f2f02a3b651ae7e068d1a",
+    "out0/seed.txt": "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06",
+    "out0/validation.json": "1db57e2701b855ccf42e09a37f7815029c324d9aa6037facc60cf09ea3ab0a17",
+    "out1/opinions.csv": "0abf9733b2367a90bcf411fd3782380354840d7922fd257c9f87c666dbbdfc39",
+    "out1/resolved_config.yaml": "82321102999f2a77ffce97adc02988b202c2d514ef1037bf9f2c2a90c638d2ce",
+    "out1/seed.txt": "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06",
+    "out1/states.csv": "2691d2d091ce6865096a642097337fa0e0526b52cf1087cf947e2b97e1ff9d96",
+    "out1/trajectory.csv": "584269b550c4d89fa993e22b43666b8c132d274c17ea32ddf50afd55f90e04f8",
+    "out2/curves.csv": "d25625f28d920cb684304b1f9bbfd7c04fbffa11d800412aac267e544c3692b4",
+    "out2/heatmap_D_max.csv": "b0eedabf803ccc8aac3172a884b86b93078b5a35574fe38da9e37fa1a5a36334",
+    "out2/resolved_config.yaml": "ea56c252c45352e1a478a680685c7bb7dc1aed22358d34b856c5396caaaf8a55",
+    "out2/seed.txt": "25d4f2a86deb5e2574bb3210b67bb24fcc4afb19f93a7b65a057daa874a9d18e",
+    "out2/sweep_long.csv": "d0769bf3d217a511287b54f5436e47aff6168d85c15ff46db94c86b0db32fee9",
+    "out3/failures.csv": "5b6aa4e81562b96c1ae007063ea6d35e14bb7aec3792cd5332055b404796969a",
+    "out3/heatmap_D_max.csv": "2bd1a818e55f36041ac81c049a16ae0c0740fdbd0465eb47e77912add0a74421",
+    "out3/resolved_config.yaml": "2e72c9525a289b558193fcacfb7509a1cb9b9b8be24883ccc0b42d2f9f5cdc9e",
+    "out3/seed.txt": "25d4f2a86deb5e2574bb3210b67bb24fcc4afb19f93a7b65a057daa874a9d18e",
+    "out3/sweep_long.csv": "15a378d254080ff16e9e94cf1178c33611fe4717e8c2ac2a9da92b6a42a78691",
+    "out4/anneal_trace.csv": "6011107fdec976ee0a4e4a57e147aa88f59e72740fa3aa368e8038f47253b023",
+    "out4/fit.csv": "5e6432c535001277f3504cec23f12a475c7aed6c903f7326f04ca164a334a2dd",
+    "out4/grid.csv": "f744cbe6000e88710635ea6ffefe1efcfbbc08fff62f5fab12abfacb301c4e43",
+    "out4/resolved_config.yaml": "608518413eda24b5a34b094df4a49d6c0f4ec7f4826868f863da551c5428cfa7",
+    "out4/seed.txt": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "out5/chi.csv": "031d29f76c10f2c994728253af7117882d5f98654a63ee1639ef11d0024c8b35",
+    "out5/resolved_config.yaml": "1cc6ef838181008b3438724645d81594a283a80eb8229116b89e1a2a89977be1",
+    "out5/seed.txt": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+}
+
+
+def test_every_command_output_keeps_its_bytes(tmp_path):
+    digests = {
+        f"{out.name}/{path.name}": hashlib.sha256(read_bytes(path).replace(str(tmp_path).encode(), b"TMP")).hexdigest()
+        for out in run_every_command(tmp_path) for path in sorted(out.iterdir())
+    }
+    assert digests == EVERY_COMMAND_FINGERPRINT
 
 
 def readme_block(language, after):

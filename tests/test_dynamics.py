@@ -1044,6 +1044,13 @@ def test_population_rejects_out_of_range_susceptibility():
             Population(reactions=np.ones(2), initial_opinions=np.zeros(2), susceptibility=xi)
 
 
+def test_population_rejects_non_finite_reactions():
+    # such a run used to fail at step 1 with an overflow that named no field
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="reactions must be finite"):
+            Population(reactions=np.array([1.0, value]), initial_opinions=np.zeros(2))
+
+
 def test_sample_reactions_exact_count():
     reactions = sample_reactions(40, 0.25, rng_from(9), exact=True)
     assert (reactions == 1.0).sum() == 10

@@ -440,3 +440,10 @@ def test_edge_list_roundtrip_is_exact(tmp_path):
     loaded = load_edge_list(path)
     assert (g.matrix != loaded.matrix).nnz == 0
     assert validate(loaded).normalized
+
+
+def test_edge_list_row_with_a_missing_field_names_its_line(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("source,target,weight\n0,1,1.0\n\n1,0\n")
+    with pytest.raises(GraphError, match="line 4: 2 fields, an edge has 3"):
+        load_edge_list(path)

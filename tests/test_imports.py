@@ -50,6 +50,23 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    tree = ast.parse(source)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    return names | {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+
+
+def test_checker_finds_both_import_forms():
+    assert imported_modules("import csv\nfrom os import path\nfrom . import x\n") == {"csv", "os"}
+
+
+def test_only_csvio_imports_csv():
+    # csvio owns the CSV format of every result file and input
+    package = ROOT / "src" / "gsm_degroot"
+    importers = sorted(path.name for path in package.glob("*.py") if "csv" in imported_modules(path.read_text()))
+    assert importers == ["csvio.py"]
+
+
 # Kept although the package never calls it: the one-step reference that
 # tests/test_dynamics.py checks simulate against (and a benchmark hook).
 UNCALLED_ON_PURPOSE = {"_advance"}
