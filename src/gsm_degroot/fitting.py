@@ -608,8 +608,11 @@ def read_grid_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     for line, row in rows:
         if len(row) < len(header):
             raise ValueError(f"{path} line {line}: {len(row)} fields, the header has {len(header)}")
-        pts.append([float(v) for v in row[:split]])
-        scs.append(float(row[split]))
+        try:
+            pts.append([float(v) for v in row[:split]])
+            scs.append(float(row[split]))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line}: {exc}") from None
     if not pts:
         raise ValueError(f"no grid rows in {path}")
     return axes, np.asarray(pts), np.asarray(scs)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -160,14 +159,16 @@ class GraphReport:
 def validate(graph: WeightedDigraph) -> GraphReport:
     """Check strong connectivity, aperiodicity, and weight normalization.
 
-    Strong connectivity comes from forward and backward reachability sweeps
-    from node 0; aperiodicity from the gcd of (level[u] + 1 - level[v]) over
-    edges u -> v of a breadth-first levelling, which is 1 exactly when the
-    cycle lengths are coprime.
+    One forward breadth-first levelling from node 0 (_levels) answers both
+    structure checks: it tells whether node 0 reaches every node, and its
+    levels give aperiodicity (_aperiodic). A backward sweep along the
+    reversed edges tells whether every node reaches node 0.
     """
+    pattern = _pattern(graph.matrix)
+    level = _levels(pattern)
     return GraphReport(
-        strongly_connected=is_strongly_connected(graph),
-        aperiodic=_aperiodic(graph.matrix),
+        strongly_connected=bool(np.all(level >= 0)) and _reaches_all(pattern.T),
+        aperiodic=_aperiodic(graph.matrix, level),
         normalized=is_normalized(graph),
     )
 
@@ -183,48 +184,55 @@ def is_normalized(graph: WeightedDigraph) -> bool:
 
 def is_strongly_connected(graph: WeightedDigraph) -> bool:
     """Node 0 reaches every node and every node reaches node 0."""
-    pattern = graph.matrix.copy()
+    pattern = _pattern(graph.matrix)
+    return _reaches_all(pattern) and _reaches_all(pattern.T)
+
+
+def _pattern(matrix: sparse.csr_array) -> sparse.csr_array:
+    """matrix with every stored entry, a stored zero too, set to 1."""
+    pattern = matrix.copy()
     pattern.data = np.ones_like(pattern.data)
-    return _reaches_all(pattern) and _reaches_all(sparse.csr_array(pattern.T))
+    return pattern
 
 
-def _reaches_all(pattern: sparse.csr_array) -> bool:
-    """Node 0 reaches every node along the edges j -> i of the entries (i, j)
-    of pattern, all of which are positive."""
+def _reaches_all(pattern) -> bool:
+    """Node 0 reaches every node: every _levels level is set."""
+    return bool(np.all(_levels(pattern) >= 0))
+
+
+def _levels(pattern) -> np.ndarray:
+    """Breadth-first level of every node from node 0, -1 where node 0 does
+    not reach, along the edges j -> i of the entries (i, j) of pattern, all
+    of which are positive.
+
+    Each step is one product of pattern with the last level's indicator
+    vector; the sweep stops once every node is reached or a level is empty.
+    pattern.T, a CSC view, sweeps the reversed edges without a copy.
+    """
     n = pattern.shape[0]
-    reached = np.zeros(n, dtype=np.float64)
-    reached[0] = 1.0
-    count = 1
-    for _ in range(n):
-        reached = np.minimum(reached + (pattern @ reached), 1.0)
-        reached[reached > 0] = 1.0
-        new_count = int(reached.sum())
-        if new_count == n:
-            return True
-        if new_count == count:
-            return False
-        count = new_count
-    return False
-
-
-def _aperiodic(matrix: sparse.csr_array) -> bool:
-    n = matrix.shape[0]
-    out = sparse.csr_array(matrix.T)
     level = np.full(n, -1, dtype=np.int64)
     level[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in out.indices[out.indptr[u]:out.indptr[u + 1]]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(int(v))
-    coo = matrix.tocoo()
-    srcs, dsts = coo.col, coo.row
+    fresh = level == 0
+    reached = 1
+    for depth in range(1, n):
+        fresh = (pattern @ fresh.astype(np.float64) > 0.0) & (level < 0)
+        level[fresh] = depth
+        found = np.count_nonzero(fresh)
+        reached += found
+        if found == 0 or reached == n:
+            break
+    return level
+
+
+def _aperiodic(matrix: sparse.csr_array, level: np.ndarray) -> bool:
+    """The gcd of level[u] + 1 - level[v] over the edges u -> v between
+    nodes that the _levels levelling reached is 1. On a strongly connected
+    graph that holds exactly when the cycle lengths are coprime."""
+    srcs = matrix.indices
+    dsts = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
     seen = (level[srcs] >= 0) & (level[dsts] >= 0)
     diffs = np.abs(level[srcs[seen]] + 1 - level[dsts[seen]])
-    if diffs.size == 0:
-        return False
+    # the gcd of no differences is 0: no edge, no cycle, not aperiodic
     return int(np.gcd.reduce(diffs)) == 1
 
 
@@ -275,11 +283,11 @@ def generate(spec: GraphGenSpec) -> WeightedDigraph:
     its edges, so node 0 reaches every node exactly when every node
     reaches node 0: one forward _reaches_all sweep on the uniform matrix,
     whose entries are all positive, decides strong connectivity, with no
-    backward sweep on a transposed copy. Weights start uniform per node
-    and are then mixed by randomize_weights unless spec.weight_rounds is
-    0. An sbm with inter_prob 0 and two non-empty blocks, or an
-    Erdos-Renyi graph with edge_prob 0, can never be strongly connected,
-    so it fails before any attempt.
+    backward sweep. Weights start uniform per node and are then mixed by
+    randomize_weights unless spec.weight_rounds is 0. An sbm with
+    inter_prob 0 and two non-empty blocks, or an Erdos-Renyi graph with
+    edge_prob 0, can never be strongly connected, so it fails before any
+    attempt.
     """
     if spec.family == "sbm" and spec.inter_prob == 0.0 and 0 < _first_block(spec) < spec.n:
         raise GenerationError(
@@ -505,7 +513,10 @@ def load_edge_list(path) -> WeightedDigraph:
     for line, row in rows:
         if len(row) < 3:
             raise GraphError(f"{path} line {line}: {len(row)} fields, an edge has 3")
-        triples.append((int(row[0]), int(row[1]), float(row[2])))
+        try:
+            triples.append((int(row[0]), int(row[1]), float(row[2])))
+        except ValueError as exc:
+            raise GraphError(f"{path} line {line}: {exc}") from None
     if not triples:
         raise GraphError(f"no edges in {path}")
     n = max(max(s, t) for s, t, _ in triples) + 1

@@ -404,6 +404,14 @@ def test_identify_on_a_grid_row_shorter_than_its_header_exits_2_naming_the_line(
     assert "line 3: 2 fields, the header has 5" in capsys.readouterr().err
 
 
+def test_identify_on_a_grid_field_that_is_not_a_number_exits_2_naming_the_line(tmp_path, capsys):
+    grid_path = tmp_path / "grid.csv"
+    grid_path.write_text("mu,gamma,score,mean_error,error_std\n0.1,0.2,0.5,0.5,0.0\n0.3,x,0.4,0.4,0.0\n")
+    config = write_config(tmp_path, {"identify": {"grid": str(grid_path), "q_min": 0.01}})
+    assert main(["identify", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert f"{grid_path} line 3: could not convert string to float: 'x'" in capsys.readouterr().err
+
+
 def test_identify_without_grid_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, {})
     assert main(["identify", "--config", config, "--out", str(tmp_path / "out")]) == 2

@@ -3,6 +3,7 @@ stationary-distribution oracle."""
 
 import hashlib
 import random
+from collections import deque
 
 import networkx as nx
 import numpy as np
@@ -408,6 +409,79 @@ def test_identity_graph_report():
     assert not report.strongly_connected
 
 
+def deque_levels(out: sparse.csr_array) -> np.ndarray:
+    """Breadth-first level of every node from node 0, -1 where unreached,
+    along the rows of out (row u lists the successors of u), by a per-node
+    queue: the reference that graph._levels must match."""
+    level = np.full(out.shape[0], -1, dtype=np.int64)
+    level[0] = 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in out.indices[out.indptr[u]:out.indptr[u + 1]]:
+            if level[v] < 0:
+                level[v] = level[u] + 1
+                queue.append(int(v))
+    return level
+
+
+def reference_report(matrix: sparse.csr_array) -> tuple[bool, bool]:
+    """(strongly_connected, aperiodic) from queue sweeps along both edge directions."""
+    forward = deque_levels(sparse.csr_array(matrix.T))
+    backward = deque_levels(matrix)
+    coo = matrix.tocoo()
+    srcs, dsts = coo.col, coo.row
+    seen = (forward[srcs] >= 0) & (forward[dsts] >= 0)
+    diffs = np.abs(forward[srcs[seen]] + 1 - forward[dsts[seen]])
+    aperiodic = diffs.size > 0 and int(np.gcd.reduce(diffs)) == 1
+    return bool(np.all(forward >= 0) and np.all(backward >= 0)), aperiodic
+
+
+@st.composite
+def structured_digraphs(draw):
+    """Directed rings, bipartite cycles and one-way bridges between two
+    rings, with random extra edges, optional self-loops, and optionally one
+    stored zero weight at every node with two or more incoming edges."""
+    kind = draw(st.sampled_from(["ring", "bipartite", "bridge"]))
+    if kind == "ring":
+        n = draw(st.integers(2, 9))
+        edges = {(u, (u + 1) % n) for u in range(n)}
+    elif kind == "bipartite":
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        n = a + b
+        edges = {(u, v) for u in range(a) for v in range(a, n)}
+        edges |= {(v, u) for u, v in edges}
+    else:
+        # node 0's ring reaches the second ring, which never leads back
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        n = a + b
+        edges = {(u, (u + 1) % a) for u in range(a)} | {(a + u, a + (u + 1) % b) for u in range(b)}
+        edges.add((draw(st.integers(0, a - 1)), draw(st.integers(a, n - 1))))
+    node = st.integers(0, n - 1)
+    edges |= draw(st.sets(st.tuples(node, node), max_size=n))
+    if draw(st.booleans()):
+        edges |= {(u, u) for u in range(n)}
+    zeros = draw(st.booleans())
+    triples = []
+    for target in range(n):
+        sources = sorted(s for s, t in edges if t == target)
+        if zeros and len(sources) >= 2:
+            triples.append((sources[0], target, 0.0))
+            sources = sources[1:]
+        triples.extend((s, target, 1.0 / len(sources)) for s in sources)
+    return from_edges(n, triples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(structured_digraphs())
+def test_validate_matches_queue_sweeps(g):
+    report = validate(g)
+    assert (report.strongly_connected, report.aperiodic) == reference_report(g.matrix)
+    assert report.strongly_connected == graph_module.is_strongly_connected(g)
+    pattern = graph_module._pattern(g.matrix)
+    assert np.array_equal(graph_module._levels(pattern), deque_levels(sparse.csr_array(g.matrix.T)))
+
+
 # ---------------------------------------------------------------------------
 # construction and serialization
 
@@ -446,4 +520,11 @@ def test_edge_list_row_with_a_missing_field_names_its_line(tmp_path):
     path = tmp_path / "edges.csv"
     path.write_text("source,target,weight\n0,1,1.0\n\n1,0\n")
     with pytest.raises(GraphError, match="line 4: 2 fields, an edge has 3"):
+        load_edge_list(path)
+
+
+def test_edge_list_field_that_is_not_a_number_names_its_line(tmp_path):
+    path = tmp_path / "edges.csv"
+    path.write_text("source,target,weight\n0,1,1.0\n1,x,1.0\n")
+    with pytest.raises(GraphError, match=r"line 3: invalid literal for int\(\)"):
         load_edge_list(path)
