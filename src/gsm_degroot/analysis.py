@@ -117,9 +117,6 @@ class CellResult:
     def mean(self, stat: str) -> float:
         return float(np.mean(self.values[stat])) if self.values.get(stat) else math.nan
 
-    def std(self, stat: str) -> float:
-        return float(np.std(self.values[stat])) if self.values.get(stat) else math.nan
-
 
 @dataclass
 class SweepResult:

@@ -109,8 +109,7 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
     out = _prepare_outdir(args, config)
     section = config["sweep"]
     if not section["axes"]:
-        print("error: sweep.axes is empty", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("sweep.axes is empty")
     spec = SweepSpec(
         graph=build(GraphGenSpec, config, seed=0),
         population=build(PopulationSpec, config),
@@ -142,8 +141,7 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> int:
     out = _prepare_outdir(args, config)
     section = config["fit"]
     if not section["data"]:
-        print("error: fit.data is required", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("fit.data is required")
     series = preprocess(load_series(section["data"]), **section["preprocess"])
 
     fit_config = build(FitConfig, config, seed=config["seed"])
@@ -166,8 +164,7 @@ def cmd_identify(args: argparse.Namespace, config: dict) -> int:
     out = _prepare_outdir(args, config)
     section = config["identify"]
     if not section["grid"]:
-        print("error: identify.grid is required", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("identify.grid is required")
     axes, points, scores = read_grid_csv(section["grid"])
     curve = identifiability(
         points,

@@ -15,11 +15,13 @@ opinion.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec
 
 from .csvio import write_csv
@@ -327,53 +329,30 @@ def _operator_bytes(graph: WeightedDigraph) -> int:
     return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
 
 
-# _block_diagonal writes the sorted arrays this many rows at a time. Index
-# arrays as long as all of a Barabasi-Albert n = 20000 graph's entries, though
-# freed before the tick loop, left the peak resident memory of a process that
-# generates and simulates it three times about 1 MB higher: 277.1-277.4 MB,
-# against 276.2-276.5 MB written in blocks and 276.0-276.6 MB for the
-# unsorted CSR (VmHWM, two processes each).
-_WRITE_ROWS = 4096
-
-
 def _block_diagonal(matrices: list, n: int) -> tuple:
     """(indptr, indices, data, inverse) of the block-diagonal CSR of n x n
-    matrices, its rows stably sorted by their count of stored entries.
+    matrices, its rows stably sorted by their count of stored entries:
+    csr_matvec mostly waits on mispredicted row ends when row lengths vary.
 
     Row r of the block-diagonal matrix is row inverse[r] of the sorted one,
     so np.take(product, inverse) puts a product's rows back in order. Each
     row keeps its entries in the order of its matrix, so it sums exactly as
-    in matrices[k] @ x. csr_matvec mostly waits on mispredicted row ends
-    when row lengths vary: one Barabasi-Albert n = 20000 product took
-    218-237 us with its rows in natural order and 103-136 us sorted, 120-179
-    us counting the np.take (2-core Xeon VM, best of 7 x 300 in each of
-    three rounds). The index arrays are int32 copies whenever every index
-    fits, which csr_matvec reads faster (natural row order, median of 15
-    rounds: 62.3 against 64.5 us for 33 Watts-Strogatz n = 300 members, 289
-    against 298 us for one Barabasi-Albert n = 20000 graph); the graphs' own
-    stay int64, which randomize_weights needs. Each sorted array is written
-    straight from the matrices' own, with no unsorted copy held beside it,
-    _WRITE_ROWS rows at a time.
+    in matrices[k] @ x. The index arrays are int32, which csr_matvec reads
+    faster, whenever every index fits; the graphs' own stay int64, which
+    randomize_weights needs.
     """
     lengths = np.concatenate([np.diff(matrix.indptr) for matrix in matrices])
-    inverse = np.empty(lengths.size, dtype=np.intp)
-    inverse[np.argsort(lengths, kind="stable")] = np.arange(lengths.size)
-    nnz = int(lengths.sum())
-    index = np.int32 if max(nnz, lengths.size) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(lengths.size + 1, dtype=index)
-    indptr[1 + inverse] = lengths
-    np.cumsum(indptr, out=indptr)
-    indices, data = np.empty(nnz, dtype=index), np.empty(nnz)
-    for k, matrix in enumerate(matrices):
-        ptr = matrix.indptr
-        for a in range(0, n, _WRITE_ROWS):
-            b = min(a + _WRITE_ROWS, n)
-            # entry e of row r lands at indptr[inverse[r]] + e - ptr[r]
-            where = np.repeat(indptr[inverse[k * n + a:k * n + b]] - ptr[a:b], lengths[k * n + a:k * n + b])
-            where += np.arange(ptr[a], ptr[b])
-            indices[where] = matrix.indices[ptr[a]:ptr[b]] + k * n
-            data[where] = matrix.data[ptr[a]:ptr[b]]
-    return indptr, indices, data, inverse
+    index = np.int32 if max(int(lengths.sum()), lengths.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(index)
+    indices = np.concatenate([matrix.indices + k * n for k, matrix in enumerate(matrices)], dtype=index)
+    joined = sparse.csr_array((np.concatenate([matrix.data for matrix in matrices]), indices, indptr),
+                              shape=(lengths.size, lengths.size))
+    order = np.argsort(lengths, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    # a row index copies each row's entries in their stored order
+    rows = joined[order]
+    return rows.indptr, rows.indices, rows.data, inverse
 
 
 # Stochastic members draw their uniforms a block of ticks at a time, within
@@ -747,12 +726,13 @@ def _run_batch(batch: list, horizon: int, mode: str, weight_scale: float | None,
 def fan_out(fn, items: list, *shared, jobs: int = 1) -> list:
     """fn(part, *shared) for items split into at most jobs contiguous parts
     of near-equal length, one per worker process, the parts' result lists
-    joined in item order.
+    joined in item order. The parts are at most os.cpu_count(), since the
+    pool starts every worker at once.
 
     The results do not depend on jobs; with more than one part, fn, its
     arguments and its results must pickle.
     """
-    count = max(1, min(jobs, len(items)))
+    count = max(1, min(jobs, len(items), os.cpu_count() or 1))
     if count == 1:
         return fn(items, *shared)
     parts = [items[len(items) * i // count:len(items) * (i + 1) // count] for i in range(count)]

@@ -450,9 +450,10 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
     The chains start from the restarts best grid cells separated by at
     least one cell diagonal; the overall best-scoring point wins, the first
     chain's on a tie. fan_out shares the grid cells, then the chains, among
-    jobs worker processes; the chains of one process run in lockstep. Raises ValueError for fewer than 2
-    samples or an all-zero series, which no cell could score, and FitError
-    if every grid cell fails.
+    jobs worker processes; the chains of one process run in lockstep.
+
+    Raises ValueError for fewer than 2 samples or an all-zero series, which
+    no cell could score, and FitError if every grid cell fails.
     """
     space = space or ParamSpace()
     config = config or FitConfig()

@@ -55,7 +55,7 @@ class GraphGenSpec:
     """
 
     family: str = ruled("barabasi-albert", among=FAMILIES)
-    n: int = ruled(100, ge=2)
+    n: int = ruled(100, ge=2, le=10**6)
     seed: int = 0
     m: int = ruled(3, ge=1)
     k: int = ruled(6, ge=2)
@@ -444,33 +444,17 @@ def _first_block(spec: GraphGenSpec) -> int:
 
 
 def _sbm_pairs(n: int, s1: int, rho: float, r: float, rng: np.random.Generator) -> np.ndarray:
-    """Undirected pair sample for a two-block model, row-chunked for memory."""
-    chunks = [
-        _block_pairs(rng, 0, s1, 0, s1, rho, intra=True),
-        _block_pairs(rng, s1, n, s1, n, rho, intra=True),
-        _block_pairs(rng, 0, s1, s1, n, r, intra=False),
-    ]
-    return np.concatenate(chunks, axis=0)
-
-
-def _block_pairs(rng, row_lo, row_hi, col_lo, col_hi, p, intra):
-    rows_out = []
-    cols_out = []
-    ncols = col_hi - col_lo
-    for start in range(row_lo, row_hi, _DENSE_BLOCK):
-        stop = min(start + _DENSE_BLOCK, row_hi)
-        mask = rng.random((stop - start, ncols)) < p
-        if intra:
-            # keep source < target to sample each unordered pair once
-            rr = np.arange(start, stop)[:, None]
-            cc = np.arange(col_lo, col_hi)[None, :]
-            mask &= rr < cc
-        ri, ci = np.nonzero(mask)
-        rows_out.append(ri + start)
-        cols_out.append(ci + col_lo)
-    rows = np.concatenate(rows_out) if rows_out else np.empty(0, dtype=np.int64)
-    cols = np.concatenate(cols_out) if cols_out else np.empty(0, dtype=np.int64)
-    return np.column_stack([rows, cols]).astype(np.int64)
+    """Undirected pair sample for a two-block model: the first block with
+    itself, the second with itself, then the cross block, each drawn
+    _DENSE_BLOCK rows at a time to bound memory."""
+    pairs = []
+    for lo, hi, col_lo, col_hi, p in ((0, s1, 0, s1, rho), (s1, n, s1, n, rho), (0, s1, s1, n, r)):
+        cols = np.arange(col_lo, col_hi)
+        for start in range(lo, hi, _DENSE_BLOCK):
+            rows = np.arange(start, min(start + _DENSE_BLOCK, hi))[:, None]
+            # source < target samples each same-block pair once, and holds across the blocks
+            pairs.append(np.argwhere((rng.random((rows.size, cols.size)) < p) & (rows < cols)) + (start, col_lo))
+    return np.concatenate(pairs)
 
 
 def stationary_distribution(graph: WeightedDigraph, tol: float = 1e-12, max_iter: int = 100_000) -> np.ndarray:

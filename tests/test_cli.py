@@ -78,6 +78,15 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_a_graph_past_the_size_limit_exits_2_naming_the_field(tmp_path, capsys):
+    config = write_config(tmp_path, {"graph": {"family": "barabasi-albert", "n": 10**6 + 1}})
+    assert main(["gen-graph", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "config field graph.n: must be <= 1000000, got 1000001" in capsys.readouterr().err
+    config = write_config(tmp_path, {"fit": {"surrogate": {"n": 10**6 + 1}}})
+    assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "config field fit.surrogate.n: must be <= 1000000, got 1000001" in capsys.readouterr().err
+
+
 def test_bad_flag_values_exit_2(tmp_path):
     config = write_config(tmp_path, {})
     assert main(["gen-graph", "--config", config, "--jobs", "0", "--out", str(tmp_path / "o")]) == 2
@@ -190,6 +199,22 @@ def test_sweep_with_every_cell_failing_exits_4(tmp_path, capsys):
     assert main(["sweep", "--config", config, "--out", str(out)]) == 4
     assert (out / "failures.csv").exists()
     assert "cells failed" in capsys.readouterr().err
+
+
+def test_a_sweep_cell_past_the_graph_size_limit_fails_alone(tmp_path, capsys):
+    # the second cell asks for n = 1e300, which the rule rejects before any graph is built
+    payload = dict(SWEEP_CONFIG, sweep={
+        "axes": [{"name": "network-size", "lo": 20, "hi": 1e300, "cells": 2}],
+        "replicates": 1,
+        "statistics": ["D_max"],
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    assert "1 of 2 cells failed" in capsys.readouterr().err
+    rows = list(csv.reader((out / "failures.csv").read_text().splitlines()))
+    assert len(rows) == 2 and rows[1][0] == "1e+300"
+    assert rows[1][-1].startswith("GraphError: n must be <= 1000000, got 1000000000")
+    assert next(csv.reader((out / "sweep_long.csv").read_text().splitlines()[1:]))[0] == "20.0"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 simulation loop, and the model's pathwise guarantees."""
 
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -359,6 +360,16 @@ def test_fan_out_keeps_task_order_at_any_jobs():
     assert fan_out(divmods, items, 3) == want
     assert fan_out(divmods, items, 3, jobs=2) == want
     assert fan_out(divmods, [], 3, jobs=2) == []
+
+
+@pytest.mark.parametrize("cpus", [1, None])
+def test_fan_out_starts_no_more_workers_than_cpus(monkeypatch, cpus):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("fan_out started a process pool")
+
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", no_pool)
+    assert fan_out(lambda part: [os.getpid() for _ in part], list(range(20)), jobs=8) == [os.getpid()] * 20
 
 
 # ---------------------------------------------------------------------------
@@ -899,14 +910,16 @@ def block_diagonal_product(graphs):
     assert np.all(np.diff(lengths) >= 0)
     assert np.array_equal(np.sort(inverse), np.arange(x.size))
     # stable: rows of one length keep their order, and each row its entries
-    natural = sparse.block_diag([graph.matrix for graph in graphs], format="csr")
+    # in stored order (sparse.block_diag would sort them)
+    natural = [(matrix.indices[a:b] + k * n, matrix.data[a:b])
+               for k, matrix in enumerate(graph.matrix for graph in graphs)
+               for a, b in zip(matrix.indptr[:-1], matrix.indptr[1:])]
     order = np.argsort(inverse)
-    assert order.tolist() == sorted(range(x.size), key=lambda r: natural.indptr[r + 1] - natural.indptr[r])
+    assert order.tolist() == sorted(range(x.size), key=lambda r: natural[r][0].size)
     for row, r in enumerate(order):
-        entries = slice(natural.indptr[r], natural.indptr[r + 1])
         mine = slice(indptr[row], indptr[row + 1])
-        assert np.array_equal(indices[mine], natural.indices[entries])
-        assert data[mine].tobytes() == natural.data[entries].tobytes()
+        assert np.array_equal(indices[mine], natural[r][0])
+        assert data[mine].tobytes() == natural[r][1].tobytes()
     y = np.zeros(x.size)
     csr_matvec(x.size, x.size, indptr, indices, data, x.reshape(-1), y)
     want = np.concatenate([graph.matrix @ row for graph, row in zip(graphs, x)])
@@ -914,18 +927,18 @@ def block_diagonal_product(graphs):
     return inverse
 
 
-def test_block_diagonal_product_equals_the_members_products(monkeypatch):
+def test_block_diagonal_product_equals_the_members_products():
     n = 300
     graphs = [generate(GraphGenSpec(family=family, n=n, seed=s, **SPARSE_FAMILIES[family]))
               for s, family in enumerate(sorted(SPARSE_FAMILIES))]
     inverse = block_diagonal_product(graphs)
     assert not np.array_equal(inverse, np.arange(len(graphs) * n))
-    # written 7 rows at a time, 7 not dividing n: the same arrays
-    whole = _block_diagonal([graph.matrix for graph in graphs], n)
-    monkeypatch.setattr(dynamics, "_WRITE_ROWS", 7)
-    assert np.array_equal(block_diagonal_product(graphs), inverse)
-    for mine, theirs in zip(_block_diagonal([graph.matrix for graph in graphs], n), whole):
-        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    # a hand-built member whose columns are unsorted within its rows
+    unsorted = sparse.csr_array((np.array([0.5, 0.25, 0.25, 1.0, 0.3, 0.7, 0.6, 0.4]),
+                                 np.array([3, 0, 1, 2, 3, 1, 2, 0]), np.array([0, 3, 4, 6, 8])), shape=(4, 4))
+    assert not unsorted.has_sorted_indices
+    inverse = block_diagonal_product([WeightedDigraph(unsorted), WeightedDigraph(unsorted)])
+    assert inverse.tolist() == [6, 0, 2, 3, 7, 1, 4, 5]
 
 
 def test_rows_of_one_length_keep_their_order():

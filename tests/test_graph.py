@@ -93,6 +93,16 @@ def test_sbm_without_cross_edges_and_one_empty_block_is_sampled():
     assert validate(g).strongly_connected
 
 
+def test_sbm_pairs_keep_their_bytes_drawn_seven_rows_at_a_time(monkeypatch):
+    # by default each block of n = 100 is one draw; 7 rows at a time divides
+    # neither block (60 and 40 rows), so every chunk offset is exercised
+    whole = graph_module._sbm_pairs(100, 60, 0.5, 0.1, np.random.default_rng(5))
+    monkeypatch.setattr(graph_module, "_DENSE_BLOCK", 7)
+    chunked = graph_module._sbm_pairs(100, 60, 0.5, 0.1, np.random.default_rng(5))
+    assert chunked.dtype == whole.dtype == np.int64
+    assert chunked.shape == whole.shape and chunked.tobytes() == whole.tobytes()
+
+
 def test_bad_specs_rejected():
     with pytest.raises(GraphError):
         GraphGenSpec(family="lattice", n=10)
@@ -100,6 +110,8 @@ def test_bad_specs_rejected():
         GraphGenSpec(family="sbm", n=10, cluster_ratios=(0.5, 0.4))
     with pytest.raises(GraphError):
         GraphGenSpec(family="erdos-renyi", n=1)
+    with pytest.raises(GraphError, match=r"^n must be <= 1000000, got 1000001$"):
+        GraphGenSpec(family="erdos-renyi", n=10**6 + 1)
 
 
 @pytest.mark.parametrize("kwargs", [

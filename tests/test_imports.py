@@ -73,7 +73,8 @@ UNCALLED_ON_PURPOSE = {"_advance"}
 
 
 def unreferenced_definitions(sources: dict[str, str], exported) -> list[str]:
-    """Top-level functions and classes that no module reads and exported leaves out."""
+    """Top-level functions, classes and constants that no module reads and
+    exported leaves out; a constant is a name assigned at module level."""
     defined = {}
     read = set()
     for module, source in sources.items():
@@ -81,8 +82,12 @@ def unreferenced_definitions(sources: dict[str, str], exported) -> list[str]:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined[node.name] = module
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((target.id, module) for target in targets
+                               if isinstance(target, ast.Name) and not target.id.startswith("__"))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
@@ -94,6 +99,14 @@ def test_checker_flags_an_unreferenced_definition():
     sources = {"a.py": "def f(): pass\nclass C: pass\n", "b.py": "from a import f\nf()\n"}
     assert unreferenced_definitions(sources, exported=()) == ["a.py: C"]
     assert unreferenced_definitions(sources, exported=("C",)) == []
+
+
+def test_checker_flags_a_constant_that_no_module_reads():
+    sources = {
+        "a.py": "_ROWS = 4096\n_USED: int = 2\nLIMIT = 3\n__all__ = ['g']\ndef g(): return _USED\n",
+        "b.py": "import a\nx = a.LIMIT\nx = 1\n",
+    }
+    assert unreferenced_definitions(sources, exported=("g",)) == ["a.py: _ROWS", "b.py: x"]
 
 
 def test_every_definition_is_used_or_exported():
