@@ -10,8 +10,8 @@ import numpy as np
 
 from .csvio import failure_text, write_csv
 from .dynamics import ModelParams, PopulationSpec, Trajectory, fan_out, replicate_summaries
-from .graph import GraphGenSpec
-from .rules import check_rules, ruled
+from .graph import GraphError, GraphGenSpec
+from .rules import check_rules, rule_of, ruled
 from .seeds import derive_seed
 
 SWEEP_AXES = ("mu", "gamma", "r", "beta", "alpha", "network-size", "family-param")
@@ -158,7 +158,7 @@ def _apply_axes(spec: SweepSpec, coords: dict[str, float]):
         elif name == "alpha":
             alpha = value
         elif name == "network-size":
-            graph_spec = replace(graph_spec, n=int(round(value)))
+            graph_spec = replace(graph_spec, n=_whole("n", value))
         elif name == "family-param":
             graph_spec = _family_param(graph_spec, value)
     return graph_spec, pop_spec, params, alpha
@@ -168,12 +168,21 @@ def _family_param(graph_spec: GraphGenSpec, value: float) -> GraphGenSpec:
     # the family's structural knob: attachment count, neighbor count,
     # edge probability, or intra-cluster probability
     if graph_spec.family == "barabasi-albert":
-        return replace(graph_spec, m=int(round(value)))
+        return replace(graph_spec, m=_whole("m", value))
     if graph_spec.family == "watts-strogatz":
-        return replace(graph_spec, k=int(round(value)))
+        return replace(graph_spec, k=_whole("k", value))
     if graph_spec.family == "erdos-renyi":
         return replace(graph_spec, edge_prob=value)
     return replace(graph_spec, intra_prob=value)
+
+
+def _whole(name: str, value: float) -> int:
+    """An axis value rounded for GraphGenSpec's integer field name, checked
+    against the field's rule first so that an error shows the value as given."""
+    reason = rule_of(GraphGenSpec, name).violation(value)
+    if reason:
+        raise GraphError(f"{name} {reason}")
+    return int(round(value))
 
 
 def _run_cells(cells: list[tuple[int, dict[str, float]]], spec: SweepSpec) -> list[CellResult]:

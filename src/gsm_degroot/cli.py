@@ -58,6 +58,15 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_OPTIMIZATION = 4
 
+# the exit code of each error main reports, the first matching kind winning
+_EXIT_CODES = {
+    OpinionOverflowError: EXIT_NUMERIC,
+    FitError: EXIT_OPTIMIZATION,
+    GenerationError: EXIT_CONFIG,
+    ValueError: EXIT_CONFIG,
+    OSError: EXIT_IO,
+}
+
 
 def _prepare_outdir(args: argparse.Namespace, config: dict) -> Path:
     out = Path(args.out)
@@ -214,15 +223,6 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         config = load_config(args.config, seed=args.seed)
         return COMMANDS[args.command](args, config)
-    except OpinionOverflowError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OPTIMIZATION
-    except (GenerationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -25,6 +25,7 @@ FAMILIES = ("barabasi-albert", "sbm", "watts-strogatz", "erdos-renyi")
 NORMALIZATION_TOL = 1e-12
 _MAX_ATTEMPTS = 100
 _MAX_MIX_ROUNDS = 40
+_MAX_NODES = 10**6
 _DENSE_BLOCK = 2048
 
 
@@ -55,10 +56,12 @@ class GraphGenSpec:
     """
 
     family: str = ruled("barabasi-albert", among=FAMILIES)
-    n: int = ruled(100, ge=2, le=10**6)
+    n: int = ruled(100, ge=2, le=_MAX_NODES)
     seed: int = 0
-    m: int = ruled(3, ge=1)
-    k: int = ruled(6, ge=2)
+    # m < n and k < n, so these bounds reject no valid spec; a sweep axis
+    # checks its value against them before rounding
+    m: int = ruled(3, ge=1, lt=_MAX_NODES)
+    k: int = ruled(6, ge=2, lt=_MAX_NODES)
     rewire_prob: float = ruled(0.1, ge=0.0, le=1.0)
     edge_prob: float = ruled(0.1, ge=0.0, le=1.0)
     cluster_ratios: tuple[float, float] = ruled((0.7, 0.3), gt=0.0)

@@ -9,6 +9,7 @@ keeping the series non-negative and its length equal to the cropped range.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -100,6 +101,9 @@ def load_series(path) -> TimeSeries:
     negative = [lineno for lineno, _, value in rows if value < 0]
     if negative:
         raise SeriesError(f"negative values at lines {negative}")
+    non_finite = [lineno for lineno, _, value in rows if not math.isfinite(value)]
+    if non_finite:
+        raise SeriesError(f"non-finite values at lines {non_finite}")
     rows.sort(key=lambda item: item[1])
     for (_, a, _), (lineno, b, _) in zip(rows, rows[1:]):
         if a == b:
@@ -117,17 +121,6 @@ def _parses(parse, text: str) -> bool:
         return True
     except ValueError:
         return False
-
-
-def _unit_range(lo, hi):
-    if isinstance(lo, int):
-        return list(range(lo, hi + 1))
-    out = []
-    cur = lo
-    while cur <= hi:
-        out.append(cur)
-        cur = cur + timedelta(days=1)
-    return out
 
 
 def check_preprocess(smooth: int, fill: str) -> None:
@@ -155,33 +148,28 @@ def preprocess(
     The output keeps one entry per timestamp of the filled range.
     """
     check_preprocess(smooth, fill)
-    timestamps = list(series.timestamps)
-    values = series.values
+    timestamps = series.timestamps
+    dated = isinstance(timestamps[0], date)
+    keep = range(len(timestamps))
     if window is not None:
         lo, hi = (_parse_timestamp(end) if isinstance(end, str) else end for end in window)
-        dated = isinstance(timestamps[0], date)
         if any(isinstance(end, date) != dated for end in (lo, hi)):
             kind = "ISO dates" if dated else "integer ticks"
             raise SeriesError(f"window {tuple(window)!r} does not match the series timestamps, which are {kind}")
         keep = [i for i, ts in enumerate(timestamps) if lo <= ts <= hi]
         if not keep:
             raise SeriesError(f"window {tuple(window)!r} selects no samples")
-        timestamps = [timestamps[i] for i in keep]
-        values = values[keep]
-    full = _unit_range(timestamps[0], timestamps[-1])
-    if len(full) != len(timestamps):
-        have = dict(zip(timestamps, values))
-        filled = np.empty(len(full))
-        last = 0.0
-        for i, ts in enumerate(full):
-            if ts in have:
-                last = have[ts]
-                filled[i] = last
-            else:
-                filled[i] = 0.0 if fill == "zero" else last
-        values = filled
-        timestamps = full
+    # each kept sample's offset from the first kept one, in ticks or days;
+    # latest holds the sample index at each offset and -1 in a gap, so its
+    # running maximum is the last sample at or before each offset
+    first = timestamps[keep[0]]
+    unit = timedelta(days=1) if dated else 1
+    at = np.array([(timestamps[i] - first) // unit for i in keep])
+    latest = np.full(at[-1] + 1, -1)
+    latest[at] = keep
+    values = series.values[np.maximum.accumulate(latest)]
+    if fill == "zero":
+        values[latest < 0] = 0.0
     if smooth > 1:
-        kernel = np.ones(smooth) / smooth
-        values = np.convolve(values, kernel, mode="same")
-    return TimeSeries(timestamps=tuple(timestamps), values=np.asarray(values))
+        values = np.convolve(values, np.ones(smooth) / smooth, mode="same")
+    return TimeSeries(timestamps=tuple(first + k * unit for k in range(latest.size)), values=values)

@@ -23,7 +23,7 @@ from gsm_degroot.analysis import (
     write_long_csv,
 )
 from gsm_degroot.dynamics import ModelParams, Population, PopulationSpec, Trajectory, replicate, simulate
-from gsm_degroot.graph import GraphGenSpec, generate
+from gsm_degroot.graph import GraphError, GraphGenSpec, generate
 from gsm_degroot.seeds import derive_seed, rng_from
 
 
@@ -287,6 +287,19 @@ def test_failures_csv_lists_only_failures(tmp_path):
     rows = read_rows(path)
     assert len(rows) == 2
     assert "OpinionOverflowError" in rows[1][2]
+
+
+@pytest.mark.parametrize("family, axis, value, message", [
+    ("sbm", "network-size", 1e300, "n must be <= 1000000"),
+    ("barabasi-albert", "family-param", 1e300, "m must be < 1000000"),
+    ("watts-strogatz", "family-param", 1e300, "k must be < 1000000"),
+    ("barabasi-albert", "network-size", 1.6, "n must be >= 2"),
+])
+def test_an_integer_axis_value_is_checked_as_the_axis_gave_it(family, axis, value, message):
+    spec = sweep_spec(graph=GraphGenSpec(family=family), axes=[SweepAxis(axis, value, value, 1)])
+    with pytest.raises(GraphError) as err:
+        _apply_axes(spec, {axis: value})
+    assert str(err.value) == f"{message}, got {value!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def test_a_sweep_cell_past_the_graph_size_limit_fails_alone(tmp_path, capsys):
     assert "1 of 2 cells failed" in capsys.readouterr().err
     rows = list(csv.reader((out / "failures.csv").read_text().splitlines()))
     assert len(rows) == 2 and rows[1][0] == "1e+300"
-    assert rows[1][-1].startswith("GraphError: n must be <= 1000000, got 1000000000")
+    assert rows[1][-1] == "GraphError: n must be <= 1000000, got 1e+300"
     assert next(csv.reader((out / "sweep_long.csv").read_text().splitlines()[1:]))[0] == "20.0"
 
 
@@ -328,6 +328,19 @@ def test_fit_writes_the_cause_of_each_failed_grid_cell(tmp_path, capsys, monkeyp
     grid = list(csv.reader((out / "grid.csv").read_text().splitlines()))
     assert [row[1] for row in grid[1:]].count("nan") == 1
     assert "`grid_failures.csv`" in (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_fit_exits_4_when_every_grid_cell_fails(tmp_path, capsys, monkeypatch):
+    section = dict(FIT_SECTION, data=decaying_series(tmp_path), space={"r": [0.1, 0.4, 3]},
+                   pinned={"mu": -20.0, "gamma": 3.0})
+    config = write_config(tmp_path, {"seed": 3, "fit": section})
+
+    def failing(*args):
+        raise RuntimeError("surrogate build stand-in")
+
+    monkeypatch.setattr(dynamics, "_replicate_inputs", failing)
+    assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.endswith("error: every grid cell failed; nothing to anneal from\n")
 
 
 def test_fit_rejects_an_all_zero_series_before_simulating(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,6 @@
 """Every import under src/gsm_degroot/ and tests/ is used, every function
-and class of the package is used or exported, and the CLI stays cheap to
-import.
+and class of the package is used or exported, every method is read, and
+the CLI stays cheap to import.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must be read somewhere in the same module.
@@ -72,10 +72,19 @@ def test_only_csvio_imports_csv():
 UNCALLED_ON_PURPOSE = {"_advance"}
 
 
-def unreferenced_definitions(sources: dict[str, str], exported) -> list[str]:
-    """Top-level functions, classes and constants that no module reads and
-    exported leaves out; a constant is a name assigned at module level."""
+def _reads(tree: ast.AST) -> set[str]:
+    """The names a module loads and the attributes it reads."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} \
+        | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def unreferenced_definitions(sources: dict[str, str], exported, readers: tuple[str, ...] = ()) -> list[str]:
+    """Top-level functions, classes and constants that no module of sources
+    reads and exported leaves out, and methods and properties, dunders aside,
+    that neither sources nor the module texts in readers read; a constant is
+    a name assigned at module level."""
     defined = {}
+    methods = {}
     read = set()
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -86,13 +95,13 @@ def unreferenced_definitions(sources: dict[str, str], exported) -> list[str]:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined.update((target.id, module) for target in targets
                                if isinstance(target, ast.Name) and not target.id.startswith("__"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return sorted(f"{module}: {name}" for name, module in defined.items()
-                  if name not in read and name not in exported)
+            if isinstance(node, ast.ClassDef):
+                methods.update((f"{module}: {node.name}.{item.name}", item.name) for item in node.body
+                               if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"))
+        read |= _reads(tree)
+    read_anywhere = read.union(*(_reads(ast.parse(source)) for source in readers))
+    return sorted([f"{module}: {name}" for name, module in defined.items() if name not in read and name not in exported]
+                  + [where for where, name in methods.items() if name not in read_anywhere])
 
 
 def test_checker_flags_an_unreferenced_definition():
@@ -109,11 +118,20 @@ def test_checker_flags_a_constant_that_no_module_reads():
     assert unreferenced_definitions(sources, exported=("g",)) == ["a.py: _ROWS", "b.py: x"]
 
 
+def test_checker_flags_a_method_that_no_module_reads():
+    sources = {"a.py": "class C:\n    def __len__(self): return 0\n    def used(self): pass\n"
+                       "    @property\n    def size(self): return 1\n    def dead(self): pass\n"}
+    readers = ("from a import C\nC().used()\nprint(C().size)\n",)
+    assert unreferenced_definitions(sources, exported=("C",), readers=readers) == ["a.py: C.dead"]
+    assert unreferenced_definitions(sources, exported=("C",)) == ["a.py: C.dead", "a.py: C.size", "a.py: C.used"]
+
+
 def test_every_definition_is_used_or_exported():
     package = ROOT / "src" / "gsm_degroot"
     sources = {path.name: path.read_text() for path in package.glob("*.py")}
+    readers = tuple(path.read_text() for folder in ("tests", "perfbench") for path in (ROOT / folder).glob("*.py"))
     exported = set(gsm_degroot.__all__) | UNCALLED_ON_PURPOSE
-    assert unreferenced_definitions(sources, exported) == []
+    assert unreferenced_definitions(sources, exported, readers) == []
 
 
 def test_cli_import_leaves_scipy_linear_algebra_unloaded():

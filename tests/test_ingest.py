@@ -1,12 +1,14 @@
 """Series loading and preprocessing for the fitting pipeline."""
 
 import logging
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsm_degroot.ingest import SeriesError, TimeSeries, load_series, preprocess
+from gsm_degroot.ingest import FILLS, SeriesError, TimeSeries, _parse_timestamp, check_preprocess, load_series, preprocess
 
 
 def write_csv(tmp_path, text, name="series.csv"):
@@ -76,6 +78,12 @@ def test_short_rows_are_skipped_not_fatal(tmp_path):
 def test_negative_value_rejected_with_line(tmp_path):
     path = write_csv(tmp_path, "timestamp,value\n1,1.0\n2,-4\n")
     with pytest.raises(SeriesError, match=r"negative values at lines \[3\]"):
+        load_series(path)
+
+
+def test_non_finite_values_rejected_with_lines(tmp_path):
+    path = write_csv(tmp_path, "timestamp,value\n1,2\n2,nan\n3,inf\n")
+    with pytest.raises(SeriesError, match=r"non-finite values at lines \[3, 4\]"):
         load_series(path)
 
 
@@ -247,3 +255,87 @@ def test_smoothing_keeps_values_non_negative_and_sum_close():
     assert np.all(out.values >= 0.0)
     # mass only leaks across the zero-padded ends
     assert abs(out.values.sum() - values.sum()) <= 5 * values.max()
+
+
+# The per-timestamp fill that preprocess replaced, kept as the reference:
+# it lists every timestamp of the filled range, then walks that list
+# through a {timestamp: value} dict.
+
+
+def _unit_range(lo, hi):
+    if isinstance(lo, int):
+        return list(range(lo, hi + 1))
+    out = []
+    cur = lo
+    while cur <= hi:
+        out.append(cur)
+        cur = cur + timedelta(days=1)
+    return out
+
+
+def reference_preprocess(series, window, smooth, fill):
+    check_preprocess(smooth, fill)
+    timestamps = list(series.timestamps)
+    values = series.values
+    if window is not None:
+        lo, hi = (_parse_timestamp(end) if isinstance(end, str) else end for end in window)
+        dated = isinstance(timestamps[0], date)
+        if any(isinstance(end, date) != dated for end in (lo, hi)):
+            kind = "ISO dates" if dated else "integer ticks"
+            raise SeriesError(f"window {tuple(window)!r} does not match the series timestamps, which are {kind}")
+        keep = [i for i, ts in enumerate(timestamps) if lo <= ts <= hi]
+        if not keep:
+            raise SeriesError(f"window {tuple(window)!r} selects no samples")
+        timestamps = [timestamps[i] for i in keep]
+        values = values[keep]
+    full = _unit_range(timestamps[0], timestamps[-1])
+    if len(full) != len(timestamps):
+        have = dict(zip(timestamps, values))
+        filled = np.empty(len(full))
+        last = 0.0
+        for i, ts in enumerate(full):
+            if ts in have:
+                last = have[ts]
+                filled[i] = last
+            else:
+                filled[i] = 0.0 if fill == "zero" else last
+        values = filled
+        timestamps = full
+    if smooth > 1:
+        kernel = np.ones(smooth) / smooth
+        values = np.convolve(values, kernel, mode="same")
+    return TimeSeries(timestamps=tuple(timestamps), values=np.asarray(values))
+
+
+@st.composite
+def preprocess_cases(draw):
+    """A series of ticks or days with gaps, a window or None, a fill and an odd width."""
+    dated = draw(st.booleans())
+    offsets = sorted(draw(st.sets(st.integers(0, 40), min_size=1, max_size=12)))
+    start = draw(st.sampled_from([date(2020, 2, 27), date(1999, 12, 30)]) if dated
+                 else st.sampled_from([0, -7, 10**12]))
+    stamp = (lambda k: start + timedelta(days=k)) if dated else (lambda k: start + k)
+    values = draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e6), min_size=len(offsets),
+                           max_size=len(offsets)))
+    series = TimeSeries(timestamps=tuple(stamp(k) for k in offsets), values=np.array(values))
+    # window ends around the series, as timestamps or their csv text, of
+    # either kind; some cross or miss every sample
+    end = st.integers(-5, 45).map(stamp)
+    end = end | end.map(str) | st.sampled_from([3, "2020-03-01"])
+    window = draw(st.none() | st.tuples(end, end))
+    return series, window, draw(st.sampled_from(FILLS)), draw(st.integers(0, 6)) * 2 + 1
+
+
+def outcome(run, case):
+    series, window, fill, smooth = case
+    try:
+        out = run(series, window=window, smooth=smooth, fill=fill)
+    except SeriesError as exc:
+        return str(exc)
+    return [(type(ts), ts) for ts in out.timestamps], out.values.dtype, out.values.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(preprocess_cases())
+def test_preprocess_matches_the_per_timestamp_walk(case):
+    assert outcome(preprocess, case) == outcome(reference_preprocess, case)
