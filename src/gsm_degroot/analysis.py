@@ -9,7 +9,7 @@ from itertools import islice, product
 import numpy as np
 
 from .csvio import failure_text, write_csv
-from .dynamics import ModelParams, PopulationSpec, Trajectory, fan_out, replicate_summaries
+from .dynamics import ModelParams, PopulationSpec, RunSummary, Trajectory, fan_out, replicate_summaries
 from .graph import GraphError, GraphGenSpec
 from .rules import check_rules, rule_of, ruled
 from .seeds import derive_seed
@@ -21,18 +21,14 @@ STATISTICS = ("D_max", "D_max_inf", "X_min_final", "X_max_final", "event_fractio
 _CURVE = "event_fraction_curve"
 
 
-def polarization_indices(trajectory: Trajectory) -> dict[str, float]:
-    """Peak opinion spread and its long-run estimate.
+def polarization_indices(run: Trajectory | RunSummary) -> dict[str, float]:
+    """Peak opinion spread and its long-run estimate for a run.
 
     D_max is the maximum of the per-tick spread max_i X - min_i X over the
     whole run; D_max_inf estimates the limiting spread as the mean spread
     over the final tenth of the run (at least one tick).
     """
-    return _spread_indices(trajectory.max_diversity)
-
-
-def _spread_indices(series: np.ndarray) -> dict[str, float]:
-    """D_max and D_max_inf of a run's per-tick spread series."""
+    series = run.max_diversity
     tail = max(1, series.size // 10)
     return {
         "D_max": float(series.max()),
@@ -213,7 +209,7 @@ def _run_cells(cells: list[tuple[int, dict[str, float]]], spec: SweepSpec) -> li
             if isinstance(run, Exception):
                 seeds, error = seeds[:rep + 1], failure_text(run)
                 break
-            indices = _spread_indices(run.max_diversity)
+            indices = polarization_indices(run)
             for stat in spec.statistics:
                 if stat in indices:
                     values[stat].append(indices[stat])

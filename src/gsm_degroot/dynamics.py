@@ -271,39 +271,6 @@ def _check_run(graph, population, horizon, mode, weight_scale=1.0, check_connect
         raise ValueError("graph is not strongly connected (pass check_connectivity=False to override)")
 
 
-def _bound_terms(graph, population, weight_scale=1.0) -> tuple[float, float, float]:
-    """(gain, reach, floor) of the bound on |opinion| that the tick loop carries.
-
-    With gain the operator's largest absolute row sum (weight_scale
-    included) and reach = max |reaction|, |x_{t+1}| <= gain * |x_t| + reach *
-    |g|; the blend toward the initial opinions and the stubborn agents stay
-    within max(that, floor = |x_0|.max()). floor is inf when |x_0| is not
-    finite, so the exact peak is then taken every step. The loop takes the
-    exact peak only once the bound passes OVERFLOW_LIMIT.
-    """
-    gain = weight_scale * float(abs(graph.matrix).sum(axis=1).max())
-    reach = float(np.abs(population.reactions).max())
-    floor = float(np.abs(population.initial_opinions).max())
-    if not math.isfinite(floor):
-        floor = math.inf
-    return gain, reach, floor
-
-
-def _first_check(bound: float, t: int, gain: float, push: float, floor: float, horizon: int) -> int:
-    """First tick from t on whose update can carry |opinion| past
-    OVERFLOW_LIMIT, or horizon if none before the last tick can. bound holds
-    |x_t|; an update takes it to max(gain * bound + push, floor) * (1 +
-    _BOUND_SLACK), with _bound_terms' gain and floor and push >= reach * |g|.
-    """
-    grow = 1.0 + _BOUND_SLACK
-    while t < horizon - 1:
-        bound = max(gain * bound + push, floor) * grow
-        if not bound <= OVERFLOW_LIMIT:
-            return t
-        t += 1
-    return horizon
-
-
 def _dense_operator(graph: WeightedDigraph) -> bool:
     """Whether the tick loop mixes graph with a dense operator: n at most
     _DENSE_MAX_N and at least n**2 / 8 stored entries.
@@ -412,10 +379,12 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
     own member's order, so every member keeps the bits of its lone product.
     At K = 1 the event fraction and feedback are Python floats, which cost
     less than (1, 1) arrays; above, (K, 1) arrays, which cost less than a
-    loop. One bound on |opinion| serves the batch: _bound_terms' largest
-    gain and floor, and the push max reach * |gamma|, as the event fraction
-    lies in [0, 1]. Exact peaks are taken only at the ticks _first_check
-    names; they decide every error and restart the bound. A stochastic
+    loop. The loop carries one bound on |opinion| for the whole batch, the
+    largest over its members, and widens it at every update. It takes the
+    exact peaks only once the bound passes OVERFLOW_LIMIT, which happens no
+    later than the update that first carries an opinion past it, so every
+    error's step and magnitude are those a check at every tick would give.
+    The peaks then restart the bound. A stochastic
     member draws the uniforms of a block of ticks, as many as keep the
     batch's draws within _DRAW_BYTES, in one call on its own generator: the
     doubles that one call per tick would draw, in the same order, so each
@@ -458,11 +427,18 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
             if pop.fully_stubborn is not None:
                 stubborn[k] = pop.fully_stubborn
 
-    terms = [_bound_terms(graph, pop, weight_scale) for graph, pop in zip(graphs, pops)]
-    gain = max(term[0] for term in terms)
-    pushes = np.array([reach * abs(par.gamma) for (_, reach, _), par in zip(terms, params)])
-    floors = np.array([floor for _, _, floor in terms])
-    check = _first_check(float(floors.max()), 0, gain, float(pushes.max()), float(floors.max()), horizon)
+    # With gain the largest absolute row sum of an operator (weight_scale
+    # included), |x_{t+1}| <= gain * |x_t| + push, where push = max |reaction|
+    # * |gamma| since the event fraction lies in [0, 1]. The blend toward the
+    # initial opinions and the stubborn agents stay within max(that, floor =
+    # max |x_0|), and _BOUND_SLACK covers the rounding. floor is inf when |x_0|
+    # is not finite, so the exact peaks are then taken every tick.
+    gain = weight_scale * max(float(abs(graph.matrix).sum(axis=1).max()) for graph in graphs)
+    pushes = np.abs(reactions).max(axis=1) * np.abs(gamma[:, 0])
+    floors = np.abs(initial).max(axis=1)
+    floors[~np.isfinite(floors)] = math.inf
+    bound, push, floor = float(floors.max()), float(pushes.max()), float(floors.max())
+    grow = 1.0 + _BOUND_SLACK
     errors: list = [None] * size
 
     opinions = np.empty((horizon if record else 2, size, n))
@@ -482,7 +458,7 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
         draws = np.empty((size, block, n))
         tick_draws = list(draws.swapaxes(0, 1))
     g = np.empty((size, 1))
-    push = np.empty((size, n))
+    steer = np.empty((size, n))
     xs[0][...] = initial
     with np.errstate(over="ignore"):
         for t in range(horizon):
@@ -527,16 +503,17 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
             if weight_scale != 1.0:
                 nxt *= weight_scale
             if lone:
-                np.multiply(reactions, lone_gamma * f, out=push)
+                np.multiply(reactions, lone_gamma * f, out=steer)
             else:
-                np.multiply(reactions, np.multiply(gamma, fraction, out=g), out=push)
-            nxt += push
+                np.multiply(reactions, np.multiply(gamma, fraction, out=g), out=steer)
+            nxt += steer
             if xi is not None:
                 nxt *= xi
                 nxt += anchor
             if stubborn is not None:
                 np.copyto(nxt, initial, where=stubborn)
-            if t == check:
+            bound = max(gain * bound + push, floor) * grow
+            if not bound <= OVERFLOW_LIMIT:
                 peaks = np.abs(nxt).max(axis=1)
                 for k in np.flatnonzero(~(peaks <= OVERFLOW_LIMIT)):
                     errors[k] = OpinionOverflowError(step=t + 1, magnitude=float(peaks[k]))
@@ -545,7 +522,7 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
                     pushes[k] = floors[k] = peaks[k] = 0.0
                 if None not in errors:
                     break
-                check = _first_check(float(peaks.max()), t + 1, gain, float(pushes.max()), float(floors.max()), horizon)
+                bound, push, floor = float(peaks.max()), float(pushes.max()), float(floors.max())
 
     series = np.ascontiguousarray(fractions[:, :, 0].T)
     if spread:

@@ -32,20 +32,29 @@ class FitError(RuntimeError):
     """The calibration pipeline could not produce a result."""
 
 
+def _data_norm(data: np.ndarray) -> float:
+    """||data||_2, or ValueError for data no relative distance is defined for."""
+    if not np.isfinite(data).all():
+        raise ValueError("data series has non-finite values; the relative distance is undefined")
+    norm = float(np.linalg.norm(data))
+    if norm == 0.0:
+        raise ValueError("data series has zero norm; the relative distance is undefined")
+    return norm
+
+
 def scale_invariant_distance(data: np.ndarray, model: np.ndarray) -> tuple[float, float]:
     """Distance between series up to a non-negative scale factor.
 
     Returns (d, s) where s minimizes ||data - s * model||_2 over s >= 0,
     s = <data, model> / <model, model> clamped at zero (and zero for an
     all-zero model), and d is the residual norm divided by ||data||_2.
+    Raises ValueError for data with a non-finite value or zero norm.
     """
     data = np.asarray(data, dtype=np.float64)
     model = np.asarray(model, dtype=np.float64)
     if data.shape != model.shape or data.ndim != 1:
         raise ValueError(f"series shapes differ: {data.shape} vs {model.shape}")
-    data_norm = float(np.linalg.norm(data))
-    if data_norm == 0.0:
-        raise ValueError("data series has zero norm; the relative distance is undefined")
+    data_norm = _data_norm(data)
     denom = float(model @ model)
     s = max(float(data @ model) / denom, 0.0) if denom > 0.0 else 0.0
     d = float(np.linalg.norm(data - s * model)) / data_norm
@@ -452,16 +461,16 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
     chain's on a tie. fan_out shares the grid cells, then the chains, among
     jobs worker processes; the chains of one process run in lockstep.
 
-    Raises ValueError for fewer than 2 samples or an all-zero series, which
-    no cell could score, and FitError if every grid cell fails.
+    Raises ValueError for fewer than 2 samples, a non-finite value or an
+    all-zero series, which no cell could score, and FitError if every grid
+    cell fails.
     """
     space = space or ParamSpace()
     config = config or FitConfig()
     data = np.asarray(data, dtype=np.float64)
     if data.size < 2:
         raise ValueError(f"need at least 2 samples to fit, got {data.size}")
-    if float(np.linalg.norm(data)) == 0.0:
-        raise ValueError("data series has zero norm; the relative distance is undefined")
+    _data_norm(data)
     grid = grid_explore(data, space, config, jobs=jobs)
     starts = _spread_starts(grid, space, config.restarts)
     if not starts:

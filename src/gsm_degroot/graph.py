@@ -464,11 +464,14 @@ def stationary_distribution(graph: WeightedDigraph, tol: float = 1e-12, max_iter
     """Left fixed vector of the update operator by power iteration.
 
     Returns the probability vector pi with l1 residual ||pi @ W - pi|| <= tol.
-    Periodic or disconnected chains do not converge and raise
+    A graph that is not strongly connected, whose fixed vector need not be
+    unique, raises GraphError; a periodic chain does not converge and raises
     ConvergenceError naming the iteration cap.
     """
     if not is_normalized(graph):
         raise GraphError("stationary distribution needs normalized incoming weights")
+    if not is_strongly_connected(graph):
+        raise GraphError("stationary distribution needs a strongly connected graph")
     n = graph.n
     pi = np.full(n, 1.0 / n)
     matrix = graph.matrix

@@ -170,6 +170,8 @@ def preprocess(
     values = series.values[np.maximum.accumulate(latest)]
     if fill == "zero":
         values[latest < 0] = 0.0
+    if smooth > latest.size:
+        raise SeriesError(f"smooth width {smooth} exceeds the {latest.size} samples of the filled series")
     if smooth > 1:
         values = np.convolve(values, np.ones(smooth) / smooth, mode="same")
     return TimeSeries(timestamps=tuple(first + k * unit for k in range(latest.size)), values=values)

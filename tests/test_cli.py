@@ -370,6 +370,14 @@ def test_fit_on_a_one_sample_window_exits_2(tmp_path, capsys):
     assert "need at least 2 samples to fit, got 1" in capsys.readouterr().err
 
 
+def test_fit_with_a_smooth_wider_than_the_series_exits_2(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("timestamp,value\n0,0.5\n1,0.4\n2,0.3\n")
+    config = write_config(tmp_path, {"fit": dict(FIT_SECTION, data=str(path), preprocess={"smooth": 5})})
+    assert main(["fit", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "smooth width 5 exceeds the 3 samples of the filled series" in capsys.readouterr().err
+
+
 # sha256 of the files a small fit wrote before the fit scored its grid
 # cells and anneal chains in batches: three searched axes, two stochastic
 # replicates and two chains whose wide proposals fail at r = 0.0

@@ -499,6 +499,18 @@ def test_signed_weights_overflow_at_the_step_of_the_step_helpers(mode):
     assert err.step == 40  # 2**40 is the first doubling past 1e12
 
 
+@pytest.mark.parametrize("mode", ["stochastic", "expected"])
+def test_a_blend_toward_a_start_past_the_limit_overflows_at_the_step_of_the_step_helpers(mode):
+    # agent 0 starts at 1.9e12 and drops to 0.988e12 at step 1, below the
+    # limit and below its start; the blend toward that start and the mass
+    # agent 1 sends back lift it to 1.316e12 at step 2
+    graph = WeightedDigraph(sparse.csr_array(np.array([[0.2, 0.8], [0.8, 0.2]])))
+    pop = Population(np.ones(2), np.array([1.9e12, 0.0]), susceptibility=0.6)
+    err = assert_same_run(graph, pop, ModelParams(lam=1.0, gamma=0.0), 10, 0, mode)
+    assert isinstance(err, OpinionOverflowError)
+    assert err.step == 2
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["stochastic", "expected"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -511,6 +523,41 @@ def test_non_finite_initial_opinion_aborts_at_step_one(mode, value):
     err = assert_same_run(graph, pop, ModelParams(lam=1.0, gamma=0.5), 50, 3, mode)
     assert isinstance(err, OpinionOverflowError)
     assert err.step == 1
+
+
+# each listed value takes a brake off the growth of the opinions (no blend,
+# no stubborn agents, every reaction +1) or drives it hard, so that runs meet
+# the limit after a few to a few hundred ticks, which draws over the ranges
+# alone mostly miss
+def either(values, spread):
+    return st.sampled_from(values) | spread
+
+
+@given(
+    family=st.sampled_from(["barabasi-albert", "watts-strogatz", "erdos-renyi", "sbm"]),
+    n=st.integers(8, 40),
+    graph_seed=st.integers(0, 2**16),
+    weight_scale=either([1.05], st.floats(0.8, 1.05)),
+    gamma=either([1e10], st.floats(0.0, 1e10)),
+    susceptibility=either([1.0], st.floats(0.0, 1.0)),
+    stubborn_fraction=either([0.0], st.floats(0.0, 0.5)),
+    positive_fraction=either([1.0], st.floats(0.0, 1.0)),
+    magnitude=either([1.0, 1e9], st.floats(0.0, 2e12)),
+    horizon=either([300], st.integers(2, 300)),
+    mode=st.sampled_from(MODES),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_overflow_guard_matches_the_step_helpers(family, n, graph_seed, weight_scale, gamma, susceptibility,
+                                                      stubborn_fraction, positive_fraction, magnitude, horizon,
+                                                      mode, seed):
+    # the guard checks the exact peaks only at the ticks its bound names, so
+    # its errors must be those of the reference's check after every step
+    graph = generate(GraphGenSpec(family=family, n=n, seed=graph_seed, edge_prob=0.4))
+    rng = np.random.default_rng(seed)
+    pop = Population(sample_reactions(n, positive_fraction, rng), rng.uniform(-magnitude, magnitude, n),
+                     fully_stubborn=sample_stubborn_mask(n, stubborn_fraction, rng), susceptibility=susceptibility)
+    assert_same_run(graph, pop, ModelParams(lam=1.0, gamma=gamma), horizon, seed, mode, weight_scale)
 
 
 # ---------------------------------------------------------------------------

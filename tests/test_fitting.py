@@ -120,6 +120,12 @@ def test_zero_norm_data_rejected():
         scale_invariant_distance(np.zeros(5), np.ones(5))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_data_rejected(value):
+    with pytest.raises(ValueError, match="non-finite values"):
+        scale_invariant_distance(np.array([value, 1.0, 2.0]), np.ones(3))
+
+
 def test_mismatched_or_stacked_series_rejected():
     with pytest.raises(ValueError, match="shapes differ"):
         scale_invariant_distance(np.ones(4), np.ones(5))
@@ -550,6 +556,26 @@ def test_fit_result_fields_are_consistent():
 def test_fit_needs_at_least_two_samples():
     with pytest.raises(ValueError, match="at least 2 samples"):
         fit(np.array([0.5]), small_space(), FitConfig(seed=1))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_fit_rejects_non_finite_data_before_simulating(monkeypatch, value):
+    sims = 0
+    run_members = dynamics._run_members
+
+    def counted_run_members(members, *args, **kwargs):
+        nonlocal sims
+        sims += len(members)
+        return run_members(members, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_run_members", counted_run_members)
+    data = np.array([value, 1.0, 2.0])
+    with pytest.raises(ValueError, match="non-finite values"):
+        fit(data, small_space(), FitConfig(seed=1))
+    assert sims == 0
+    with pytest.raises(ValueError, match="non-finite values"):
+        evaluate_point({"mu": 0.0, "gamma": 1.0, "r": 0.3}, data, FitConfig(replicates=1, mode="expected"))
+    assert sims == 1
 
 
 def test_fit_aborts_when_every_cell_fails():

@@ -15,6 +15,7 @@ from scipy import sparse
 from gsm_degroot import graph as graph_module
 from gsm_degroot.graph import (
     FAMILIES,
+    ConvergenceError,
     GenerationError,
     GraphError,
     GraphGenSpec,
@@ -366,6 +367,21 @@ def test_unnormalized_graph_has_no_stationary_distribution():
     g = WeightedDigraph(sparse.csr_array(np.array([[0.5, 0.4], [0.5, 0.5]])))
     with pytest.raises(GraphError, match="stationary distribution needs normalized incoming weights"):
         stationary_distribution(g)
+
+
+def test_disconnected_graph_has_no_stationary_distribution():
+    # two closed blocks: each has its own fixed vector, so none is unique
+    w = np.zeros((4, 4))
+    w[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
+    w[2:, 2:] = [[0.9, 0.1], [0.2, 0.8]]
+    with pytest.raises(GraphError, match="stationary distribution needs a strongly connected graph"):
+        stationary_distribution(from_dense(w))
+
+
+def test_periodic_chain_does_not_converge():
+    star = from_dense(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    with pytest.raises(ConvergenceError, match="within 1000 iterations"):
+        stationary_distribution(star, max_iter=1000)
 
 
 def test_power_iteration_matches_dense_eigensolve():

@@ -236,6 +236,16 @@ def test_non_odd_smooth_width_rejected(width):
         preprocess(ticks([1.0, 2.0, 3.0]), smooth=width)
 
 
+def test_a_smooth_wider_than_the_filled_series_is_named():
+    with pytest.raises(SeriesError, match="^smooth width 5 exceeds the 3 samples of the filled series$"):
+        preprocess(ticks([1.0, 1.0, 1.0]), smooth=5)
+    # the width is checked against the filled length, not the sample count
+    gapped = TimeSeries(timestamps=(0, 4), values=np.array([1.0, 2.0]))
+    assert len(preprocess(gapped, smooth=5)) == 5
+    with pytest.raises(SeriesError, match="smooth width 7 exceeds the 5 samples"):
+        preprocess(gapped, smooth=7)
+
+
 def test_unknown_fill_rejected():
     with pytest.raises(SeriesError, match="fill must be"):
         preprocess(ticks([1.0, 2.0]), fill="interpolate")
@@ -301,6 +311,8 @@ def reference_preprocess(series, window, smooth, fill):
                 filled[i] = 0.0 if fill == "zero" else last
         values = filled
         timestamps = full
+    if smooth > len(values):
+        raise SeriesError(f"smooth width {smooth} exceeds the {len(values)} samples of the filled series")
     if smooth > 1:
         kernel = np.ones(smooth) / smooth
         values = np.convolve(values, kernel, mode="same")
