@@ -223,20 +223,32 @@ def _run_cells(cells: list[tuple[int, dict[str, float]]], spec: SweepSpec) -> li
     return results
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
+def run_sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
     """Evaluate every cell of the axis grid with seeded replicates.
 
-    fan_out splits the cells into at most jobs contiguous parts, one per
-    worker process; the replicates of a part's cells run through one
-    replicate_summaries stream, so its batches take members from several
-    cells. Cell failures are recorded on the cell instead of aborting.
-    Results are identical for any jobs value.
+    fan_out splits the cells into contiguous parts of about equal estimated
+    work, n x replicates x horizon node-ticks per cell with n as the cell's
+    axes set it, one per worker process: at most jobs, or with jobs None as
+    many as that work pays for (fan_out). The replicates of a part's cells
+    run through one replicate_summaries stream, so its batches take members
+    from several cells. Cell failures are recorded on the cell instead of
+    aborting. Results are identical for any jobs value.
     """
     grids = [axis.values() for axis in spec.axes]
     names = [axis.name for axis in spec.axes]
     cells = [(cell_index, {name: float(v) for name, v in zip(names, combo)})
              for cell_index, combo in enumerate(product(*grids))]
-    return SweepResult(spec=spec, cells=fan_out(_run_cells, cells, spec, jobs=jobs))
+    work = [_cell_nodes(spec, coords) * spec.replicates * spec.horizon for _, coords in cells]
+    return SweepResult(spec=spec, cells=fan_out(_run_cells, cells, spec, jobs=jobs, work=work,
+                                                 members=spec.replicates))
+
+
+def _cell_nodes(spec: SweepSpec, coords: dict[str, float]) -> int:
+    """The n of a cell's graph, or 0 where its axes do not apply."""
+    try:
+        return _apply_axes(spec, coords)[0].n
+    except Exception:  # noqa: BLE001 - _run_cells records the failure
+        return 0
 
 
 def write_long_csv(result: SweepResult, path) -> None:

@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="YAML run configuration")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--out", default="out", help="output directory, created if missing")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for sweep and fit")
+    common.add_argument("--jobs", type=int, default=None,
+                        help="at most this many worker processes for sweep and fit (default: as the work pays for)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("gen-graph", parents=[common], help="generate a graph and write its edge list")
     sub.add_parser("simulate", parents=[common], help="run one trajectory and write its summary")
@@ -219,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
+        if args.jobs is not None and args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         config = load_config(args.config, seed=args.seed)
         return COMMANDS[args.command](args, config)

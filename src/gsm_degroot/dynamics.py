@@ -15,9 +15,12 @@ opinion.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
@@ -700,18 +703,68 @@ def _run_batch(batch: list, horizon: int, mode: str, weight_scale: float | None,
     return [item if isinstance(item, Exception) else next(runs) for item in batch]
 
 
-def fan_out(fn, items: list, *shared, jobs: int = 1) -> list:
-    """fn(part, *shared) for items split into at most jobs contiguous parts
-    of near-equal length, one per worker process, the parts' result lists
-    joined in item order. The parts are at most os.cpu_count(), since the
-    pool starts every worker at once.
+# With jobs unset, fan_out starts at most one worker per _PART_WORK estimated
+# node-ticks (n x replicates x horizon per run) and per _PART_MEMBERS lockstep
+# members. Measured on a 2-core Xeon VM, jobs 1 against 2 in alternating
+# rounds: two forked workers cost fan_out 10-15 ms (medians of 30 calls, two
+# runs). A 36-cell fit grid (sbm n = 100, expected mode, one replicate a cell)
+# lost at 0.9M node-ticks in all (69 against 106 ms, 9 of 10 rounds) and won
+# from 1.44M (122 against 88 ms, 10 of 10); a 36-cell Watts-Strogatz n = 300
+# sweep of 3 replicates, whose graph draws weigh more, lost at 0.32M and won
+# from 0.81M. K lockstep members cut into two equal parts for 20 steps of 2000
+# expected ticks (sbm n = 100) won 16 of 16 rounds at K = 6 (1057 against 873
+# ms) and 14 of 16 at K = 4, but gained nothing at K = 3 (649 against 655 ms):
+# a narrower batch costs more per member-tick (_BATCH_BYTES).
+_PART_WORK = 1_000_000
+_PART_MEMBERS = 3
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _parts(items: list, work: list, count: int) -> list[list]:
+    """items cut into count contiguous, non-empty parts, in order, each cut
+    where the cumulative work first reaches an equal share of the total; a
+    part then costs at most total / count plus its largest item."""
+    prefix = [0, *accumulate(work)]
+    starts = [0]
+    for i in range(1, count):
+        cut = bisect_left(prefix, prefix[-1] * i, key=lambda done: done * count)
+        starts.append(min(max(cut, starts[-1] + 1), len(items) - count + i))
+    return [items[a:b] for a, b in zip(starts, starts[1:] + [len(items)])]
+
+
+def fan_out(fn, items: list, *shared, work: list, members: int, jobs: int | None = None) -> list:
+    """fn(part, *shared) for items split into contiguous parts, one per worker
+    process, the parts' result lists joined in item order.
+
+    work holds each item's estimated cost in node-ticks, and members is the
+    lockstep members of each item; _parts cuts the parts at equal shares of
+    cumulative work. The parts are at most the usable CPUs (_usable_cpus),
+    since the pool starts every worker at once, and at most jobs. With jobs
+    None, the default, they are also at most the total work over _PART_WORK
+    and the members over _PART_MEMBERS, and a fan_out inside a worker
+    process runs there in one part. One part runs fn(items, *shared) in
+    this process, with no pool; the pool's workers end before fan_out
+    returns.
 
     The results do not depend on jobs; with more than one part, fn, its
     arguments and its results must pickle.
     """
-    count = max(1, min(jobs, len(items), os.cpu_count() or 1))
-    if count == 1:
+    count = min(len(items), _usable_cpus())
+    if jobs is not None:
+        count = min(count, jobs)
+    elif multiprocessing.parent_process() is not None:
+        count = 1
+    else:
+        count = min(count, sum(work) // _PART_WORK, members * len(items) // _PART_MEMBERS)
+    if count <= 1:
         return fn(items, *shared)
-    parts = [items[len(items) * i // count:len(items) * (i + 1) // count] for i in range(count)]
+    parts = _parts(items, work, count)
     with ProcessPoolExecutor(max_workers=count) as pool:
         return [result for part in pool.map(fn, parts, *[[arg] * count for arg in shared]) for result in part]

@@ -275,20 +275,28 @@ def _grid_part(points, data, config) -> list:
     ]
 
 
-def grid_explore(data: np.ndarray, space: ParamSpace, config: FitConfig, jobs: int = 1) -> GridResult:
+def _point_work(data: np.ndarray, config: FitConfig) -> int:
+    """The estimated node-ticks of scoring one point: n x replicates x horizon."""
+    return config.n * config.replicates * np.size(data)
+
+
+def grid_explore(data: np.ndarray, space: ParamSpace, config: FitConfig, jobs: int | None = None) -> GridResult:
     """Score the center of every grid cell; failures are recorded per cell.
 
     A cell fails, as "Type: message" in errors, with the exception that
     evaluate_point would raise for it; the other cells keep their scores.
-    fan_out splits the cells into at most jobs contiguous parts, one per
-    worker process, and each part scores its cells through one
-    replicate_summaries stream; the scores do not depend on jobs.
+    fan_out splits the cells into contiguous parts, one per worker process:
+    at most jobs, or with jobs None as many as the cells' work pays for, at
+    n x replicates x horizon node-ticks a cell (fan_out). Each part scores
+    its cells through one replicate_summaries stream; the scores do not
+    depend on jobs.
     """
     axes = space.axes
     meshes = np.meshgrid(*[space.centers(name) for name in axes], indexing="ij")
     points = np.column_stack([m.ravel() for m in meshes])
     cells = [space.full_point({name: float(v) for name, v in zip(axes, row)}) for row in points]
-    outcomes = fan_out(_grid_part, cells, data, config, jobs=jobs)
+    outcomes = fan_out(_grid_part, cells, data, config, jobs=jobs, work=[_point_work(data, config)] * len(cells),
+                       members=config.replicates)
     n_cells = len(cells)
     scores = np.full(n_cells, np.nan)
     mean_errors = np.full(n_cells, np.nan)
@@ -453,13 +461,17 @@ class FitResult:
         return self.space.full_point(self.best)
 
 
-def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | None = None, jobs: int = 1) -> FitResult:
+def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | None = None,
+        jobs: int | None = None) -> FitResult:
     """Grid pass, then annealing chains from the spread-out best cells.
 
     The chains start from the restarts best grid cells separated by at
     least one cell diagonal; the overall best-scoring point wins, the first
     chain's on a tie. fan_out shares the grid cells, then the chains, among
-    jobs worker processes; the chains of one process run in lockstep.
+    at most jobs worker processes, or with jobs None as many as their work
+    pays for (fan_out); a chain weighs anneal_iters + 1 grid cells, and the
+    chains of one process run in lockstep. The result does not depend on
+    jobs.
 
     Raises ValueError for fewer than 2 samples, a non-finite value or an
     all-zero series, which no cell could score, and FitError if every grid
@@ -476,7 +488,9 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
     if not starts:
         raise FitError("every grid cell failed; nothing to anneal from")
     chains = [(grid.point(idx), derive_seed(config.seed, "anneal", chain)) for chain, idx in enumerate(starts)]
-    outcomes = fan_out(_run_chains, chains, data, space, config, jobs=jobs)
+    chain_work = (config.anneal_iters + 1) * _point_work(data, config)
+    outcomes = fan_out(_run_chains, chains, data, space, config, jobs=jobs, work=[chain_work] * len(chains),
+                       members=config.replicates)
     best_point = min(outcomes, key=lambda outcome: outcome[1])[0]
     final = evaluate_point(space.full_point(best_point), data, config)
     return FitResult(

@@ -161,14 +161,19 @@ def test_sweep_is_deterministic():
         assert ca.seeds == cb.seeds
 
 
-def test_sweep_jobs_do_not_change_results():
-    spec = sweep_spec(axes=[SweepAxis("mu", -1.0, 1.0, 2), SweepAxis("gamma", 0.0, 0.4, 2)],
-                      horizon=50)
-    serial = run_sweep(spec, jobs=1)
-    parallel = run_sweep(spec, jobs=2)
-    for ca, cb in zip(serial.cells, parallel.cells):
-        assert ca.coords == cb.coords
-        assert ca.values == cb.values
+def test_sweep_jobs_do_not_change_results(tmp_path):
+    specs = {
+        "equal": sweep_spec(axes=[SweepAxis("mu", -1.0, 1.0, 2), SweepAxis("gamma", 0.0, 0.4, 2)], horizon=50),
+        # cells of unequal work: the part cut by work holds one cell of 600
+        # nodes against three of 50 to 417
+        "network-size": sweep_spec(graph=GraphGenSpec(family="watts-strogatz", n=60, k=6),
+                                   params=ModelParams(lam=1.0, gamma=0.5, mu=0.0, sigma=1.0),
+                                   axes=[SweepAxis("network-size", 50, 600, 4)], horizon=30, statistics=STATISTICS),
+    }
+    for name, spec in specs.items():
+        want = sweep_files(run_sweep(spec, jobs=1), tmp_path / f"{name}-1")
+        for jobs in (None, 2):
+            assert sweep_files(run_sweep(spec, jobs=jobs), tmp_path / f"{name}-{jobs}") == want, f"{name} jobs {jobs}"
 
 
 def test_sweep_cells_keep_their_seeds():

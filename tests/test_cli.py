@@ -169,12 +169,13 @@ def test_sweep_writes_heatmaps(tmp_path):
 
 def test_sweep_output_is_jobs_invariant(tmp_path):
     config = write_config(tmp_path, SWEEP_CONFIG)
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    assert main(["sweep", "--config", config, "--out", str(serial)]) == 0
-    assert main(["sweep", "--config", config, "--jobs", "2", "--out", str(parallel)]) == 0
-    assert read_bytes(serial / "heatmap_D_max.csv") == read_bytes(parallel / "heatmap_D_max.csv")
-    assert read_bytes(serial / "sweep_long.csv") == read_bytes(parallel / "sweep_long.csv")
+    unset = tmp_path / "unset"
+    assert main(["sweep", "--config", config, "--out", str(unset)]) == 0
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs-{jobs}"
+        assert main(["sweep", "--config", config, "--jobs", jobs, "--out", str(out)]) == 0
+        assert read_bytes(unset / "heatmap_D_max.csv") == read_bytes(out / "heatmap_D_max.csv")
+        assert read_bytes(unset / "sweep_long.csv") == read_bytes(out / "sweep_long.csv")
 
 
 def test_sweep_without_axes_exits_2(tmp_path, capsys):
@@ -396,9 +397,10 @@ def test_fit_outputs_keep_their_bytes_at_any_jobs(tmp_path):
         "neighborhood_volume": 0.5,
     }
     config = write_config(tmp_path, {"seed": 3, "fit": section})
-    for jobs in ("1", "2"):
+    for jobs in (None, "1", "2"):
         out = tmp_path / f"out-{jobs}"
-        assert main(["fit", "--config", config, "--jobs", jobs, "--out", str(out)]) == 0
+        flag = [] if jobs is None else ["--jobs", jobs]
+        assert main(["fit", "--config", config, *flag, "--out", str(out)]) == 0
         digests = {name: hashlib.sha256(read_bytes(out / name)).hexdigest() for name in FIT_FINGERPRINT}
         assert digests == FIT_FINGERPRINT, f"--jobs {jobs}"
 

@@ -2,6 +2,7 @@
 simulation loop, and the model's pathwise guarantees."""
 
 import math
+import multiprocessing
 import os
 import tracemalloc
 from dataclasses import replace
@@ -357,19 +358,105 @@ def divmods(part, divisor):
 def test_fan_out_keeps_task_order_at_any_jobs():
     items = [7, 9, 1, 20, 5]
     want = [divmod(item, 3) for item in items]
-    assert fan_out(divmods, items, 3) == want
-    assert fan_out(divmods, items, 3, jobs=2) == want
-    assert fan_out(divmods, [], 3, jobs=2) == []
+    assert fan_out(divmods, items, 3, work=[1] * 5, members=1) == want
+    assert fan_out(divmods, items, 3, work=[1] * 5, members=1, jobs=2) == want
+    assert fan_out(divmods, [], 3, work=[], members=1, jobs=2) == []
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("fan_out started a process pool")
 
 
 @pytest.mark.parametrize("cpus", [1, None])
 def test_fan_out_starts_no_more_workers_than_cpus(monkeypatch, cpus):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("fan_out started a process pool")
-
+    # without an affinity set, the usable CPUs are os.cpu_count(), or 1 when unknown
+    monkeypatch.delattr(dynamics.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(dynamics.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(dynamics, "ProcessPoolExecutor", no_pool)
-    assert fan_out(lambda part: [os.getpid() for _ in part], list(range(20)), jobs=8) == [os.getpid()] * 20
+    assert fan_out(lambda part: [os.getpid() for _ in part], list(range(20)), work=[1] * 20, members=1,
+                   jobs=8) == [os.getpid()] * 20
+
+
+def test_fan_out_counts_the_cpus_of_its_affinity_set(monkeypatch):
+    monkeypatch.setattr(dynamics.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(dynamics.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", no_pool)
+    items = list(range(20))
+    big = [dynamics._PART_WORK] * len(items)
+    for jobs in (None, 8):
+        assert fan_out(lambda part: part, items, jobs=jobs, work=big, members=dynamics._PART_MEMBERS) == items
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_fan_out_by_default_starts_as_many_workers_as_both_gates_allow(monkeypatch, parts):
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            return map(fn, *columns)
+
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(dynamics, "_PART_WORK", 120)
+    monkeypatch.setattr(dynamics, "_PART_MEMBERS", 3)
+    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", Pool)
+    items = list(range(12))
+    # the work gate: 12 items of 10 * parts work and 12 * 5 members
+    assert fan_out(lambda part: part, items, work=[10 * parts] * 12, members=5) == items
+    assert started == [parts]
+    # the member gate: 12 members over 3 a part
+    assert fan_out(lambda part: part, items, work=[1000] * 12, members=1) == items
+    assert started == [parts, 4]
+    # below either gate, or at jobs=1, no pool starts
+    assert fan_out(lambda part: part, items, work=[19] * 12, members=5) == items
+    assert fan_out(lambda part: part, items, work=[1000] * 12, members=5, jobs=1) == items
+    assert started == [parts, 4]
+
+
+def test_fan_out_keeps_the_fit_mixing_chains_in_one_process(monkeypatch):
+    # the benchmark's fit-mixing shape: three chains of one expected-mode
+    # replicate each, n = 100, 2000 ticks, 200 anneal steps. Three lockstep
+    # members split 1 + 2 lose more batch width than the second core gains.
+    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", no_pool)
+    chains = ["first", "second", "third"]
+    assert fan_out(lambda part: part, chains, work=[201 * 100 * 2000] * 3, members=1) == chains
+
+
+def test_fan_out_leaves_no_worker_behind():
+    items = list(range(6))
+    assert fan_out(divmods, items, 4, work=[1, 1, 1, 1, 1, 50], members=1, jobs=2) == [divmod(i, 4) for i in items]
+    assert multiprocessing.active_children() == []
+
+
+@given(work=st.lists(st.one_of(st.just(0), st.integers(0, 10), st.integers(0, 10**9)), min_size=1, max_size=40),
+       count=st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_parts_are_contiguous_and_cut_by_cumulative_work(work, count):
+    count = min(count, len(work))
+    items = list(range(len(work)))
+    parts = dynamics._parts(items, work, count)
+    assert len(parts) == count
+    assert all(parts)
+    assert [item for part in parts for item in part] == items
+    total, largest = sum(work), max(work)
+    for part in parts:
+        assert sum(work[i] for i in part) * count <= total + largest * count
+
+
+@given(items=st.lists(st.integers(-100, 100), max_size=12), jobs=st.sampled_from([None, 1, 2, 3]),
+       dominant=st.booleans())
+@settings(max_examples=12, deadline=None)
+def test_fan_out_returns_fn_of_all_items_at_any_jobs(items, jobs, dominant):
+    work = [dynamics._PART_WORK * (50 if dominant and i == 0 else 1) for i in range(len(items))]
+    assert fan_out(divmods, items, 7, jobs=jobs, work=work, members=dynamics._PART_MEMBERS) == divmods(items, 7)
 
 
 # ---------------------------------------------------------------------------

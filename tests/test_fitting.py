@@ -2,6 +2,7 @@
 
 import csv
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -538,6 +539,47 @@ def test_fit_jobs_do_not_change_results():
     assert len(parallel.traces) == len(serial.traces) == 2
     for mine, theirs in zip(parallel.traces, serial.traces):
         assert mine == theirs
+
+
+def gated_fit():
+    """A fit whose grid and chains each pass both of fan_out's default gates."""
+    data = surrogate_series({"mu": -125.0, "gamma": 6.25, "r": 0.3}, 700, derive_seed(61, "gated"), n=40)
+    space = ParamSpace(bounds={"mu": (-300.0, 300.0), "gamma": (0.0, 20.0)}, resolution={"mu": 6, "gamma": 6},
+                       pinned={"r": 0.3})
+    config = FitConfig(n=40, replicates=3, mode="expected", restarts=2, anneal_iters=15, seed=4)
+    cell = config.n * config.replicates * data.size
+    assert 36 * cell >= 2 * dynamics._PART_WORK and 36 * config.replicates >= 2 * dynamics._PART_MEMBERS
+    assert 2 * 16 * cell >= 2 * dynamics._PART_WORK and 2 * config.replicates >= 2 * dynamics._PART_MEMBERS
+    return data, space, config
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("fan_out started a process pool")
+
+
+def fit_without_a_pool(inputs):
+    # this runs in a pool worker, so the patch ends with it
+    dynamics.ProcessPoolExecutor = no_pool
+    return fit(*inputs)
+
+
+def test_a_fit_in_a_worker_process_starts_no_pool(monkeypatch):
+    inputs = gated_fit()
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        nested = pool.submit(fit_without_a_pool, inputs).result()
+    started = []
+    real = dynamics.ProcessPoolExecutor
+
+    def counted(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dynamics, "ProcessPoolExecutor", counted)
+    here = fit(*inputs)
+    assert started == [2, 2]
+    assert nested.best == here.best and nested.score == here.score
+    assert [trace.scores for trace in nested.traces] == [trace.scores for trace in here.traces]
 
 
 def test_fit_result_fields_are_consistent():
