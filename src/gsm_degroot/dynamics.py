@@ -8,8 +8,8 @@ weighted-average opinion update:
     next_i = susceptibility_i * (reaction_i * gamma * event_fraction
              + sum_j w_ji * current_j) + (1 - susceptibility_i) * initial_i
 
-Fully stubborn agents skip the update entirely and keep their initial
-opinion.
+A fully stubborn agent is an agent with susceptibility 0: it keeps its
+initial opinion.
 """
 
 from __future__ import annotations
@@ -85,14 +85,13 @@ class ModelParams:
 class Population:
     """Per-agent attributes: reactions, initial opinions, stubbornness.
 
-    susceptibility is the partial-stubbornness blend in [0, 1]: 1 applies
-    the full update, 0 pins the agent to its initial opinion. fully_stubborn
-    agents ignore susceptibility and never move.
+    susceptibility, one value or one per agent, is the stubbornness blend in
+    [0, 1]: 1 applies the full update, 0 pins the agent to its initial
+    opinion, so a fully stubborn agent is an agent with susceptibility 0.
     """
 
     reactions: np.ndarray
     initial_opinions: np.ndarray
-    fully_stubborn: np.ndarray | None = None
     susceptibility: Union[float, np.ndarray] = 1.0
 
     def __post_init__(self) -> None:
@@ -102,12 +101,6 @@ class Population:
             raise ValueError("reactions and initial_opinions must be equal-length vectors")
         if not np.isfinite(self.reactions).all():
             raise ValueError("reactions must be finite")
-        if self.fully_stubborn is not None:
-            self.fully_stubborn = np.asarray(self.fully_stubborn, dtype=bool)
-            if self.fully_stubborn.shape != self.reactions.shape:
-                raise ValueError("fully_stubborn mask length mismatch")
-            if not self.fully_stubborn.any():
-                self.fully_stubborn = None
         if not np.isscalar(self.susceptibility):
             self.susceptibility = np.asarray(self.susceptibility, dtype=np.float64)
             if self.susceptibility.shape != self.reactions.shape:
@@ -128,7 +121,8 @@ class PopulationSpec:
 
     positive_fraction draws each reaction sign iid; cluster_positive_fractions
     instead fixes the exact positive count inside each graph cluster.
-    stubborn_fraction pins round(fraction * n) uniformly chosen agents.
+    stubborn_fraction pins round(fraction * n) uniformly chosen agents by
+    giving them susceptibility 0; the others take susceptibility.
     """
 
     positive_fraction: float | None = ruled(0.5, ge=0.0, le=1.0)
@@ -162,13 +156,10 @@ class PopulationSpec:
         else:
             reactions = sample_reactions(n, self.positive_fraction, rng)
         opinions = rng.normal(mu, sigma, size=n) if sigma > 0 else np.full(n, float(mu))
-        mask = sample_stubborn_mask(n, self.stubborn_fraction, rng) if self.stubborn_fraction > 0 else None
-        return Population(
-            reactions=reactions,
-            initial_opinions=opinions,
-            fully_stubborn=mask,
-            susceptibility=self.susceptibility,
-        )
+        susceptibility = self.susceptibility
+        if self.stubborn_fraction > 0:
+            susceptibility = np.where(sample_stubborn_mask(n, self.stubborn_fraction, rng), 0.0, susceptibility)
+        return Population(reactions=reactions, initial_opinions=opinions, susceptibility=susceptibility)
 
 
 def sample_reactions(n: int, positive_fraction: float, rng: np.random.Generator, exact: bool = False) -> np.ndarray:
@@ -204,7 +195,13 @@ def event_probability(opinions: np.ndarray, lam: float) -> np.ndarray:
 
 def _advance(x, g, operator, population, weight_scale=1.0):
     """One opinion update from opinions x and feedback g = gamma * event
-    fraction: the reference step that the tick loop repeats in place."""
+    fraction: the reference step that the tick loop repeats in place.
+
+    The blend pins an agent of susceptibility 0 at 0 * update + its start.
+    Where that update or a start is not finite, 0 * inf makes the step nan;
+    the tick loop there keeps a pinned agent's start and an unblended
+    agent's update.
+    """
     mixed = operator @ x
     if weight_scale != 1.0:
         mixed = weight_scale * mixed
@@ -212,8 +209,6 @@ def _advance(x, g, operator, population, weight_scale=1.0):
     xi = population.susceptibility
     if not (np.isscalar(xi) and xi == 1.0):
         nxt = xi * nxt + (1.0 - xi) * population.initial_opinions
-    if population.fully_stubborn is not None:
-        nxt[population.fully_stubborn] = population.initial_opinions[population.fully_stubborn]
     return nxt
 
 
@@ -231,8 +226,6 @@ class Trajectory:
     event_fraction: np.ndarray
     mean_opinion: np.ndarray
     max_diversity: np.ndarray
-    seed: int
-    mode: str = "stochastic"
 
     @property
     def horizon(self) -> int:
@@ -371,7 +364,8 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
     rows, else the last tick's. With spread, row k of spreads holds member
     k's spread max - min of its opinions at every tick, else spreads is
     None. A member that overflows is frozen at zero, so it neither warns
-    nor touches the others; the loop stops once all have failed.
+    nor touches the others; the loop stops once all have failed. A
+    stubborn agent, of susceptibility 0, is pinned by the blend alone.
 
     The kind is that of the first graph: where _dense_operator holds, the
     members are stacked for one np.matmul per tick, the same gemv per member
@@ -417,25 +411,21 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
     blended = [k for k, pop in enumerate(pops) if not (np.isscalar(pop.susceptibility) and pop.susceptibility == 1.0)]
     xi = None
     if blended:
-        # x * 1.0 and x + -0.0 are exactly x, so members without a blend keep their bytes
+        # x * 1.0 and x + -0.0 are exactly x, so members and agents without a
+        # blend keep their bytes, even from an infinite start (0 * inf is nan)
         xi, anchor = np.ones((size, n)), np.full((size, n), -0.0)
         for k in blended:
             xi[k] = pops[k].susceptibility
-            anchor[k] = (1.0 - pops[k].susceptibility) * pops[k].initial_opinions
+            np.multiply(1.0 - xi[k], initial[k], out=anchor[k], where=xi[k] != 1.0)
         frozen.append(anchor)
-    stubborn = None
-    if any(pop.fully_stubborn is not None for pop in pops):
-        stubborn = np.zeros((size, n), dtype=bool)
-        for k, pop in enumerate(pops):
-            if pop.fully_stubborn is not None:
-                stubborn[k] = pop.fully_stubborn
 
     # With gain the largest absolute row sum of an operator (weight_scale
     # included), |x_{t+1}| <= gain * |x_t| + push, where push = max |reaction|
     # * |gamma| since the event fraction lies in [0, 1]. The blend toward the
-    # initial opinions and the stubborn agents stay within max(that, floor =
-    # max |x_0|), and _BOUND_SLACK covers the rounding. floor is inf when |x_0|
-    # is not finite, so the exact peaks are then taken every tick.
+    # initial opinions, which holds a pinned agent at its start, stays within
+    # max(that, floor = max |x_0|), and _BOUND_SLACK covers the rounding.
+    # floor is inf when |x_0| is not finite, so the exact peaks are then
+    # taken every tick.
     gain = weight_scale * max(float(abs(graph.matrix).sum(axis=1).max()) for graph in graphs)
     pushes = np.abs(reactions).max(axis=1) * np.abs(gamma[:, 0])
     floors = np.abs(initial).max(axis=1)
@@ -463,7 +453,7 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
     g = np.empty((size, 1))
     steer = np.empty((size, n))
     xs[0][...] = initial
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
             x, s = xs[t], ss[t]
             if spread:
@@ -513,10 +503,12 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
             if xi is not None:
                 nxt *= xi
                 nxt += anchor
-            if stubborn is not None:
-                np.copyto(nxt, initial, where=stubborn)
             bound = max(gain * bound + push, floor) * grow
             if not bound <= OVERFLOW_LIMIT:
+                if xi is not None:
+                    # the blend made a pinned agent nan where the update it
+                    # ignores left the floats (0 * inf); it keeps its start
+                    np.copyto(nxt, anchor, where=np.isnan(nxt) & (xi == 0.0))
                 peaks = np.abs(nxt).max(axis=1)
                 for k in np.flatnonzero(~(peaks <= OVERFLOW_LIMIT)):
                     errors[k] = OpinionOverflowError(step=t + 1, magnitude=float(peaks[k]))
@@ -573,8 +565,6 @@ def simulate(
         event_fraction=series[0],
         mean_opinion=opinions.mean(axis=1),
         max_diversity=spreads[0],
-        seed=seed,
-        mode=mode,
     )
 
 

@@ -464,13 +464,18 @@ def stationary_distribution(graph: WeightedDigraph, tol: float = 1e-12, max_iter
     """Left fixed vector of the update operator by power iteration.
 
     Returns the probability vector pi with l1 residual ||pi @ W - pi|| <= tol.
-    A graph that is not strongly connected, whose fixed vector need not be
-    unique, raises GraphError; a periodic chain does not converge and raises
-    ConvergenceError naming the iteration cap.
+    A graph that is not strongly connected through its nonzero weights,
+    whose fixed vector need not be unique, raises GraphError; a periodic
+    chain does not converge and raises ConvergenceError naming the
+    iteration cap.
     """
     if not is_normalized(graph):
         raise GraphError("stationary distribution needs normalized incoming weights")
-    if not is_strongly_connected(graph):
+    # a stored zero weight carries no mass, so here, unlike in validate and
+    # is_strongly_connected, it is not an edge
+    support = graph.matrix.copy()
+    support.eliminate_zeros()
+    if not is_strongly_connected(WeightedDigraph(support)):
         raise GraphError("stationary distribution needs a strongly connected graph")
     n = graph.n
     pi = np.full(n, 1.0 / n)

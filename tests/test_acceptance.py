@@ -129,10 +129,10 @@ def test_criterion_06():
     opinions = rng.normal(0.0, 2.0, 30)
     opinions[0] = -1.0
     opinions[1] = 3.0
-    stubborn = np.zeros(30, dtype=bool)
-    stubborn[:2] = True
+    susceptibility = np.ones(30)
+    susceptibility[:2] = 0.0  # agents 0 and 1 are stubborn anchors
     population = Population(reactions=rng.choice([-1.0, 1.0], 30), initial_opinions=opinions,
-                            fully_stubborn=stubborn)
+                            susceptibility=susceptibility)
     trajectory = simulate(graph, population, ModelParams(lam=1.0, gamma=0.0), 1000, seed=derive_seed(6, "sim"))
     assert np.max(np.abs(trajectory.opinions[-1] - trajectory.opinions[-2])) < 1e-10
     assert np.all(trajectory.opinions[-1] >= -1.0 - 1e-8)

@@ -36,7 +36,6 @@ def trajectory_from_opinions(opinions):
         event_fraction=states.sum(axis=1) / opinions.shape[1],
         mean_opinion=opinions.mean(axis=1),
         max_diversity=opinions.max(axis=1) - opinions.min(axis=1),
-        seed=0,
     )
 
 

@@ -559,6 +559,83 @@ def test_every_command_output_keeps_its_bytes(tmp_path):
     assert digests == EVERY_COMMAND_FINGERPRINT
 
 
+def run_stubborn_commands(tmp_path) -> list:
+    """(command, config) of runs whose populations hold stubborn agents: a
+    fit that searches the stubborn share p, in expected and stochastic mode;
+    a Watts-Strogatz sweep with a stubborn share and partial susceptibility,
+    writing every statistic; an sbm simulate writing the agent matrices."""
+    fit = {"data": decaying_series(tmp_path), "space": {"mu": [-50.0, 50.0, 2], "gamma": [0.0, 5.0, 2],
+                                                         "p": [0.0, 0.4, 2]},
+           "pinned": {"r": 0.2}, "surrogate": {"n": 30}, "replicates": 2, "restarts": 2, "anneal_iters": 8,
+           "neighborhood_volume": 0.5}
+    return [
+        ("fit", {"seed": 3, "fit": dict(fit, mode="expected")}),
+        ("fit", {"seed": 3, "fit": dict(fit, mode="stochastic")}),
+        ("sweep", {"seed": 11, "graph": {"family": "watts-strogatz", "n": 40, "k": 4},
+                   "population": {"positive_fraction": 0.5, "stubborn_fraction": 0.2, "susceptibility": 0.8},
+                   "params": {"lambda": 1.0, "gamma": 0.0, "mu": 0.0, "sigma": 1.0}, "horizon": 80,
+                   "sweep": {"axes": [{"name": "gamma", "lo": 0.0, "hi": 1.0, "cells": 2}], "replicates": 2,
+                             "statistics": ["D_max", "D_max_inf", "X_min_final", "X_max_final",
+                                            "event_fraction_curve"]}}),
+        ("simulate", {"seed": 5, "graph": {"family": "sbm", "n": 40},
+                      "population": {"positive_fraction": 0.25, "stubborn_fraction": 0.3},
+                      "params": {"lambda": 1.0, "gamma": 0.5, "mu": 0.0, "sigma": 1.0}, "horizon": 60,
+                      "simulate": {"write_agents": True}}),
+    ]
+
+
+# sha256 of every file the runs of run_stubborn_commands write, taken while
+# a stubborn agent was still pinned by a mask copied back every tick rather
+# than by susceptibility 0; the fits' resolved configs name their input file
+STUBBORN_FINGERPRINT = {
+    "out0/anneal_trace.csv": "53f3b5d3117509d4a27e2cf90de5faaa42c77122f018fd64046137a22621a3f3",
+    "out0/fit.csv": "b0ec86e4b8b93fbb9f965b35ea9f231b7cc0743878f36b0e116eb869d5b0fbb0",
+    "out0/grid.csv": "cc6bdcf4cb40499cb5b7a35422518c0265b7337c83e8c30ad49309226b3cc9ca",
+    "out0/resolved_config.yaml": "168c0059ef740aea38c4a7d0fd22552b2f17065d09e4d7602eaf6faeff62339a",
+    "out0/seed.txt": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "out1/anneal_trace.csv": "65d6fde57d53bee931dc2c3811c65c4f9198d7641a38d682256163294c476a0d",
+    "out1/fit.csv": "18c0f06ec3cecdedc9097f69b2f8789523965c6990c6f320d472255217e8684f",
+    "out1/grid.csv": "a24c744bf61056dbb875505cfbef6191f7c491b7a2f59a8b9f54c138f7f88c89",
+    "out1/resolved_config.yaml": "075ca132bdb8942f62dc2dcb4fdaca6e4fbc11e2e2ce28edaefd743ba15b1d42",
+    "out1/seed.txt": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    "out2/curves.csv": "a448a8d2654827754bd631225a9884e788d5edd3c17dd2225e5ac6b873db053a",
+    "out2/heatmap_D_max.csv": "8274a921fb8cc478904f10f8571a53881062a05e718138479a203d1277f7f320",
+    "out2/heatmap_D_max_inf.csv": "12bf8810132e545023cd0d085bb2857ead8ac5d4530d61eb112f01fe66a5abc1",
+    "out2/heatmap_X_max_final.csv": "5aa5d91b53098399cfb4600571607cc7dc21db9e8ebd021b5ec8c9fecfed3ee1",
+    "out2/heatmap_X_min_final.csv": "be3f53c913f06e76f6a4405bca2eccacffe1be39c0d3670cca49c3857f4e0b31",
+    "out2/resolved_config.yaml": "3c9cd28b19041fc4b5041317a5d1887db2a96ad472ec4b238cd9a857dae7899d",
+    "out2/seed.txt": "25d4f2a86deb5e2574bb3210b67bb24fcc4afb19f93a7b65a057daa874a9d18e",
+    "out2/sweep_long.csv": "058066f65e15b2f7ab52e5d423fb3a760da0c3fbd2ce6e2cbf152575e3e3993c",
+    "out3/opinions.csv": "bfd58f63867755c4edbf3f8bb26624ea81aceb3555471d1ca7fe21255128b7e2",
+    "out3/resolved_config.yaml": "cb676071d6e44b692f4e1445ab55d5016c05dee448ffc3ab4b3abe21f6cd14bf",
+    "out3/seed.txt": "f0b5c2c2211c8d67ed15e75e656c7862d086e9245420892a7de62cd9ec582a06",
+    "out3/states.csv": "d295e9470a7903334cd160923566aa9c63bb0d5c5bc2551aed5d6e3d7a03256d",
+    "out3/trajectory.csv": "77dbaf5f12bf3c019ac361f3358013e8eee115d4d5128746b14918f35539d677",
+}
+
+
+def test_stubborn_runs_keep_their_bytes(tmp_path, monkeypatch):
+    mixed = []  # per batch: whether it ran pinned and unpinned members together
+    run_members = dynamics._run_members
+
+    def spied_run_members(members, *args, **kwargs):
+        pinned = [bool(np.any(np.asarray(population.susceptibility) == 0.0)) for _, population, _, _ in members]
+        mixed.append(any(pinned) and not all(pinned))
+        return run_members(members, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_run_members", spied_run_members)
+    digests = {}
+    for k, (command, payload) in enumerate(run_stubborn_commands(tmp_path)):
+        out = tmp_path / f"out{k}"
+        assert main([command, "--config", write_config(tmp_path, payload), "--jobs", "1", "--out", str(out)]) == 0
+        digests.update({f"{out.name}/{path.name}":
+                        hashlib.sha256(read_bytes(path).replace(str(tmp_path).encode(), b"TMP")).hexdigest()
+                        for path in sorted(out.iterdir())})
+    assert digests == STUBBORN_FINGERPRINT
+    # an anneal step clipped a chain to p = 0 while another chain sat at p > 0
+    assert any(mixed)
+
+
 def readme_block(language, after):
     """The first fenced block in README.md of language that follows the text after."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -181,12 +181,12 @@ def test_averaging_graph_blends_opinions():
     np.testing.assert_allclose(nxt, [0.5, 0.5])
 
 
-def test_fully_stubborn_agent_never_moves():
+def test_a_zero_susceptibility_agent_never_moves():
     g = from_dense(np.full((2, 2), 0.5))
     pop = Population(
         reactions=np.ones(2),
         initial_opinions=np.array([7.0, 0.0]),
-        fully_stubborn=np.array([True, False]),
+        susceptibility=np.array([0.0, 1.0]),
     )
     nxt = _advance(np.array([7.0, 0.0]), 1.0 * 1.0, g.matrix, pop)
     assert nxt[0] == 7.0
@@ -346,7 +346,7 @@ def test_replicate_ignores_the_spec_seed():
     args = (PopulationSpec(stubborn_fraction=0.1), ModelParams(lam=1.0, gamma=0.4), 40, 8)
     pop_a, traj_a = replicate(spec, *args)
     pop_b, traj_b = replicate(replace(spec, seed=2), *args)
-    np.testing.assert_array_equal(pop_a.fully_stubborn, pop_b.fully_stubborn)
+    np.testing.assert_array_equal(pop_a.susceptibility, pop_b.susceptibility)
     assert traj_a.opinions.tobytes() == traj_b.opinions.tobytes()
     assert traj_a.states.tobytes() == traj_b.states.tobytes()
 
@@ -612,10 +612,46 @@ def test_non_finite_initial_opinion_aborts_at_step_one(mode, value):
     assert err.step == 1
 
 
+@pytest.mark.parametrize("mode,magnitude", [("stochastic", 1015818357943.4226), ("expected", 1011602844090.2804)])
+def test_pinned_agents_overflow_at_the_step_and_magnitude_of_a_copied_back_start(mode, magnitude):
+    # three pinned agents among 27 free ones that grow; the step and the
+    # magnitude are those of the loop that copied the pinned starts back
+    graph = generate(GraphGenSpec(family="watts-strogatz", n=30, seed=1))
+    rng = np.random.default_rng(0)
+    pop = Population(sample_reactions(30, 1.0, rng), rng.uniform(-1.0, 1.0, 30),
+                     susceptibility=np.r_[np.zeros(3), np.ones(27)])
+    err = assert_same_run(graph, pop, ModelParams(lam=1.0, gamma=1e10), 300, 0, mode, weight_scale=1.05)
+    assert isinstance(err, OpinionOverflowError)
+    assert (err.step, err.magnitude) == (70, magnitude)
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "expected"])
+def test_a_pinned_agent_keeps_its_start_past_an_update_that_is_not_finite(mode):
+    # the update agent 1 ignores is 0.5e310, which the blend's 0 * inf makes
+    # nan; its start keeps the error's magnitude at inf, and nothing warns
+    graph = from_dense(np.full((2, 2), 0.5))
+    pop = Population(np.ones(2), np.array([1e10, 1.0]), susceptibility=np.array([1.0, 0.0]))
+    with pytest.raises(OpinionOverflowError) as err:
+        simulate(graph, pop, ModelParams(gamma=0.5), 5, seed=1, mode=mode, weight_scale=1e300)
+    assert (err.value.step, err.value.magnitude) == (1, math.inf)
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "expected"])
+def test_an_infinite_start_that_only_a_pinned_agent_reads_runs_on(mode):
+    # on this 20-cycle agent i reads agent i + 1 alone, so only the pinned
+    # agent 19 reads agent 0's infinite start; agent 0 takes the full update
+    n = 20
+    graph = from_dense(np.roll(np.eye(n), 1, axis=1))
+    pop = Population(np.ones(n), np.r_[math.inf, np.ones(n - 1)], susceptibility=np.r_[np.ones(n - 1), 0.0])
+    run = simulate(graph, pop, ModelParams(gamma=0.5), 6, seed=1, mode=mode)
+    assert run.opinions[0, 0] == math.inf
+    assert np.isfinite(run.opinions[1:]).all()
+    assert (run.opinions[:, -1] == 1.0).all()
+
+
 # each listed value takes a brake off the growth of the opinions (no blend,
-# no stubborn agents, every reaction +1) or drives it hard, so that runs meet
-# the limit after a few to a few hundred ticks, which draws over the ranges
-# alone mostly miss
+# every reaction +1) or drives it hard, so that runs meet the limit after a
+# few to a few hundred ticks, which draws over the ranges alone mostly miss
 def either(values, spread):
     return st.sampled_from(values) | spread
 
@@ -626,8 +662,12 @@ def either(values, spread):
     graph_seed=st.integers(0, 2**16),
     weight_scale=either([1.05], st.floats(0.8, 1.05)),
     gamma=either([1e10], st.floats(0.0, 1e10)),
-    susceptibility=either([1.0], st.floats(0.0, 1.0)),
-    stubborn_fraction=either([0.0], st.floats(0.0, 0.5)),
+    # one value per agent, 0 pinning it, of which the first n are read: a few
+    # pinned agents among free ones, whose growth can still reach the limit,
+    # or any blends
+    susceptibility=either([1.0], st.sets(st.integers(0, 39), max_size=8).map(
+        lambda pinned: [0.0 if i in pinned else 1.0 for i in range(40)])
+        | st.lists(either([0.0, 1.0], st.floats(0.0, 1.0)), min_size=40, max_size=40)),
     positive_fraction=either([1.0], st.floats(0.0, 1.0)),
     magnitude=either([1.0, 1e9], st.floats(0.0, 2e12)),
     horizon=either([300], st.integers(2, 300)),
@@ -636,14 +676,15 @@ def either(values, spread):
 )
 @settings(max_examples=100, deadline=None)
 def test_the_overflow_guard_matches_the_step_helpers(family, n, graph_seed, weight_scale, gamma, susceptibility,
-                                                      stubborn_fraction, positive_fraction, magnitude, horizon,
-                                                      mode, seed):
+                                                      positive_fraction, magnitude, horizon, mode, seed):
     # the guard checks the exact peaks only at the ticks its bound names, so
     # its errors must be those of the reference's check after every step
     graph = generate(GraphGenSpec(family=family, n=n, seed=graph_seed, edge_prob=0.4))
     rng = np.random.default_rng(seed)
+    if not np.isscalar(susceptibility):
+        susceptibility = np.array(susceptibility[:n])
     pop = Population(sample_reactions(n, positive_fraction, rng), rng.uniform(-magnitude, magnitude, n),
-                     fully_stubborn=sample_stubborn_mask(n, stubborn_fraction, rng), susceptibility=susceptibility)
+                     susceptibility=susceptibility)
     assert_same_run(graph, pop, ModelParams(lam=1.0, gamma=gamma), horizon, seed, mode, weight_scale)
 
 
@@ -1173,16 +1214,7 @@ def test_cluster_fractions_require_matching_clusters():
 
 def test_stubborn_fraction_pins_rounded_count():
     pop = PopulationSpec(stubborn_fraction=0.1).build(30, rng_from(2), mu=0.0, sigma=1.0)
-    assert pop.fully_stubborn.sum() == 3
-
-
-def test_all_false_stubborn_mask_collapses_to_none():
-    pop = Population(
-        reactions=np.ones(3),
-        initial_opinions=np.zeros(3),
-        fully_stubborn=np.zeros(3, dtype=bool),
-    )
-    assert pop.fully_stubborn is None
+    assert (pop.susceptibility == 0.0).sum() == 3
 
 
 def test_population_rejects_out_of_range_susceptibility():

@@ -378,6 +378,20 @@ def test_disconnected_graph_has_no_stationary_distribution():
         stationary_distribution(from_dense(w))
 
 
+def test_blocks_joined_only_by_stored_zeros_have_no_stationary_distribution():
+    # the zeros join the blocks for validate, but carry no mass between them
+    w = np.zeros((4, 4))
+    w[:2, :2] = [[0.5, 0.5], [0.5, 0.5]]
+    w[2:, 2:] = [[0.9, 0.1], [0.2, 0.8]]
+    rows, cols = np.nonzero(w)
+    matrix = sparse.csr_array((np.concatenate([w[rows, cols], [0.0, 0.0]]),
+                               (np.concatenate([rows, [0, 2]]), np.concatenate([cols, [2, 0]]))), shape=(4, 4))
+    graph = WeightedDigraph(matrix)
+    assert matrix.nnz == 10 and validate(graph).strongly_connected
+    with pytest.raises(GraphError, match="stationary distribution needs a strongly connected graph"):
+        stationary_distribution(graph)
+
+
 def test_periodic_chain_does_not_converge():
     star = from_dense(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
     with pytest.raises(ConvergenceError, match="within 1000 iterations"):
