@@ -181,27 +181,19 @@ def _whole(name: str, value: float) -> int:
     return int(round(value))
 
 
-def _run_cells(cells: list[tuple[int, dict[str, float]]], spec: SweepSpec) -> list[CellResult]:
-    """The CellResult of each (cell index, coords), every replicate of every
-    cell run through one replicate_summaries stream.
+def _run_cells(plans: list[tuple], spec: SweepSpec) -> list[CellResult]:
+    """The CellResult of each cell's (coords, error, tasks) plan, every
+    replicate of every cell run through one replicate_summaries stream.
 
-    A cell whose axes do not apply fails with no seeds. A failed replicate
-    fails its cell: the cell keeps the values of the replicates before it
-    and the seeds up to it, as when the replicates ran one at a time. The
-    runs after it may execute, but are not read.
+    A cell whose axes do not apply carries their error and no tasks, and
+    fails with no seeds. A failed replicate fails its cell: the cell keeps
+    the values of the replicates before it and the seeds up to it, as when
+    the replicates ran one at a time. The runs after it may execute, but
+    are not read.
     """
-    plans = []  # per cell: the error of its axes, or None, and its replicate tasks
-    for cell_index, coords in cells:
-        try:
-            graph_spec, pop_spec, params, alpha = _apply_axes(spec, coords)
-        except Exception as exc:  # noqa: BLE001 - cell failures are data, not crashes
-            plans.append((failure_text(exc), []))
-            continue
-        plans.append((None, [(graph_spec, pop_spec, params, derive_seed(spec.seed, "cell", cell_index, rep), alpha)
-                             for rep in range(spec.replicates)]))
-    runs = replicate_summaries([task for _, tasks in plans for task in tasks], spec.horizon)
+    runs = replicate_summaries([task for _, _, tasks in plans for task in tasks], spec.horizon)
     results = []
-    for (_, coords), (error, tasks) in zip(cells, plans):
+    for coords, error, tasks in plans:
         values: dict[str, list] = {stat: [] for stat in spec.statistics}
         seeds = [task[3] for task in tasks]
         # take all of the cell's runs, read or not, so the next cell starts at its own
@@ -226,29 +218,30 @@ def _run_cells(cells: list[tuple[int, dict[str, float]]], spec: SweepSpec) -> li
 def run_sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
     """Evaluate every cell of the axis grid with seeded replicates.
 
-    fan_out splits the cells into contiguous parts of about equal estimated
-    work, n x replicates x horizon node-ticks per cell with n as the cell's
-    axes set it, one per worker process: at most jobs, or with jobs None as
-    many as that work pays for (fan_out). The replicates of a part's cells
-    run through one replicate_summaries stream, so its batches take members
-    from several cells. Cell failures are recorded on the cell instead of
-    aborting. Results are identical for any jobs value.
+    Each cell's axes are applied once, here. fan_out splits the cells'
+    plans into contiguous parts of about equal estimated work, the sum of
+    the cell's task sizes n times the horizon in node-ticks, one per worker
+    process: at most jobs, or with jobs None as many as that work pays for
+    (fan_out). The replicates of a part's cells run through one
+    replicate_summaries stream, so its batches take members from several
+    cells. Cell failures are recorded on the cell instead of aborting.
+    Results are identical for any jobs value.
     """
     grids = [axis.values() for axis in spec.axes]
     names = [axis.name for axis in spec.axes]
-    cells = [(cell_index, {name: float(v) for name, v in zip(names, combo)})
-             for cell_index, combo in enumerate(product(*grids))]
-    work = [_cell_nodes(spec, coords) * spec.replicates * spec.horizon for _, coords in cells]
-    return SweepResult(spec=spec, cells=fan_out(_run_cells, cells, spec, jobs=jobs, work=work,
+    plans = []  # per cell: its coords, the error of its axes or None, and its replicate tasks
+    for cell_index, combo in enumerate(product(*grids)):
+        coords = {name: float(v) for name, v in zip(names, combo)}
+        try:
+            graph_spec, pop_spec, params, alpha = _apply_axes(spec, coords)
+        except Exception as exc:  # noqa: BLE001 - cell failures are data, not crashes
+            plans.append((coords, failure_text(exc), []))
+            continue
+        plans.append((coords, None, [(graph_spec, pop_spec, params, derive_seed(spec.seed, "cell", cell_index, rep),
+                                      alpha) for rep in range(spec.replicates)]))
+    work = [sum(task[0].n for task in tasks) * spec.horizon for _, _, tasks in plans]
+    return SweepResult(spec=spec, cells=fan_out(_run_cells, plans, spec, jobs=jobs, work=work,
                                                  members=spec.replicates))
-
-
-def _cell_nodes(spec: SweepSpec, coords: dict[str, float]) -> int:
-    """The n of a cell's graph, or 0 where its axes do not apply."""
-    try:
-        return _apply_axes(spec, coords)[0].n
-    except Exception:  # noqa: BLE001 - _run_cells records the failure
-        return 0
 
 
 def write_long_csv(result: SweepResult, path) -> None:

@@ -6,8 +6,9 @@ output directory before any result file, so a finished directory documents
 exactly how to reproduce itself. The same config and seed give byte-equal
 outputs, whatever --jobs is.
 
-Exit codes: 0 success, 1 I/O failure, 2 bad config or malformed input data,
-3 numeric overflow during simulation, 4 optimization failure.
+Exit codes: 0 success, 1 I/O failure, 2 bad config, malformed input data or
+a run too large for memory, 3 numeric overflow during simulation, 4
+optimization failure.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ _EXIT_CODES = {
     FitError: EXIT_OPTIMIZATION,
     GenerationError: EXIT_CONFIG,
     ValueError: EXIT_CONFIG,
+    MemoryError: EXIT_CONFIG,
     OSError: EXIT_IO,
 }
 
@@ -225,5 +227,6 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config, seed=args.seed)
         return COMMANDS[args.command](args, config)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a MemoryError may carry no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -21,7 +21,7 @@ from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -85,14 +85,15 @@ class ModelParams:
 class Population:
     """Per-agent attributes: reactions, initial opinions, stubbornness.
 
-    susceptibility, one value or one per agent, is the stubbornness blend in
-    [0, 1]: 1 applies the full update, 0 pins the agent to its initial
-    opinion, so a fully stubborn agent is an agent with susceptibility 0.
+    susceptibility is each agent's stubbornness blend in [0, 1]: 1 applies
+    the full update, 0 pins the agent to its initial opinion, so a fully
+    stubborn agent is an agent with susceptibility 0. One value given for
+    all agents is held as a read-only broadcast view, not a per-agent copy.
     """
 
     reactions: np.ndarray
     initial_opinions: np.ndarray
-    susceptibility: Union[float, np.ndarray] = 1.0
+    susceptibility: np.ndarray = 1.0
 
     def __post_init__(self) -> None:
         self.reactions = np.asarray(self.reactions, dtype=np.float64)
@@ -101,14 +102,17 @@ class Population:
             raise ValueError("reactions and initial_opinions must be equal-length vectors")
         if not np.isfinite(self.reactions).all():
             raise ValueError("reactions must be finite")
-        if not np.isscalar(self.susceptibility):
-            self.susceptibility = np.asarray(self.susceptibility, dtype=np.float64)
-            if self.susceptibility.shape != self.reactions.shape:
-                raise ValueError("susceptibility length mismatch")
-        xi = np.asarray(self.susceptibility)
+        if not np.isfinite(self.initial_opinions).all():
+            raise ValueError("initial_opinions must be finite")
+        xi = np.asarray(self.susceptibility, dtype=np.float64)
+        if xi.ndim == 0:
+            xi = np.broadcast_to(xi, self.reactions.shape)
+        elif xi.shape != self.reactions.shape:
+            raise ValueError("susceptibility length mismatch")
         # written so that NaN, which fails both comparisons, is rejected
         if not np.all((xi >= 0.0) & (xi <= 1.0)):
             raise ValueError("susceptibility must lie in [0, 1]")
+        self.susceptibility = xi
 
     @property
     def n(self) -> int:
@@ -157,8 +161,10 @@ class PopulationSpec:
             reactions = sample_reactions(n, self.positive_fraction, rng)
         opinions = rng.normal(mu, sigma, size=n) if sigma > 0 else np.full(n, float(mu))
         susceptibility = self.susceptibility
-        if self.stubborn_fraction > 0:
-            susceptibility = np.where(sample_stubborn_mask(n, self.stubborn_fraction, rng), 0.0, susceptibility)
+        k = int(round(self.stubborn_fraction * n))
+        if k > 0:
+            susceptibility = np.full(n, susceptibility)
+            susceptibility[rng.choice(n, size=k, replace=False)] = 0.0
         return Population(reactions=reactions, initial_opinions=opinions, susceptibility=susceptibility)
 
 
@@ -170,15 +176,6 @@ def sample_reactions(n: int, positive_fraction: float, rng: np.random.Generator,
         reactions[rng.choice(n, size=k, replace=False)] = 1.0
         return reactions
     return np.where(rng.random(n) < positive_fraction, 1.0, -1.0)
-
-
-def sample_stubborn_mask(n: int, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Boolean mask pinning round(fraction * n) uniformly chosen agents."""
-    mask = np.zeros(n, dtype=bool)
-    k = int(round(fraction * n))
-    if k > 0:
-        mask[rng.choice(n, size=k, replace=False)] = True
-    return mask
 
 
 def event_probability(opinions: np.ndarray, lam: float) -> np.ndarray:
@@ -198,16 +195,15 @@ def _advance(x, g, operator, population, weight_scale=1.0):
     fraction: the reference step that the tick loop repeats in place.
 
     The blend pins an agent of susceptibility 0 at 0 * update + its start.
-    Where that update or a start is not finite, 0 * inf makes the step nan;
-    the tick loop there keeps a pinned agent's start and an unblended
-    agent's update.
+    Where that update is not finite, 0 * inf makes the step nan; the tick
+    loop there keeps a pinned agent's start.
     """
     mixed = operator @ x
     if weight_scale != 1.0:
         mixed = weight_scale * mixed
     nxt = mixed + population.reactions * g
     xi = population.susceptibility
-    if not (np.isscalar(xi) and xi == 1.0):
+    if (xi != 1.0).any():
         nxt = xi * nxt + (1.0 - xi) * population.initial_opinions
     return nxt
 
@@ -407,16 +403,15 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
     lone_gamma = params[0].gamma
     reactions = np.stack([pop.reactions for pop in pops])
     initial = np.stack([pop.initial_opinions for pop in pops])
-    frozen = [reactions, initial, gamma]
-    blended = [k for k, pop in enumerate(pops) if not (np.isscalar(pop.susceptibility) and pop.susceptibility == 1.0)]
-    xi = None
+    # what the loop reads of a member after tick 0, zeroed when it overflows
+    frozen = [reactions, gamma]
+    blended = any((pop.susceptibility != 1.0).any() for pop in pops)
     if blended:
+        xi = np.stack([pop.susceptibility for pop in pops])
         # x * 1.0 and x + -0.0 are exactly x, so members and agents without a
-        # blend keep their bytes, even from an infinite start (0 * inf is nan)
-        xi, anchor = np.ones((size, n)), np.full((size, n), -0.0)
-        for k in blended:
-            xi[k] = pops[k].susceptibility
-            np.multiply(1.0 - xi[k], initial[k], out=anchor[k], where=xi[k] != 1.0)
+        # blend keep their bytes, a -0.0 opinion too
+        anchor = np.full((size, n), -0.0)
+        np.multiply(1.0 - xi, initial, out=anchor, where=xi != 1.0)
         frozen.append(anchor)
 
     # With gain the largest absolute row sum of an operator (weight_scale
@@ -424,12 +419,9 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
     # * |gamma| since the event fraction lies in [0, 1]. The blend toward the
     # initial opinions, which holds a pinned agent at its start, stays within
     # max(that, floor = max |x_0|), and _BOUND_SLACK covers the rounding.
-    # floor is inf when |x_0| is not finite, so the exact peaks are then
-    # taken every tick.
     gain = weight_scale * max(float(abs(graph.matrix).sum(axis=1).max()) for graph in graphs)
     pushes = np.abs(reactions).max(axis=1) * np.abs(gamma[:, 0])
     floors = np.abs(initial).max(axis=1)
-    floors[~np.isfinite(floors)] = math.inf
     bound, push, floor = float(floors.max()), float(pushes.max()), float(floors.max())
     grow = 1.0 + _BOUND_SLACK
     errors: list = [None] * size
@@ -500,12 +492,12 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
             else:
                 np.multiply(reactions, np.multiply(gamma, fraction, out=g), out=steer)
             nxt += steer
-            if xi is not None:
+            if blended:
                 nxt *= xi
                 nxt += anchor
             bound = max(gain * bound + push, floor) * grow
             if not bound <= OVERFLOW_LIMIT:
-                if xi is not None:
+                if blended:
                     # the blend made a pinned agent nan where the update it
                     # ignores left the floats (0 * inf); it keeps its start
                     np.copyto(nxt, anchor, where=np.isnan(nxt) & (xi == 0.0))

@@ -2,8 +2,9 @@
 
 Every test is self-contained and seeded; the two slow synthetic-recovery
 criteria (14 and 15) each get a module-scoped fixture that runs their
-ten seeds once, spread over two worker processes. The conftest scoreboard
-prints a PASS/FAIL line per criterion after the run.
+ten seeds once, spread over two worker processes, and are marked slow, so
+`pytest -m "not slow"` runs the rest. The conftest scoreboard prints a
+PASS/FAIL line per criterion after the run.
 """
 
 import csv
@@ -416,6 +417,7 @@ def synthetic_recovery():
     return map_seeds(paired_fit, [(truth, baseline_space, s) for s in range(10)])
 
 
+@pytest.mark.slow
 def test_criterion_14(mixing_recovery, criterion_detail):
     truth = mixing_recovery["truth"]
     space = mixing_recovery["space"]
@@ -433,6 +435,7 @@ def test_criterion_14(mixing_recovery, criterion_detail):
     assert hits >= 7
 
 
+@pytest.mark.slow
 def test_criterion_15(synthetic_recovery, criterion_detail):
     wins = sum(run["error"] < run["baseline_error"] for run in synthetic_recovery)
     criterion_detail(f"lower fit error in {wins}/10 paired seeds (need 8)")

@@ -5,9 +5,10 @@ import hashlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 
-from gsm_degroot import dynamics
+from gsm_degroot import cli, dynamics
 from gsm_degroot.analysis import regime
 from gsm_degroot.cli import main
 from gsm_degroot.fitting import GridResult, read_grid_csv, write_grid_csv
@@ -122,6 +123,18 @@ def test_simulate_overflow_exits_3_naming_the_step(tmp_path, capsys):
     config = write_config(tmp_path, payload)
     assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 3
     assert "at step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message,line", [("", "error: MemoryError\n"),
+                                          ("Unable to allocate 2.91 TiB", "error: Unable to allocate 2.91 TiB\n")])
+def test_a_run_too_large_for_memory_exits_2_in_one_line(tmp_path, capsys, monkeypatch, message, line):
+    def no_room(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "replicate", no_room)
+    config = write_config(tmp_path, SIM_CONFIG)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == line
 
 
 def test_simulate_regime_matches_analysis_label(tmp_path, capsys):

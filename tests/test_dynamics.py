@@ -32,7 +32,6 @@ from gsm_degroot.dynamics import (
     replicate,
     replicate_summaries,
     sample_reactions,
-    sample_stubborn_mask,
     simulate,
 )
 from gsm_degroot.graph import (
@@ -598,18 +597,19 @@ def test_a_blend_toward_a_start_past_the_limit_overflows_at_the_step_of_the_step
     assert err.step == 2
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["stochastic", "expected"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_non_finite_initial_opinion_aborts_at_step_one(mode, value):
+    # the start is rejected before the run's first step, so no operator kind
+    # can make of it an overflow at step 1 (nan through a dense product, inf
+    # through a sparse one)
     graph = generate(GraphGenSpec(family="sbm", n=30, seed=4))
     pop = PopulationSpec().build(30, rng_from(4, "pop"), mu=0.0, sigma=1.0, clusters=graph.clusters)
     opinions = pop.initial_opinions.copy()
     opinions[7] = value
-    pop = Population(pop.reactions, opinions, susceptibility=0.5)
-    err = assert_same_run(graph, pop, ModelParams(lam=1.0, gamma=0.5), 50, 3, mode)
-    assert isinstance(err, OpinionOverflowError)
-    assert err.step == 1
+    with pytest.raises(ValueError, match="initial_opinions must be finite"):
+        simulate(graph, Population(pop.reactions, opinions, susceptibility=0.5), ModelParams(lam=1.0, gamma=0.5),
+                 50, seed=3, mode=mode)
 
 
 @pytest.mark.parametrize("mode,magnitude", [("stochastic", 1015818357943.4226), ("expected", 1011602844090.2804)])
@@ -634,19 +634,6 @@ def test_a_pinned_agent_keeps_its_start_past_an_update_that_is_not_finite(mode):
     with pytest.raises(OpinionOverflowError) as err:
         simulate(graph, pop, ModelParams(gamma=0.5), 5, seed=1, mode=mode, weight_scale=1e300)
     assert (err.value.step, err.value.magnitude) == (1, math.inf)
-
-
-@pytest.mark.parametrize("mode", ["stochastic", "expected"])
-def test_an_infinite_start_that_only_a_pinned_agent_reads_runs_on(mode):
-    # on this 20-cycle agent i reads agent i + 1 alone, so only the pinned
-    # agent 19 reads agent 0's infinite start; agent 0 takes the full update
-    n = 20
-    graph = from_dense(np.roll(np.eye(n), 1, axis=1))
-    pop = Population(np.ones(n), np.r_[math.inf, np.ones(n - 1)], susceptibility=np.r_[np.ones(n - 1), 0.0])
-    run = simulate(graph, pop, ModelParams(gamma=0.5), 6, seed=1, mode=mode)
-    assert run.opinions[0, 0] == math.inf
-    assert np.isfinite(run.opinions[1:]).all()
-    assert (run.opinions[:, -1] == 1.0).all()
 
 
 # each listed value takes a brake off the growth of the opinions (no blend,
@@ -759,7 +746,41 @@ def test_event_fractions_equal_simulate_bit_for_bit(batch_graphs, mode, size):
         assert got.tobytes() == reference_simulate(graph, population, params, 150, seed, mode)[2].tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("xi", [0.8, 1.0])
+@pytest.mark.parametrize("graph_spec", [GraphGenSpec(family="sbm", n=100, seed=3),
+                                        GraphGenSpec(family="watts-strogatz", n=300, k=6, seed=3)],
+                         ids=["dense", "sparse"])
+def test_one_susceptibility_for_all_runs_as_the_same_value_per_agent(graph_spec, xi, mode, monkeypatch):
+    # a value given for all agents is held as a broadcast view; a per-agent
+    # vector of that value must give the same bytes through both run paths
+    graph = generate(graph_spec)
+    assert _dense_operator(graph) == (graph_spec.family == "sbm")
+    pop_spec = PopulationSpec(positive_fraction=0.6, susceptibility=xi)
+    params = ModelParams(lam=1.2, gamma=0.9, mu=0.2, sigma=1.5)
+    shared = pop_spec.build(graph.n, rng_from(5, "pop"), params.mu, params.sigma, clusters=graph.clusters)
+    assert shared.susceptibility.strides == (0,)
+    per_agent = Population(shared.reactions, shared.initial_opinions, susceptibility=np.full(graph.n, xi))
+    want, got = (simulate(graph, pop, params, 200, seed=7, mode=mode) for pop in (shared, per_agent))
+    for field in ("opinions", "states", "event_fraction", "mean_opinion", "max_diversity"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    tasks = [(graph_spec, pop_spec, params, seed, 1.0) for seed in range(3)]
+    wants = list(replicate_summaries(tasks, 200, mode))
+    build = dynamics._replicate_inputs
+
+    def per_agent_inputs(*args):
+        graph, population, sim_seed = build(*args)
+        assert population.susceptibility.strides == (0,)
+        population = Population(population.reactions, population.initial_opinions,
+                                susceptibility=population.susceptibility.copy())
+        return graph, population, sim_seed
+
+    monkeypatch.setattr(dynamics, "_replicate_inputs", per_agent_inputs)
+    for got, want in zip(replicate_summaries(tasks, 200, mode), wants, strict=True):
+        assert all(mine.tobytes() == theirs.tobytes() for mine, theirs in zip(got, want))
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_failed_members_fail_alone_with_the_error_of_simulate(mode):
     graph = generate(GraphGenSpec(family="sbm", n=30, seed=4))
@@ -767,9 +788,10 @@ def test_failed_members_fail_alone_with_the_error_of_simulate(mode):
     # all reactions +1 under a huge feedback: the opinions pass 1e12 mid-run
     surge = Population(np.ones(30), np.zeros(30))
     members[1] = (graph, surge, ModelParams(lam=1.0, gamma=1e11), 3)
-    nan_start = members[2][1].initial_opinions.copy()
-    nan_start[7] = math.nan
-    members[2] = (graph, Population(members[2][1].reactions, nan_start, susceptibility=0.5), *members[2][2:])
+    # one start past the limit, which its half blend keeps there at step 1
+    far_start = members[2][1].initial_opinions.copy()
+    far_start[7] = 4e12
+    members[2] = (graph, Population(members[2][1].reactions, far_start, susceptibility=0.5), *members[2][2:])
     # 18 of 30 reactions +1: the bound passes 1e12 near step 100, the
     # opinions only some 250 steps later, after many exact checks
     drift = Population(np.where(np.arange(30) < 18, 1.0, -1.0), np.zeros(30))
@@ -1212,15 +1234,22 @@ def test_cluster_fractions_require_matching_clusters():
         spec.build(100, rng_from(1), mu=0.0, sigma=1.0, clusters=None)
 
 
-def test_stubborn_fraction_pins_rounded_count():
-    pop = PopulationSpec(stubborn_fraction=0.1).build(30, rng_from(2), mu=0.0, sigma=1.0)
-    assert (pop.susceptibility == 0.0).sum() == 3
+@pytest.mark.parametrize("n,fraction,seed,pinned", [(30, 0.1, 2, 3), (50, 0.2, 4, 10)])
+def test_stubborn_fraction_pins_rounded_count(n, fraction, seed, pinned):
+    pop = PopulationSpec(stubborn_fraction=fraction).build(n, rng_from(seed), mu=0.0, sigma=1.0)
+    assert (pop.susceptibility == 0.0).sum() == pinned
 
 
 def test_population_rejects_out_of_range_susceptibility():
     for xi in (1.5, -0.1, math.nan, np.array([0.5, math.nan])):
         with pytest.raises(ValueError, match=r"susceptibility must lie in \[0, 1\]"):
             Population(reactions=np.ones(2), initial_opinions=np.zeros(2), susceptibility=xi)
+
+
+def test_population_rejects_non_finite_initial_opinions():
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="initial_opinions must be finite"):
+            Population(reactions=np.ones(2), initial_opinions=np.array([0.0, value]))
 
 
 def test_population_rejects_non_finite_reactions():
@@ -1234,8 +1263,3 @@ def test_sample_reactions_exact_count():
     reactions = sample_reactions(40, 0.25, rng_from(9), exact=True)
     assert (reactions == 1.0).sum() == 10
     assert set(np.unique(reactions)) == {-1.0, 1.0}
-
-
-def test_sample_stubborn_mask_size():
-    mask = sample_stubborn_mask(50, 0.2, rng_from(4))
-    assert mask.sum() == 10
