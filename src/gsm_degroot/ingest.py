@@ -20,6 +20,7 @@ from .csvio import read_csv
 logger = logging.getLogger(__name__)
 
 FILLS = ("zero", "previous")
+_MAX_SAMPLES = 10**6  # the most samples preprocess fills, as many as graph nodes
 
 
 class SeriesError(ValueError):
@@ -145,7 +146,8 @@ def preprocess(
     Gaps are filled at unit spacing (consecutive ticks or days) with zeros
     or the previous value. Smoothing is a centered moving average of odd
     width that zero-pads beyond the ends; smooth = 1 leaves values alone.
-    The output keeps one entry per timestamp of the filled range.
+    The output keeps one entry per timestamp of the filled range, at most
+    10**6 of them.
     """
     check_preprocess(smooth, fill)
     timestamps = series.timestamps
@@ -165,6 +167,10 @@ def preprocess(
     first = timestamps[keep[0]]
     unit = timedelta(days=1) if dated else 1
     at = np.array([(timestamps[i] - first) // unit for i in keep])
+    if at[-1] >= _MAX_SAMPLES:
+        gap = int(np.argmax(np.diff(at)))
+        raise SeriesError(f"filling would make {at[-1] + 1} samples, more than {_MAX_SAMPLES}; the widest gap "
+                          f"runs from {timestamps[keep[gap]]} to {timestamps[keep[gap + 1]]}")
     latest = np.full(at[-1] + 1, -1)
     latest[at] = keep
     values = series.values[np.maximum.accumulate(latest)]

@@ -33,7 +33,7 @@ class Rule:
             if isinstance(item, float) and not math.isfinite(item):
                 return f"must be finite, got {item!r}"
             if self.among is not None and item not in self.among:
-                return f"must be one of {', '.join(map(repr, self.among))}; got {item!r}"
+                return f"must be one of {', '.join(f'{choice!r}' for choice in self.among)}; got {item!r}"
             for name, holds, sign in _BOUNDS:
                 limit = getattr(self, name)
                 if limit is not None and not holds(item, limit):

@@ -73,6 +73,12 @@ def test_a_non_finite_parameter_exits_2_naming_its_field(tmp_path, capsys):
     assert "config field params.mu: must be finite, got nan" in capsys.readouterr().err
 
 
+def test_a_start_draw_past_the_floats_exits_2_naming_sigma(tmp_path, capsys):
+    config = write_config(tmp_path, dict(SIM_CONFIG, params={"lambda": 1.0, "mu": 0.0, "sigma": 1.0e308}))
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: initial opinions drawn with mu 0.0 and sigma 1e+308 are not all finite\n"
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     code = main(["gen-graph", "--config", str(tmp_path / "absent.yaml"), "--out", str(tmp_path / "out")])
     assert code == 1

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse._sparsetools import csr_matvec
@@ -86,6 +86,13 @@ def test_init_opinions_mean_matches_mu():
 def test_init_opinions_deterministic():
     first, second = (PopulationSpec().build(50, rng_from(7), mu=0.0, sigma=1.0) for _ in range(2))
     np.testing.assert_array_equal(first.initial_opinions, second.initial_opinions)
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1e308), (1e308, 1e308)])
+def test_a_start_draw_past_the_floats_names_mu_and_sigma(mu, sigma):
+    with pytest.raises(ValueError) as caught:
+        PopulationSpec().build(30, rng_from(1), mu=mu, sigma=sigma)
+    assert str(caught.value) == f"initial opinions drawn with mu {mu} and sigma {sigma} are not all finite"
 
 
 def test_init_opinions_rejects_negative_sigma():
@@ -969,6 +976,65 @@ def test_replicate_summaries_equal_replicate(mode):
         assert got.event_fraction.tobytes() == want.event_fraction.tobytes()
         assert got.max_diversity.tobytes() == want.max_diversity.tobytes()
         assert got.final_opinions.tobytes() == want.opinions[-1].tobytes()
+
+
+# Watts-Strogatz k = 4 mixes densely up to n = 30 (3.2 kB a member at n = 20,
+# 7.2 kB at 30) and sparsely above (2.9 kB at n = 40, 3.6 kB at 50), the sbm
+# n = 20 densely, and the Barabasi-Albert tree at n = 30 sparsely (1.2 kB),
+# next to a dense graph of its size; under the lowered batch lines below, a
+# batch holds three, one, four and three of the Watts-Strogatz members, and
+# n = 60 runs alone
+_DRAWN_GRAPHS = [GraphGenSpec(family="watts-strogatz", n=n, k=4) for n in (20, 30, 40, 50, 60)] + [
+    GraphGenSpec(family="barabasi-albert", n=30, m=1)] + [
+    GraphGenSpec(family="sbm", n=20, inter_prob=r) for r in (0.0, 0.2)]  # r = 0 never connects
+# a dense member, then a sparse one of the same size: they fit one batch but
+# for the operator kind, a pair the draw below makes only now and then
+_KINDS_PAIR = [(spec, PopulationSpec(), ModelParams(lam=1.0, gamma=0.5), 0, 1.0)
+               for spec in (_DRAWN_GRAPHS[1], _DRAWN_GRAPHS[5])]
+
+
+@st.composite
+def replicate_tasks(draw):
+    """Runs of tasks that share a graph spec and a weight_scale, so that
+    consecutive members can batch; weight_scale 1e300 and gamma 1e300
+    overflow the opinions in a run, sigma 1e308 their draw."""
+    tasks = []
+    for _ in range(draw(st.integers(1, 3))):
+        spec = draw(st.sampled_from(_DRAWN_GRAPHS))
+        weight_scale = draw(st.sampled_from([1.0, 1.0, 0.97, 1e300]))
+        for _ in range(draw(st.integers(1, 5))):
+            population = PopulationSpec(positive_fraction=draw(st.sampled_from([0.2, 0.8])),
+                                        stubborn_fraction=draw(st.sampled_from([0.0, 0.2])),
+                                        susceptibility=draw(st.sampled_from([1.0, 0.6])))
+            params = ModelParams(lam=1.0, gamma=draw(st.sampled_from([0.0, 0.5, 0.5, 0.5, 1e300])),
+                                 mu=draw(st.sampled_from([0.0, -1.0])),
+                                 sigma=draw(st.sampled_from([1.0] * 5 + [1e308])))
+            tasks.append((spec, population, params, draw(st.integers(0, 2**32)), weight_scale))
+    return tasks
+
+
+@given(tasks=replicate_tasks(), mode=st.sampled_from(MODES), spread=st.booleans())
+@example(tasks=_KINDS_PAIR, mode="stochastic", spread=False)
+@settings(max_examples=60, deadline=None)
+def test_replicate_summaries_equal_replicate_on_drawn_tasks(tasks, mode, spread):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_BATCH_BYTES", 12_000)
+        patch.setattr(dynamics, "_BATCH_MAX_N", 50)
+        outcomes = list(replicate_summaries(tasks, 12, mode, spread=spread))
+    assert len(outcomes) == len(tasks)
+    for task, got in zip(tasks, outcomes):
+        try:
+            want = replicate(*task[:3], 12, task[3], mode=mode, weight_scale=task[4])[1]
+        except Exception as exc:  # noqa: BLE001 - the outcome to compare
+            assert_same_outcome(got, exc)
+            continue
+        assert isinstance(got, RunSummary), got
+        assert_same_outcome(got.event_fraction, want.event_fraction)
+        assert_same_outcome(got.final_opinions, want.opinions[-1])
+        if spread:
+            assert_same_outcome(got.max_diversity, want.max_diversity)
+        else:
+            assert got.max_diversity is None
 
 
 def test_replicate_summaries_close_a_batch_where_size_or_weight_scale_changes(monkeypatch):

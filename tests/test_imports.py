@@ -67,6 +67,29 @@ def test_only_csvio_imports_csv():
     assert importers == ["csvio.py"]
 
 
+def number_text_sites(source: str) -> list[str]:
+    """Uses of repr, called or passed, and string literals holding a \\r\\n row ending."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "repr":
+            sites.append(f"line {node.lineno}: repr")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "\r\n" in node.value:
+            sites.append(f"line {node.lineno}: \\r\\n")
+    return sites
+
+
+def test_checker_finds_repr_and_row_endings():
+    source = 'x = repr(1.0)\nf"{x!r}"\nopen("a").write("1,2\\r\\n")\n"""rows end in \\\\r\\\\n"""\nmap(repr, [x])\n'
+    assert number_text_sites(source) == ["line 1: repr", "line 3: \\r\\n", "line 5: repr"]
+
+
+def test_only_csvio_writes_the_text_of_a_number_or_a_row_ending():
+    # csvio turns every number of a result file into text; writers pass numbers
+    package = ROOT / "src" / "gsm_degroot"
+    writers = sorted(path.name for path in package.glob("*.py") if number_text_sites(path.read_text()))
+    assert writers == ["csvio.py"]
+
+
 # Kept although the package never calls it: the one-step reference that
 # tests/test_dynamics.py checks simulate against (and a benchmark hook).
 UNCALLED_ON_PURPOSE = {"_advance"}

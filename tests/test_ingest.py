@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsm_degroot.ingest import FILLS, SeriesError, TimeSeries, _parse_timestamp, check_preprocess, load_series, preprocess
+from gsm_degroot.ingest import (
+    _MAX_SAMPLES,
+    FILLS,
+    SeriesError,
+    TimeSeries,
+    _parse_timestamp,
+    check_preprocess,
+    load_series,
+    preprocess,
+)
 
 
 def write_csv(tmp_path, text, name="series.csv"):
@@ -244,6 +253,23 @@ def test_a_smooth_wider_than_the_filled_series_is_named():
     assert len(preprocess(gapped, smooth=5)) == 5
     with pytest.raises(SeriesError, match="smooth width 7 exceeds the 5 samples"):
         preprocess(gapped, smooth=7)
+
+
+def test_the_filled_series_holds_at_most_a_million_samples():
+    assert _MAX_SAMPLES == 10**6
+    at_cap = preprocess(TimeSeries(timestamps=(0, 3, _MAX_SAMPLES - 1), values=np.array([1.0, 2.0, 3.0])))
+    assert len(at_cap) == _MAX_SAMPLES
+    # one sample past the cap names the widest gap by its two timestamps
+    past = TimeSeries(timestamps=(0, 3, _MAX_SAMPLES), values=np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(SeriesError, match="^filling would make 1000001 samples, more than 1000000; "
+                                          "the widest gap runs from 3 to 1000000$"):
+        preprocess(past)
+    dated = TimeSeries(timestamps=(date(1000, 1, 1), date(1000, 1, 2) + timedelta(days=_MAX_SAMPLES - 1)),
+                       values=np.array([1.0, 2.0]))
+    with pytest.raises(SeriesError, match="the widest gap runs from 1000-01-01 to 3737-11-28$"):
+        preprocess(dated)
+    # the cap applies to the cropped range
+    assert len(preprocess(past, window=(0, 3))) == 4
 
 
 def test_unknown_fill_rejected():
