@@ -20,6 +20,10 @@ STATISTICS = ("D_max", "D_max_inf", "X_min_final", "X_max_final", "event_fractio
 
 _CURVE = "event_fraction_curve"
 
+# the GraphGenSpec field a family-param axis sets: attachment count, neighbor
+# count, edge probability or intra-cluster probability
+_FAMILY_KNOBS = {"barabasi-albert": "m", "watts-strogatz": "k", "erdos-renyi": "edge_prob", "sbm": "intra_prob"}
+
 
 def polarization_indices(run: Trajectory | RunSummary) -> dict[str, float]:
     """Peak opinion spread and its long-run estimate for a run.
@@ -156,20 +160,9 @@ def _apply_axes(spec: SweepSpec, coords: dict[str, float]):
         elif name == "network-size":
             graph_spec = replace(graph_spec, n=_whole("n", value))
         elif name == "family-param":
-            graph_spec = _family_param(graph_spec, value)
+            knob = _FAMILY_KNOBS[graph_spec.family]
+            graph_spec = replace(graph_spec, **{knob: _whole(knob, value) if knob in ("m", "k") else value})
     return graph_spec, pop_spec, params, alpha
-
-
-def _family_param(graph_spec: GraphGenSpec, value: float) -> GraphGenSpec:
-    # the family's structural knob: attachment count, neighbor count,
-    # edge probability, or intra-cluster probability
-    if graph_spec.family == "barabasi-albert":
-        return replace(graph_spec, m=_whole("m", value))
-    if graph_spec.family == "watts-strogatz":
-        return replace(graph_spec, k=_whole("k", value))
-    if graph_spec.family == "erdos-renyi":
-        return replace(graph_spec, edge_prob=value)
-    return replace(graph_spec, intra_prob=value)
 
 
 def _whole(name: str, value: float) -> int:
@@ -201,16 +194,10 @@ def _run_cells(plans: list[tuple], spec: SweepSpec) -> list[CellResult]:
             if isinstance(run, Exception):
                 seeds, error = seeds[:rep + 1], failure_text(run)
                 break
-            indices = polarization_indices(run)
+            stats = {**polarization_indices(run), "X_min_final": float(run.final_opinions.min()),
+                     "X_max_final": float(run.final_opinions.max()), _CURVE: run.event_fraction}
             for stat in spec.statistics:
-                if stat in indices:
-                    values[stat].append(indices[stat])
-                elif stat == "X_min_final":
-                    values[stat].append(float(run.final_opinions.min()))
-                elif stat == "X_max_final":
-                    values[stat].append(float(run.final_opinions.max()))
-                elif stat == _CURVE:
-                    values[stat].append(run.event_fraction)
+                values[stat].append(stats[stat])
         results.append(CellResult(coords=coords, values=values, seeds=seeds, error=error))
     return results
 
@@ -258,15 +245,11 @@ def write_heatmap_csv(result: SweepResult, stat: str, path) -> None:
     """Pivot of cell means: rows are axis1 values, columns axis2 values."""
     if stat == _CURVE:
         raise ValueError("event_fraction_curve has no scalar heatmap; use write_curves_csv")
-    names = result.axis_names
-    rows = sorted({cell.coords[names[0]] for cell in result.cells})
-    cols = sorted({cell.coords[names[1]] for cell in result.cells}) if len(names) > 1 else [None]
-    lookup = {}
-    for cell in result.cells:
-        key = (cell.coords[names[0]], cell.coords[names[1]] if len(names) > 1 else None)
-        lookup[key] = cell.mean(stat)
-    header = [names[0]] + (cols if cols != [None] else [stat])
-    write_csv(path, header, ([r] + [lookup.get((r, c), math.nan) for c in cols] for r in rows))
+    means = {result.axis_fields(cell): cell.mean(stat) for cell in result.cells}
+    rows = sorted({row for row, _ in means})
+    cols = sorted({col for _, col in means})
+    header = [result.axis_names[0]] + (cols if cols != [""] else [stat])
+    write_csv(path, header, ([r] + [means.get((r, c), math.nan) for c in cols] for r in rows))
 
 
 def write_curves_csv(result: SweepResult, path) -> None:
@@ -282,3 +265,17 @@ def write_failures_csv(result: SweepResult, path) -> None:
     """One row per failed cell: axis coordinates and the recorded error."""
     write_csv(path, ["axis1", "axis2", "error"],
               ([*result.axis_fields(cell), cell.error] for cell in result.failures()))
+
+
+def write_sweep(result: SweepResult, out) -> None:
+    """The sweep's files in directory out: sweep_long.csv, heatmap_<stat>.csv
+    for each scalar statistic, curves.csv when the event-fraction curve is
+    asked for, and failures.csv when a cell failed."""
+    write_long_csv(result, out / "sweep_long.csv")
+    for stat in result.spec.statistics:
+        if stat != _CURVE:
+            write_heatmap_csv(result, stat, out / f"heatmap_{stat}.csv")
+    if _CURVE in result.spec.statistics:
+        write_curves_csv(result, out / "curves.csv")
+    if result.failures():
+        write_failures_csv(result, out / "failures.csv")

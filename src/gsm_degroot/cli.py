@@ -24,10 +24,7 @@ from .analysis import (
     polarization_indices,
     regime,
     run_sweep,
-    write_curves_csv,
-    write_failures_csv,
-    write_heatmap_csv,
-    write_long_csv,
+    write_sweep,
 )
 from .config import ConfigError, build, dump_config, load_config, param_space
 from .dynamics import ModelParams, OpinionOverflowError, PopulationSpec, replicate
@@ -132,15 +129,9 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
         seed=config["seed"],
     )
     result = run_sweep(spec, jobs=args.jobs)
-    write_long_csv(result, out / "sweep_long.csv")
-    for stat in spec.statistics:
-        if stat != "event_fraction_curve":
-            write_heatmap_csv(result, stat, out / f"heatmap_{stat}.csv")
-    if "event_fraction_curve" in spec.statistics:
-        write_curves_csv(result, out / "curves.csv")
+    write_sweep(result, out)
     failures = result.failures()
     if failures:
-        write_failures_csv(result, out / "failures.csv")
         print(f"{len(failures)} of {len(result.cells)} cells failed; see failures.csv", file=sys.stderr)
         if len(failures) == len(result.cells):
             return EXIT_OPTIMIZATION

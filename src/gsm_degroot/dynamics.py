@@ -239,8 +239,11 @@ class Trajectory:
             range(self.horizon), self.event_fraction.tolist(), self.mean_opinion.tolist(), self.max_diversity.tolist()))
 
     def write_agent_csv(self, path, which: str = "opinions") -> None:
-        """Write a wide per-agent matrix: t,agent_0,...,agent_{n-1}."""
-        matrix = self.opinions if which == "opinions" else self.states
+        """Write a wide per-agent matrix, the opinions or the states:
+        t,agent_0,...,agent_{n-1}."""
+        if which not in ("opinions", "states"):
+            raise ValueError(f"which must be 'opinions' or 'states', got {which!r}")
+        matrix = getattr(self, which)
         write_csv(path, ["t"] + [f"agent_{i}" for i in range(self.n)],
                   ([t, *matrix[t].tolist()] for t in range(self.horizon)))
 

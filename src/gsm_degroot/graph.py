@@ -116,13 +116,18 @@ class WeightedDigraph:
 def from_edges(n: int, edges) -> WeightedDigraph:
     """Build a graph from (source, target, weight) triples.
 
-    Duplicate edges, out-of-range ids, negative weights, nodes without any
-    incoming edge, and incoming sums further than NORMALIZATION_TOL from 1
-    are rejected.
+    More than _MAX_NODES nodes, duplicate edges, out-of-range ids, negative
+    weights, nodes without any incoming edge, and incoming sums further than
+    NORMALIZATION_TOL from 1 are rejected.
     """
+    if n > _MAX_NODES:
+        raise GraphError(f"n must be <= {_MAX_NODES}, got {n}")
     triples = list(edges)
-    src = np.asarray([t[0] for t in triples], dtype=np.int64)
-    dst = np.asarray([t[1] for t in triples], dtype=np.int64)
+    try:
+        src = np.asarray([t[0] for t in triples], dtype=np.int64)
+        dst = np.asarray([t[1] for t in triples], dtype=np.int64)
+    except OverflowError:  # an id past int64 is out of range for any n
+        raise GraphError(f"edge endpoint outside [0, {n})") from None
     wts = np.asarray([t[2] for t in triples], dtype=np.float64)
     if np.any((src < 0) | (src >= n) | (dst < 0) | (dst >= n)):
         raise GraphError(f"edge endpoint outside [0, {n})")
@@ -498,7 +503,8 @@ def save_edge_list(graph: WeightedDigraph, path) -> None:
 
 
 def load_edge_list(path) -> WeightedDigraph:
-    """Read a source,target,weight file written by save_edge_list."""
+    """Read a source,target,weight file written by save_edge_list; a node id
+    outside [0, _MAX_NODES) is an error that names its line."""
     triples = []
     rows = read_csv(path)
     _, header = next(rows, (None, None))
@@ -508,9 +514,12 @@ def load_edge_list(path) -> WeightedDigraph:
         if len(row) < 3:
             raise GraphError(f"{path} line {line}: {len(row)} fields, an edge has 3")
         try:
-            triples.append((int(row[0]), int(row[1]), float(row[2])))
+            source, target, weight = int(row[0]), int(row[1]), float(row[2])
         except ValueError as exc:
             raise GraphError(f"{path} line {line}: {exc}") from None
+        if not (0 <= source < _MAX_NODES and 0 <= target < _MAX_NODES):
+            raise GraphError(f"{path} line {line}: node ids must lie in [0, {_MAX_NODES}), got {source},{target}")
+        triples.append((source, target, weight))
     if not triples:
         raise GraphError(f"no edges in {path}")
     n = max(max(s, t) for s, t, _ in triples) + 1

@@ -21,6 +21,7 @@ from gsm_degroot.analysis import (
     write_failures_csv,
     write_heatmap_csv,
     write_long_csv,
+    write_sweep,
 )
 from gsm_degroot.dynamics import ModelParams, Population, PopulationSpec, Trajectory, replicate, simulate
 from gsm_degroot.graph import GraphError, GraphGenSpec, generate
@@ -341,12 +342,7 @@ def one_replicate_at_a_time(spec):
 def sweep_files(result, out):
     """Every file the sweep command writes for result, by name."""
     out.mkdir()
-    write_long_csv(result, out / "sweep_long.csv")
-    for stat in result.spec.statistics:
-        if stat != "event_fraction_curve":
-            write_heatmap_csv(result, stat, out / f"heatmap_{stat}.csv")
-    write_curves_csv(result, out / "curves.csv")
-    write_failures_csv(result, out / "failures.csv")
+    write_sweep(result, out)
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 

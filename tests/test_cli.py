@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsm_degroot import cli, dynamics
-from gsm_degroot.analysis import regime
+from gsm_degroot.analysis import STATISTICS, regime
 from gsm_degroot.cli import main
 from gsm_degroot.fitting import GridResult, read_grid_csv, write_grid_csv
 
@@ -235,6 +237,71 @@ def test_a_sweep_cell_past_the_graph_size_limit_fails_alone(tmp_path, capsys):
     assert len(rows) == 2 and rows[1][0] == "1e+300"
     assert rows[1][-1] == "GraphError: n must be <= 1000000, got 1e+300"
     assert next(csv.reader((out / "sweep_long.csv").read_text().splitlines()[1:]))[0] == "20.0"
+
+
+# ---------------------------------------------------------------------------
+# exit codes on drawn configs
+
+# Hypothesis draws the ends of a float range often, so a drawn config meets
+# 0.0 and 1.0 without asking for them; edge probabilities stay high enough
+# for a strongly connected sample in most draws
+unit = st.floats(0.0, 1.0)
+edge_prob = st.floats(0.3, 1.0)
+# per family: its structural knobs at n nodes, and the range a family-param axis draws from
+FAMILY_DRAWS = {
+    "barabasi-albert": (lambda n: {"m": st.integers(1, min(6, n - 1))}, st.floats(0.5, 6.0)),
+    "watts-strogatz": (lambda n: {"k": st.integers(2, min(8, n - 1)), "rewire_prob": unit}, st.floats(1.5, 8.0)),
+    "erdos-renyi": (lambda n: {"edge_prob": edge_prob}, edge_prob),
+    "sbm": (lambda n: {"intra_prob": edge_prob, "inter_prob": edge_prob,
+                       "cluster_ratios": st.sampled_from([[0.5, 0.5], [0.9, 0.1]])}, edge_prob),
+}
+AXIS_DRAWS = {"mu": st.floats(-50.0, 50.0), "gamma": st.floats(0.0, 10.0), "beta": unit, "alpha": st.floats(0.0, 2.0),
+              "network-size": st.floats(1.0, 60.0)}
+
+
+@st.composite
+def drawn_configs(draw, command):
+    """A small config of command: any family, n and horizon up to 60, and
+    params and population keys in range or at the edge of their range."""
+    family, n = draw(st.sampled_from(sorted(FAMILY_DRAWS))), draw(st.integers(3, 60))
+    knobs, family_param = FAMILY_DRAWS[family]
+    graph = {"family": family, "n": n, "weight_rounds": draw(st.sampled_from([0, 1, 10, 40])),
+             "ensure_self_loops": draw(st.booleans()), **draw(st.fixed_dictionaries(knobs(n)))}
+    config = {"seed": draw(st.integers(0, 2**64 - 1)), "graph": graph}
+    if command == "gen-graph":
+        return config
+    fractions = st.fixed_dictionaries({}, optional={
+        "positive_fraction": unit, "stubborn_fraction": unit, "susceptibility": unit,
+        **({"cluster_positive_fractions": st.lists(unit, min_size=2, max_size=2)} if family == "sbm" else {})})
+    params = st.fixed_dictionaries({}, optional={
+        "lambda": st.sampled_from([1e-300, 1.0, 1e300]) | st.floats(0.01, 10.0),
+        "gamma": st.sampled_from([0.0, 1e6, 1e300]) | st.floats(0.0, 10.0),
+        "mu": st.sampled_from([-1e9, 0.0, 1e9]) | st.floats(-50.0, 50.0),
+        "sigma": st.sampled_from([0.0, 1e300]) | st.floats(0.0, 5.0)})
+    config.update(population=draw(fractions), params=draw(params), horizon=draw(st.integers(1, 60)))
+    if command == "simulate":
+        config["simulate"] = {"mode": draw(st.sampled_from(["stochastic", "expected"])),
+                              "write_agents": draw(st.booleans())}
+        return config
+    axes = []
+    axis_draws = {**AXIS_DRAWS, "family-param": family_param, **({"r": unit} if family == "sbm" else {})}
+    for name in draw(st.lists(st.sampled_from(sorted(axis_draws)), min_size=1, max_size=2, unique=True)):
+        lo, hi = sorted(draw(st.lists(axis_draws[name], min_size=2, max_size=2)))
+        cells = draw(st.integers(1, 2))
+        axes.append({"name": name, "lo": lo, "hi": hi if cells > 1 else lo, "cells": cells})
+    statistics = draw(st.lists(st.sampled_from(STATISTICS), min_size=1, max_size=len(STATISTICS), unique=True))
+    config["sweep"] = {"axes": axes, "replicates": draw(st.integers(1, 2)), "statistics": statistics}
+    return config
+
+
+@pytest.mark.parametrize("command", ["gen-graph", "simulate", "sweep"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_drawn_config_ends_in_an_exit_code(tmp_path_factory, command, data):
+    config = data.draw(drawn_configs(command))
+    folder = tmp_path_factory.getbasetemp()
+    path = write_config(folder, config, name=f"{command}.yaml")
+    assert main([command, "--config", path, "--out", str(folder / f"drawn-{command}")]) in (0, 2, 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +720,74 @@ def test_stubborn_runs_keep_their_bytes(tmp_path, monkeypatch):
     assert digests == STUBBORN_FINGERPRINT
     # an anneal step clipped a chain to p = 0 while another chain sat at p > 0
     assert any(mixed)
+
+
+def run_family_sweeps(tmp_path) -> list:
+    """A family-param x network-size sweep on each graph family, writing
+    every statistic (the middle barabasi-albert value, 2.5, rounds to m = 2);
+    returns the output directories in run order."""
+    sweeps = [
+        ({"family": "barabasi-albert", "m": 2}, 2.0, 3.0),
+        ({"family": "watts-strogatz", "k": 4}, 4.0, 6.0),
+        ({"family": "erdos-renyi", "edge_prob": 0.3}, 0.3, 0.5),
+        ({"family": "sbm"}, 0.4, 0.6),
+    ]
+    outs = []
+    for k, (graph, lo, hi) in enumerate(sweeps):
+        payload = {"seed": 13, "graph": dict(graph, n=20), "population": {"positive_fraction": 0.5},
+                   "params": {"lambda": 1.0, "gamma": 0.3, "mu": 0.0, "sigma": 1.0}, "horizon": 40,
+                   "sweep": {"axes": [{"name": "family-param", "lo": lo, "hi": hi, "cells": 3},
+                                      {"name": "network-size", "lo": 20, "hi": 30, "cells": 2}],
+                             "replicates": 2, "statistics": ["D_max", "D_max_inf", "X_min_final", "X_max_final",
+                                                             "event_fraction_curve"]}}
+        out = tmp_path / f"out{k}"
+        assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        outs.append(out)
+    return outs
+
+
+# sha256 of every file the runs of run_family_sweeps write, taken while the
+# sweep still chose each statistic and each family's knob through if-chains
+FAMILY_SWEEP_FINGERPRINT = {
+    "out0/curves.csv": "e4033f1f7a14e3297fa56eb027c7a1421eb45963fe1d4e14bedff5e9992b70a3",
+    "out0/heatmap_D_max.csv": "b70cda190b0b74017b04a925349eebc0bc825c4bd2f8893aa557b87c4fc75f64",
+    "out0/heatmap_D_max_inf.csv": "e83f1d1606b744657f8c5ea32fb079843450e84d58f03138581ff7e035b83b46",
+    "out0/heatmap_X_max_final.csv": "505940cdc15565563484fe1a9328f6d52375fbca199f9aa513ea75a2441af369",
+    "out0/heatmap_X_min_final.csv": "bd58809fda53d42bde55617e613d7a0fb2abffc1e78fa5fa17f9865fefb9f758",
+    "out0/resolved_config.yaml": "1db53806c300504562bd0539b51e7dfcbbce00908764f0be8421d0149d901653",
+    "out0/seed.txt": "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17",
+    "out0/sweep_long.csv": "34dfba289629c2c0dd59e98301bebf70cfb9fb7e9cf9eb177a772e0241857eb4",
+    "out1/curves.csv": "a9b58f080ccb29a56c181ee65244dbc8cdf65f5a90dee97acae1894211b13a15",
+    "out1/heatmap_D_max.csv": "a54411013d2ba3f0f4f80045924d1db4a5a53a80889987c690d0802641e8025a",
+    "out1/heatmap_D_max_inf.csv": "6d3e7d993f9d25036ee1af182f29361296f9aa70eb73bf7f5d4f20bb5a74696c",
+    "out1/heatmap_X_max_final.csv": "1550eb63a1c8f8a588382a8105591df7571ad6b5327464ab4e1e15de018c3aa4",
+    "out1/heatmap_X_min_final.csv": "c4ea8bc76ae97311a4f5b51913db4abd83a135c1bacb4eb7425be11810dae063",
+    "out1/resolved_config.yaml": "e2f4e604e00f7607f2ad131148353f7e29bcf3790a15b55a60c883341f63fd88",
+    "out1/seed.txt": "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17",
+    "out1/sweep_long.csv": "8c203f65be73ec4e4d4f2c370718551f32298b06135edf5f9b315553720a29ce",
+    "out2/curves.csv": "75888aa595e376cb1079bf46580925af2fdf8c0e846f873f9d700f4472536c5d",
+    "out2/heatmap_D_max.csv": "a25e05abf9e7637f2871680431388ba2a04ad7a8d4421da2a2888c5896c5c593",
+    "out2/heatmap_D_max_inf.csv": "a64b8e1385219804f1b03a14b7456740c5bf25a3dea83458400526334f43d059",
+    "out2/heatmap_X_max_final.csv": "5c728441c6a9dfda0cce83c5ce72eea584d39b9a8893ff12fd2f207e88a61a49",
+    "out2/heatmap_X_min_final.csv": "904072306aaff098fb6d353ff1aec5fadd0c446a35b53f83dda6ca23de325021",
+    "out2/resolved_config.yaml": "27db79077221df1ea250c77277b4a99402181ffdf4481e13012222e949bc65e1",
+    "out2/seed.txt": "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17",
+    "out2/sweep_long.csv": "e60e92c974fc9b689627b366159c8050dd55441ead22c6b3f93949bce63b3c0b",
+    "out3/curves.csv": "c68907f09cf9ce3b3b6a6518bb1b14d482b96c39fee32538f4010934805a70c7",
+    "out3/heatmap_D_max.csv": "821349e0a27c32cf942054d2328422e15485b112eb52fbb146175474fb378e2e",
+    "out3/heatmap_D_max_inf.csv": "61a74ce0d8c8dcef80b5308df95e66be1329c0d032377c715795240a9e62e173",
+    "out3/heatmap_X_max_final.csv": "95f8e57bf8505d6da8f7e2292771f8e48cd5cf1013ec112a14f95920d3677fd5",
+    "out3/heatmap_X_min_final.csv": "48b52e3dca7f976e71d1d7faa141c1928def466d5fffe55bc6c0e7472339ef05",
+    "out3/resolved_config.yaml": "56e1098463fe3c25005b05c0abfe7bff4fda4400614a4ea385e850e27b5e6732",
+    "out3/seed.txt": "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17",
+    "out3/sweep_long.csv": "61055791a9e6085d36cf25fdea4b72eed002aaaafa5f1e39342e59d3497e4c45",
+}
+
+
+def test_family_sweeps_keep_their_bytes(tmp_path):
+    digests = {f"{out.name}/{path.name}": hashlib.sha256(read_bytes(path)).hexdigest()
+               for out in run_family_sweeps(tmp_path) for path in sorted(out.iterdir())}
+    assert digests == FAMILY_SWEEP_FINGERPRINT
 
 
 def readme_block(language, after):

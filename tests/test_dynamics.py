@@ -310,6 +310,16 @@ def test_trajectory_recorded_series_are_consistent():
         assert (traj.max_diversity[0] == 0.0) == (sigma == 0.0)
 
 
+def test_write_agent_csv_rejects_an_unknown_matrix(tmp_path):
+    traj = simulate(identity_graph(3), uniform_population(3), ModelParams(), horizon=2, seed=0,
+                    check_connectivity=False)
+    traj.write_agent_csv(tmp_path / "states.csv", which="states")
+    assert (tmp_path / "states.csv").read_text().splitlines()[1] == "0," + ",".join(map(str, traj.states[0]))
+    with pytest.raises(ValueError, match="which must be 'opinions' or 'states', got 'opinion'"):
+        traj.write_agent_csv(tmp_path / "typo.csv", which="opinion")
+    assert not (tmp_path / "typo.csv").exists()
+
+
 def test_simulate_is_deterministic_given_seed():
     graph = generate(GraphGenSpec(family="barabasi-albert", n=30, m=2, seed=4))
     pop = PopulationSpec().build(30, rng_from(4, "pop"), mu=0.0, sigma=1.0)

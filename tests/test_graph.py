@@ -570,3 +570,31 @@ def test_edge_list_field_that_is_not_a_number_names_its_line(tmp_path):
     path.write_text("source,target,weight\n0,1,1.0\n1,x,1.0\n")
     with pytest.raises(GraphError, match=r"line 3: invalid literal for int\(\)"):
         load_edge_list(path)
+
+
+def test_edge_list_at_the_node_limit_loads_past_the_size_check(tmp_path):
+    # id 999999 asks for exactly the 10^6 nodes allowed; the file then fails
+    # only because nodes 1..999998 have no incoming edge
+    path = tmp_path / "edges.csv"
+    path.write_text("source,target,weight\n0,0,1.0\n999999,999999,1.0\n")
+    with pytest.raises(GraphError, match="node 1 has no incoming edge"):
+        load_edge_list(path)
+
+
+@pytest.mark.parametrize("node", ["1000000", "1000000000000", "10" + "0" * 30, "-1", "-" + "9" * 30])
+def test_edge_list_id_outside_the_node_limit_names_its_line(tmp_path, node):
+    path = tmp_path / "edges.csv"
+    path.write_text(f"source,target,weight\n0,0,1.0\n1,{node},1.0\n")
+    with pytest.raises(GraphError, match=rf"line 3: node ids must lie in \[0, 1000000\), got 1,{node}$"):
+        load_edge_list(path)
+
+
+def test_from_edges_rejects_more_nodes_than_the_limit():
+    with pytest.raises(GraphError, match="n must be <= 1000000, got 1000001"):
+        from_edges(10**6 + 1, [(0, 0, 1.0)])
+
+
+@pytest.mark.parametrize("node", [10**30, -10**30])
+def test_from_edges_rejects_an_id_past_int64(node):
+    with pytest.raises(GraphError, match=r"edge endpoint outside \[0, 2\)"):
+        from_edges(2, [(node, 0, 1.0), (1, 1, 1.0)])
