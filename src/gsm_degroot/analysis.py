@@ -74,6 +74,9 @@ class SweepAxis:
             raise ValueError(f"axis {self.name!r} range [{self.lo}, {self.hi}] is invalid")
         if self.cells == 1 and self.lo != self.hi:
             raise ValueError(f"single-cell axis {self.name!r} needs lo == hi")
+        # a coordinate names one cell: the heatmap and SweepResult.cell key cells by it
+        if len(set(self.values().tolist())) < self.cells:
+            raise ValueError(f"axis {self.name!r} needs {self.cells} distinct values in [{self.lo}, {self.hi}]")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.cells)

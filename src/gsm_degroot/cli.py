@@ -1,10 +1,11 @@
 """Command line front end.
 
-Each subcommand reads one YAML config (--config), resolves it against the
-package defaults, and writes resolved_config.yaml plus seed.txt into the
-output directory before any result file, so a finished directory documents
-exactly how to reproduce itself. The same config and seed give byte-equal
-outputs, whatever --jobs is.
+main reads one YAML config (--config), resolves it against the package
+defaults, and writes resolved_config.yaml plus seed.txt into the output
+directory before it hands that directory to the subcommand, so a finished
+directory, or one whose command failed, documents exactly how to reproduce
+itself. The same config and seed give byte-equal outputs, whatever --jobs
+is.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad config, malformed input data or
 a run too large for memory, 3 numeric overflow during simulation, 4
@@ -67,16 +68,7 @@ _EXIT_CODES = {
 }
 
 
-def _prepare_outdir(args: argparse.Namespace, config: dict) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dump_config(config, out / "resolved_config.yaml")
-    (out / "seed.txt").write_text(f"{config['seed']}\n")
-    return out
-
-
-def cmd_gen_graph(args: argparse.Namespace, config: dict) -> int:
-    out = _prepare_outdir(args, config)
+def cmd_gen_graph(args: argparse.Namespace, config: dict, out: Path) -> int:
     spec = build(GraphGenSpec, config, seed=derive_seed(config["seed"], "graph"))
     graph = generate(spec)
     save_edge_list(graph, out / "edges.csv")
@@ -97,8 +89,7 @@ def cmd_gen_graph(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
-    out = _prepare_outdir(args, config)
+def cmd_simulate(args: argparse.Namespace, config: dict, out: Path) -> int:
     population, trajectory = replicate(
         build(GraphGenSpec, config), build(PopulationSpec, config), build(ModelParams, config),
         config["horizon"], config["seed"], mode=config["simulate"]["mode"],
@@ -113,8 +104,7 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
-    out = _prepare_outdir(args, config)
+def cmd_sweep(args: argparse.Namespace, config: dict, out: Path) -> int:
     section = config["sweep"]
     if not section["axes"]:
         raise ConfigError("sweep.axes is empty")
@@ -139,8 +129,7 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_fit(args: argparse.Namespace, config: dict) -> int:
-    out = _prepare_outdir(args, config)
+def cmd_fit(args: argparse.Namespace, config: dict, out: Path) -> int:
     section = config["fit"]
     if not section["data"]:
         raise ConfigError("fit.data is required")
@@ -162,8 +151,7 @@ def cmd_fit(args: argparse.Namespace, config: dict) -> int:
     return EXIT_OK
 
 
-def cmd_identify(args: argparse.Namespace, config: dict) -> int:
-    out = _prepare_outdir(args, config)
+def cmd_identify(args: argparse.Namespace, config: dict, out: Path) -> int:
     section = config["identify"]
     if not section["grid"]:
         raise ConfigError("identify.grid is required")
@@ -216,7 +204,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs is not None and args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         config = load_config(args.config, seed=args.seed)
-        return COMMANDS[args.command](args, config)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        dump_config(config, out / "resolved_config.yaml")
+        (out / "seed.txt").write_text(f"{config['seed']}\n")
+        return COMMANDS[args.command](args, config, out)
     except tuple(_EXIT_CODES) as exc:
         # a MemoryError may carry no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -349,11 +349,10 @@ def _tick_rows(buffer: np.ndarray, horizon: int):
     return list(buffer) * (horizon // len(buffer) + 1)
 
 
-def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: float, record: bool = False,
-                 spread: bool = False) -> tuple:
-    """Advance K checked (graph, population, params, seed) members of one
-    size n and one operator kind through one tick loop: event_probability
-    and _advance, written into preallocated rows.
+def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = False, spread: bool = False) -> tuple:
+    """Advance K checked (graph, population, params, seed, weight_scale)
+    members of one size n and one operator kind through one tick loop:
+    event_probability and _advance, written into preallocated rows.
 
     Returns (errors, series, opinions, states, spreads): errors[k] is None
     or member k's OpinionOverflowError, row k of series its event
@@ -373,18 +372,20 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
     own member's order, so every member keeps the bits of its lone product.
     At K = 1 the event fraction and feedback are Python floats, which cost
     less than (1, 1) arrays; above, (K, 1) arrays, which cost less than a
-    loop. The loop carries one bound on |opinion| for the whole batch, the
-    largest over its members, and widens it at every update. It takes the
-    exact peaks only once the bound passes OVERFLOW_LIMIT, which happens no
-    later than the update that first carries an opinion past it, so every
-    error's step and magnitude are those a check at every tick would give.
-    The peaks then restart the bound. A stochastic
-    member draws the uniforms of a block of ticks, as many as keep the
-    batch's draws within _DRAW_BYTES, in one call on its own generator: the
-    doubles that one call per tick would draw, in the same order, so each
-    member stays on its lone run's stream.
+    loop. Each member's weight_scale, like its gamma, is a (K, 1) column,
+    applied only when some member's is not 1.0 (x * 1.0 is exactly x). The
+    loop carries one bound on |opinion| for the whole batch, the largest
+    over its members, and widens it at every update. It takes the exact
+    peaks only once the bound passes OVERFLOW_LIMIT, which happens no later
+    than the update that first carries an opinion past it, so every error's
+    step and magnitude are those a check at every tick would give. The
+    peaks then restart the bound. A stochastic member draws the uniforms of
+    a block of ticks, as many as keep the batch's draws within _DRAW_BYTES,
+    in one call on its own generator: the doubles that one call per tick
+    would draw, in the same order, so each member stays on its lone run's
+    stream.
     """
-    graphs, pops, params, seeds = zip(*members)
+    graphs, pops, params, seeds, scales = zip(*members)
     size, n, dense = len(members), graphs[0].n, _dense_operator(graphs[0])
     flat = size * n
     lone = size == 1
@@ -401,6 +402,7 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
     # x * -lam is exactly -(x * lam): IEEE rounding is symmetric about zero
     neg_lam = np.repeat(np.array([[-par.lam] for par in params], dtype=np.float64), n, axis=1)
     gamma = np.array([[par.gamma] for par in params], dtype=np.float64)
+    scale = np.array([[s] for s in scales], dtype=np.float64) if set(scales) != {1.0} else None
     lone_gamma = params[0].gamma
     reactions = np.stack([pop.reactions for pop in pops])
     initial = np.stack([pop.initial_opinions for pop in pops])
@@ -415,12 +417,13 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
         np.multiply(1.0 - xi, initial, out=anchor, where=xi != 1.0)
         frozen.append(anchor)
 
-    # With gain the largest absolute row sum of an operator (weight_scale
-    # included), |x_{t+1}| <= gain * |x_t| + push, where push = max |reaction|
-    # * |gamma| since the event fraction lies in [0, 1]. The blend toward the
-    # initial opinions, which holds a pinned agent at its start, stays within
-    # max(that, floor = max |x_0|), and _BOUND_SLACK covers the rounding.
-    gain = weight_scale * max(float(abs(graph.matrix).sum(axis=1).max()) for graph in graphs)
+    # With gain the largest absolute row sum of an operator times its
+    # member's weight_scale, |x_{t+1}| <= gain * |x_t| + push, where push =
+    # max |reaction| * |gamma| since the event fraction lies in [0, 1]. The
+    # blend toward the initial opinions, which holds a pinned agent at its
+    # start, stays within max(that, floor = max |x_0|), and _BOUND_SLACK
+    # covers the rounding.
+    gain = max(s * float(abs(graph.matrix).sum(axis=1).max()) for graph, s in zip(graphs, scales))
     pushes = np.abs(reactions).max(axis=1) * np.abs(gamma[:, 0])
     floors = np.abs(initial).max(axis=1)
     bound, push, floor = float(floors.max()), float(pushes.max()), float(floors.max())
@@ -486,8 +489,8 @@ def _run_members(members: list[tuple], horizon: int, mode: str, weight_scale: fl
                 product.fill(0.0)
                 csr_matvec(flat, flat, indptr, indices, data, ys[t], product)
                 np.take(product, inverse, out=ys[t + 1], mode="clip")
-            if weight_scale != 1.0:
-                nxt *= weight_scale
+            if scale is not None:
+                nxt *= scale
             if lone:
                 np.multiply(reactions, lone_gamma * f, out=steer)
             else:
@@ -545,7 +548,7 @@ def simulate(
     """
     _check_run(graph, population, horizon, mode, weight_scale, check_connectivity)
     errors, series, opinions, states, spreads = _run_members(
-        [(graph, population, params, seed)], horizon, mode, weight_scale, record=True, spread=True
+        [(graph, population, params, seed, weight_scale)], horizon, mode, record=True, spread=True
     )
     if errors[0] is not None:
         raise errors[0]
@@ -644,15 +647,15 @@ def replicate_summaries(replicates: list[tuple], horizon: int, mode: str = "stoc
 
     A batch holds as many consecutive built replicates as keep their
     operators within _BATCH_BYTES, and at least one; it closes where the
-    size, the weight_scale or the operator kind (_dense_operator) changes,
-    and a member above _BATCH_MAX_N nodes runs alone. Batches are built and
-    run one at a time as the items are taken, so only one batch of summaries
-    is held at once. No run records its (horizon, n) opinions and states.
-    generate has checked that each graph is strongly connected, so the runs
-    do not check it again.
+    size or the operator kind (_dense_operator) changes, and a member above
+    _BATCH_MAX_N nodes runs alone. Batches are built and run one at a time
+    as the items are taken, so only one batch of summaries is held at once.
+    No run records its (horizon, n) opinions and states. generate has
+    checked that each graph is strongly connected, so the runs do not check
+    it again.
     """
     batch: list = []  # per replicate since the last batch ran: its failure, or its member
-    load, last = 0, (None, None, None)  # the batch's size, weight_scale and operator kind
+    load, last = 0, None  # the batch's size and operator kind
     for graph_spec, pop_spec, params, seed, weight_scale in replicates:
         try:
             graph, population, sim_seed = _replicate_inputs(graph_spec, pop_spec, params, seed)
@@ -660,25 +663,25 @@ def replicate_summaries(replicates: list[tuple], horizon: int, mode: str = "stoc
         except Exception as exc:  # noqa: BLE001 - a failed replicate is an outcome, not a crash
             batch.append(exc)
             continue
-        cost, key = _operator_bytes(graph), (graph.n, weight_scale, _dense_operator(graph))
+        cost, key = _operator_bytes(graph), (graph.n, _dense_operator(graph))
         if load + cost > _BATCH_BYTES or graph.n > _BATCH_MAX_N or key != last:
-            yield from _run_batch(batch, horizon, mode, last[1], spread)
+            yield from _run_batch(batch, horizon, mode, spread)
             batch, load = [], 0
-        batch.append((graph, population, params, sim_seed))
+        batch.append((graph, population, params, sim_seed, weight_scale))
         load, last = load + cost, key
-    yield from _run_batch(batch, horizon, mode, last[1], spread)
+    yield from _run_batch(batch, horizon, mode, spread)
 
 
-def _run_batch(batch: list, horizon: int, mode: str, weight_scale: float | None, spread: bool) -> list:
-    """batch with each checked (graph, population, params, seed) member, all
-    of one size and operator kind, replaced by its RunSummary or
-    OpinionOverflowError from one _run_members call; an exception raised by
-    that call replaces each."""
+def _run_batch(batch: list, horizon: int, mode: str, spread: bool) -> list:
+    """batch with each checked (graph, population, params, seed,
+    weight_scale) member, all of one size and operator kind, replaced by its
+    RunSummary or OpinionOverflowError from one _run_members call; an
+    exception raised by that call replaces each."""
     members = [item for item in batch if not isinstance(item, Exception)]
     if not members:
         return batch
     try:
-        errors, series, last, _, spreads = _run_members(members, horizon, mode, weight_scale, spread=spread)
+        errors, series, last, _, spreads = _run_members(members, horizon, mode, spread=spread)
         runs = iter([error or RunSummary(series[k], spreads[k] if spread else None, last[k])
                      for k, error in enumerate(errors)])
     except Exception as exc:  # noqa: BLE001 - a failed batch fails its replicates, not the stream

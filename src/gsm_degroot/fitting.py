@@ -75,7 +75,7 @@ class ParamSpace:
     pinned: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in self.bounds:
+        for name in [*self.bounds, *self.pinned]:
             if name not in AXIS_ORDER:
                 raise ValueError(f"unknown parameter {name!r}; choose from {AXIS_ORDER}")
         for name in ("mu", "gamma", "r"):

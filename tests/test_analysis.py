@@ -114,6 +114,15 @@ def test_axis_rejects_empty_range():
         SweepAxis("gamma", 0.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("axis, distinct", [(("gamma", 0.5, 0.5, 3), 1), (("mu", 1.0, 1.0 + 2**-52, 3), 2)])
+def test_axis_rejects_cells_that_share_a_coordinate(axis, distinct):
+    # the heatmap and SweepResult.cell key a cell by its coordinate, so two
+    # cells at one coordinate would hide each other
+    assert np.unique(np.linspace(*axis[1:])).size == distinct
+    with pytest.raises(ValueError, match=f"axis '{axis[0]}' needs 3 distinct values"):
+        SweepAxis(*axis)
+
+
 def test_single_cell_axis_is_a_point():
     np.testing.assert_array_equal(SweepAxis("gamma", 0.0, 0.0, 1).values(), [0.0])
     with pytest.raises(ValueError, match="lo == hi"):
@@ -365,13 +374,21 @@ FAILING_SWEEPS = {
                   params=ModelParams(lam=1.0, gamma=0.5, mu=0.0, sigma=1.0),
                   axes=[SweepAxis("alpha", 1.100, 1.115, 2), SweepAxis("gamma", 0.45, 0.55, 3)], horizon=260,
                   seed=13),
+    # the same axes the other way round: its eighteen runs, of both weight
+    # scales, still share one batch; two cells at alpha = 1.115 overflow, at
+    # their first and second run, between cells at alpha = 1.1 that finish
+    "gamma-alpha": dict(graph=GraphGenSpec(family="watts-strogatz", n=60, k=4),
+                        params=ModelParams(lam=1.0, gamma=0.5, mu=0.0, sigma=1.0),
+                        axes=[SweepAxis("gamma", 0.45, 0.55, 3), SweepAxis("alpha", 1.100, 1.115, 2)], horizon=260,
+                        seed=6),
     # axis r needs an sbm graph, so every cell fails in _apply_axes
     "axes": dict(graph=GraphGenSpec(family="watts-strogatz", n=40, k=4),
                  axes=[SweepAxis("r", 0.0, 0.1, 2), SweepAxis("beta", 0.2, 0.8, 2)], horizon=60),
 }
 
 # the seeds each failed cell keeps, in cell order
-FAILED_SEEDS = {"overflow": [2], "generate": [1], "network-size": [0, 0], "alpha": [1], "axes": [0, 0, 0, 0]}
+FAILED_SEEDS = {"overflow": [2], "generate": [1], "network-size": [0, 0], "alpha": [1], "gamma-alpha": [1, 2],
+                "axes": [0, 0, 0, 0]}
 
 
 @pytest.mark.parametrize("case", sorted(FAILING_SWEEPS))
@@ -430,3 +447,23 @@ def test_a_sweep_batches_its_replicates_across_cells(monkeypatch):
     assert not run_sweep(spec).failures()
     assert sum(sizes) == 108
     assert len(sizes) <= 4
+
+
+def test_a_sweep_makes_as_many_tick_loop_calls_in_either_axis_order(monkeypatch):
+    # each member carries its own weight scale, so the alpha axis closes no
+    # batch: 108 Watts-Strogatz runs at n = 300 take 4 calls either way
+    sizes = []
+    run_members = dynamics._run_members
+
+    def counted(members, *args, **kwargs):
+        sizes[-1].append(len(members))
+        return run_members(members, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_run_members", counted)
+    gamma, alpha = SweepAxis("gamma", 0.0, 2.0, 6), SweepAxis("alpha", 0.9, 1.0, 6)
+    for axes in ([gamma, alpha], [alpha, gamma]):
+        sizes.append([])
+        spec = sweep_spec(graph=GraphGenSpec(family="watts-strogatz", n=300, k=6, rewire_prob=0.1), horizon=5,
+                          axes=axes)
+        assert not run_sweep(spec, jobs=1).failures()
+    assert sizes == [[33, 33, 33, 9]] * 2

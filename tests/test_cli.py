@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gsm_degroot import cli, dynamics
 from gsm_degroot.analysis import STATISTICS, regime
 from gsm_degroot.cli import main
+from gsm_degroot.config import load_config
 from gsm_degroot.fitting import GridResult, read_grid_csv, write_grid_csv
 
 
@@ -203,6 +204,14 @@ def test_sweep_without_axes_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, dict(SWEEP_CONFIG, sweep={"axes": []}))
     assert main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 2
     assert "sweep.axes is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", [{"name": "gamma", "lo": 0.5, "hi": 0.5, "cells": 3},
+                                  {"name": "mu", "lo": 1.0, "hi": 1.0 + 2**-52, "cells": 3}])
+def test_a_sweep_axis_whose_cells_share_a_coordinate_exits_2(tmp_path, capsys, axis):
+    payload = dict(SWEEP_CONFIG, sweep=dict(SWEEP_CONFIG["sweep"], axes=[SWEEP_CONFIG["sweep"]["axes"][0], axis]))
+    assert main(["sweep", "--config", write_config(tmp_path, payload), "--out", str(tmp_path / "out")]) == 2
+    assert f"config field sweep.axes.1: axis '{axis['name']}' needs 3 distinct values" in capsys.readouterr().err
 
 
 def test_sweep_with_every_cell_failing_exits_4(tmp_path, capsys):
@@ -556,6 +565,20 @@ def test_identify_without_grid_exits_2(tmp_path, capsys):
 # provenance
 
 
+@pytest.mark.parametrize("command, payload, message", [
+    ("sweep", dict(SWEEP_CONFIG, sweep={"axes": []}), "sweep.axes is empty"),
+    ("fit", SIM_CONFIG, "fit.data is required"),
+    ("identify", SIM_CONFIG, "identify.grid is required"),
+])
+def test_a_command_that_fails_after_its_config_loads_leaves_its_provenance(tmp_path, capsys, command, payload,
+                                                                           message):
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, payload), "--seed", "9", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert (out / "seed.txt").read_text() == "9\n"
+    assert yaml.safe_load((out / "resolved_config.yaml").read_text()) == load_config(tmp_path / "run.yaml", seed=9)
+
+
 def test_rerun_from_resolved_config_is_bit_identical(tmp_path):
     config = write_config(tmp_path, SIM_CONFIG)
     first = tmp_path / "first"
@@ -705,7 +728,7 @@ def test_stubborn_runs_keep_their_bytes(tmp_path, monkeypatch):
     run_members = dynamics._run_members
 
     def spied_run_members(members, *args, **kwargs):
-        pinned = [bool(np.any(np.asarray(population.susceptibility) == 0.0)) for _, population, _, _ in members]
+        pinned = [bool(np.any(np.asarray(population.susceptibility) == 0.0)) for _, population, *_ in members]
         mixed.append(any(pinned) and not all(pinned))
         return run_members(members, *args, **kwargs)
 

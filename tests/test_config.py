@@ -274,6 +274,9 @@ REJECTED = [
     # non-finite values, which pass every range
     ("params.lambda", _with("params", **{"lambda": math.inf})),
     ("params.mu", _with("params", mu=math.nan)),
+    # axes whose cells coincide
+    ("sweep.axes.0", _with("sweep", axes=[dict(_AXIS, lo=0.5, hi=0.5, cells=3)])),
+    ("sweep.axes.1", _with("sweep", axes=[_AXIS, {"name": "mu", "lo": 1.0, "hi": 1.0 + 2**-52, "cells": 3}])),
 ]
 
 

@@ -734,10 +734,12 @@ def assert_same_outcome(got, want):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def member_runs(members, horizon, mode, spread=False):
+def member_runs(members, horizon, mode, spread=False, scales=None):
     """The RunSummary of each member from one _run_members call, or its
-    OpinionOverflowError."""
-    errors, series, last, _, spreads = dynamics._run_members(members, horizon, mode, 1.0, spread=spread)
+    OpinionOverflowError; member k runs at weight scale scales[k], 1.0 by default."""
+    scales = scales or [1.0] * len(members)
+    errors, series, last, _, spreads = dynamics._run_members(
+        [(*member, scale) for member, scale in zip(members, scales)], horizon, mode, spread=spread)
     return [error or RunSummary(series[k], spreads[k] if spread else None, last[k]) for k, error in enumerate(errors)]
 
 
@@ -761,6 +763,18 @@ def test_event_fractions_equal_simulate_bit_for_bit(batch_graphs, mode, size):
         assert_same_outcome(got, simulate_outcome(member, 150, mode))
         graph, population, params, seed = member
         assert got.tobytes() == reference_simulate(graph, population, params, 150, seed, mode)[2].tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_members_of_different_weight_scales_keep_their_bytes_in_one_batch(batch_graphs, mode):
+    # each member's weight scale is its own (K, 1) column, as its gamma is
+    members = [batch_member(batch_graphs[k % 3], k) for k in range(5)]
+    scales = [1.0, 0.97, 1.0, 1.03, 0.5]
+    for member, scale, got in zip(members, scales, member_runs(members, 150, mode, spread=True, scales=scales)):
+        want = simulate(*member[:3], 150, seed=member[3], mode=mode, weight_scale=scale)
+        assert got.event_fraction.tobytes() == want.event_fraction.tobytes()
+        assert got.max_diversity.tobytes() == want.max_diversity.tobytes()
+        assert got.final_opinions.tobytes() == want.opinions[-1].tobytes()
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -1047,26 +1061,27 @@ def test_replicate_summaries_equal_replicate_on_drawn_tasks(tasks, mode, spread)
             assert got.max_diversity is None
 
 
-def test_replicate_summaries_close_a_batch_where_size_or_weight_scale_changes(monkeypatch):
+def test_replicate_summaries_close_a_batch_where_size_or_operator_kind_changes(monkeypatch):
     batches = []
     run_members = dynamics._run_members
 
-    def spied(members, horizon, mode, weight_scale, **kwargs):
-        batches.append((len(members), members[0][0].n, weight_scale))
-        return run_members(members, horizon, mode, weight_scale, **kwargs)
+    def spied(members, horizon, mode, **kwargs):
+        batches.append((len(members), members[0][0].n))
+        return run_members(members, horizon, mode, **kwargs)
 
     monkeypatch.setattr(dynamics, "_run_members", spied)
     params = ModelParams(lam=1.0, gamma=0.4)
     ws = {n: GraphGenSpec(family="watts-strogatz", n=n, k=6) for n in (40, 100)}
     # the sbm at r = 0 fails in generate, between two members of one batch;
     # Watts-Strogatz k = 6 mixes densely at n = 40 and sparsely at n = 100,
-    # the default sbm densely, so the last two run apart
+    # the default sbm densely, so the last one runs apart; the weight scale
+    # changes inside the batch of n = 100
     specs = [ws[40], ws[40], ws[100], GraphGenSpec(family="sbm", n=100, inter_prob=0.0), ws[100], ws[100],
              GraphGenSpec(family="sbm", n=100)]
     scales = [1.0, 1.0, 1.0, 1.0, 1.0, 0.97, 0.97]
     tasks = [(spec, PopulationSpec(), params, k, scale) for k, (spec, scale) in enumerate(zip(specs, scales))]
     outcomes = list(replicate_summaries(tasks, 30))
-    assert batches == [(2, 40, 1.0), (2, 100, 1.0), (1, 100, 0.97), (1, 100, 0.97)]
+    assert batches == [(2, 40), (3, 100), (1, 100)]
     for task, got in zip(tasks, outcomes):
         try:
             want = replicate(*task[:3], 30, task[3], weight_scale=task[4])[1]
@@ -1081,14 +1096,15 @@ def test_replicate_summaries_close_a_batch_where_size_or_weight_scale_changes(mo
 def test_a_failed_batch_fails_each_of_its_replicates_and_not_the_stream(monkeypatch):
     run_members = dynamics._run_members
 
-    def failing(members, horizon, mode, weight_scale, **kwargs):
-        if weight_scale != 1.0:
+    def failing(members, horizon, mode, **kwargs):
+        if members[0][0].n == 50:
             raise MemoryError("no room for the batch")
-        return run_members(members, horizon, mode, weight_scale, **kwargs)
+        return run_members(members, horizon, mode, **kwargs)
 
     monkeypatch.setattr(dynamics, "_run_members", failing)
-    spec = GraphGenSpec(family="watts-strogatz", n=40, k=4)
-    tasks = [(spec, PopulationSpec(), ModelParams(), k, scale) for k, scale in enumerate([1.0, 0.9, 0.9, 1.0])]
+    # a batch closes where the size changes: the two n = 50 replicates run and fail together
+    tasks = [(GraphGenSpec(family="watts-strogatz", n=n, k=4), PopulationSpec(), ModelParams(), k, 1.0)
+             for k, n in enumerate([40, 50, 50, 40])]
     outcomes = list(replicate_summaries(tasks, 10))
     assert [type(run).__name__ for run in outcomes] == ["RunSummary", "MemoryError", "MemoryError", "RunSummary"]
 
@@ -1100,16 +1116,16 @@ def test_a_replicate_that_simulate_rejects_fails_alone_outside_the_batch(monkeyp
     batches = []
     run_members = dynamics._run_members
 
-    def spied(members, horizon, mode, weight_scale, **kwargs):
-        batches.append((len(members), weight_scale))
-        return run_members(members, horizon, mode, weight_scale, **kwargs)
+    def spied(members, horizon, mode, **kwargs):
+        batches.append([member[4] for member in members])
+        return run_members(members, horizon, mode, **kwargs)
 
     monkeypatch.setattr(dynamics, "_run_members", spied)
     spec = GraphGenSpec(family="watts-strogatz", n=40, k=4)
     params = ModelParams(lam=1.0, gamma=0.4)
     tasks = [(spec, PopulationSpec(), params, 70 + k, scale) for k, scale in enumerate([1.0, -1.0, 1.0])]
     outcomes = list(replicate_summaries(tasks, 30, mode))
-    assert batches == [(2, 1.0)]
+    assert batches == [[1.0, 1.0]]
     with pytest.raises(ValueError, match="weight_scale must be positive") as rejected:
         replicate(*tasks[1][:3], 30, tasks[1][3], mode=mode, weight_scale=-1.0)
     assert_same_outcome(outcomes[1], rejected.value)

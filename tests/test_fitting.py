@@ -183,6 +183,8 @@ def test_full_point_merges_pinned_values():
         ),
         (dict(bounds={"mu": (0.0, 1.0), "r": (0.0, 0.5)}, pinned={"gamma": math.inf}), "'gamma' must be finite"),
         (dict(bounds={"gamma": (0.0, 1.0), "r": (0.0, 0.5)}, pinned={"mu": math.nan}), "'mu' must be finite"),
+        # a pinned name no evaluation reads
+        (dict(pinned={"lam": 2.0}), r"unknown parameter 'lam'; choose from \('mu', 'gamma', 'r', 'p'\)"),
     ],
 )
 def test_invalid_spaces_are_rejected(kwargs, message):
