@@ -248,6 +248,15 @@ class Trajectory:
                   ([t, *matrix[t].tolist()] for t in range(self.horizon)))
 
 
+class RunSummary(NamedTuple):
+    """What a sweep's statistics read of one run, as its Trajectory records
+    them: event_fraction, max_diversity and the last row of opinions."""
+
+    event_fraction: np.ndarray
+    max_diversity: np.ndarray
+    final_opinions: np.ndarray
+
+
 def _check_run(graph, population, horizon, mode, weight_scale=1.0, check_connectivity=True) -> None:
     """Raise ValueError for a run that simulate rejects."""
     if not 0.0 < weight_scale < math.inf:
@@ -349,19 +358,19 @@ def _tick_rows(buffer: np.ndarray, horizon: int):
     return list(buffer) * (horizon // len(buffer) + 1)
 
 
-def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = False, spread: bool = False) -> tuple:
+def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = False, spread: bool = False) -> list:
     """Advance K checked (graph, population, params, seed, weight_scale)
     members of one size n and one operator kind through one tick loop:
     event_probability and _advance, written into preallocated rows.
 
-    Returns (errors, series, opinions, states, spreads): errors[k] is None
-    or member k's OpinionOverflowError, row k of series its event
-    fractions. With record, opinions and states hold every tick's (K, n)
-    rows, else the last tick's. With spread, row k of spreads holds member
-    k's spread max - min of its opinions at every tick, else spreads is
-    None. A member that overflows is frozen at zero, so it neither warns
-    nor touches the others; the loop stops once all have failed. A
-    stubborn agent, of susceptibility 0, is pinned by the blend alone.
+    Returns one outcome per member: its OpinionOverflowError, or else its
+    Trajectory with record, whose rows are the views opinions[:, k] and
+    states[:, k] of the batch's (horizon, K, n) records, and its RunSummary
+    without. Its max_diversity, the spread max - min of its opinions at
+    every tick, is None without spread. A member that overflows is frozen
+    at zero, so it neither warns nor touches the others; the loop stops
+    once all have failed. A stubborn agent, of susceptibility 0, is pinned
+    by the blend alone.
 
     The kind is that of the first graph: where _dense_operator holds, the
     members are stacked for one np.matmul per tick, the same gemv per member
@@ -428,7 +437,7 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
     floors = np.abs(initial).max(axis=1)
     bound, push, floor = float(floors.max()), float(pushes.max()), float(floors.max())
     grow = 1.0 + _BOUND_SLACK
-    errors: list = [None] * size
+    runs: list = [None] * size  # per member: its outcome, once known
 
     opinions = np.empty((horizon if record else 2, size, n))
     states = np.empty((horizon if record else 1, size, n), dtype=np.int8 if stochastic else np.float64)
@@ -507,20 +516,21 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
                     np.copyto(nxt, anchor, where=np.isnan(nxt) & (xi == 0.0))
                 peaks = np.abs(nxt).max(axis=1)
                 for k in np.flatnonzero(~(peaks <= OVERFLOW_LIMIT)):
-                    errors[k] = OpinionOverflowError(step=t + 1, magnitude=float(peaks[k]))
+                    runs[k] = OpinionOverflowError(step=t + 1, magnitude=float(peaks[k]))
                     for row in (nxt, *frozen):
                         row[k] = 0.0
                     pushes[k] = floors[k] = peaks[k] = 0.0
-                if None not in errors:
+                if None not in runs:
                     break
                 bound, push, floor = float(peaks.max()), float(pushes.max()), float(floors.max())
 
-    series = np.ascontiguousarray(fractions[:, :, 0].T)
-    if spread:
-        spreads = np.ascontiguousarray(spreads.T)
-    if not record:
-        opinions, states = xs[horizon - 1], ss[horizon - 1]
-    return errors, series, opinions, states, spreads
+    for k in range(size):
+        if runs[k] is None:
+            fraction, diversity = fractions[:, k, 0].copy(), spreads[:, k].copy() if spread else None
+            rows = opinions[:, k] if record else xs[horizon - 1][k]
+            runs[k] = (Trajectory(rows, states[:, k], fraction, rows.mean(axis=1), diversity) if record
+                       else RunSummary(fraction, diversity, rows))
+    return runs
 
 
 def simulate(
@@ -547,30 +557,10 @@ def simulate(
     step, for growth or decay protocols where the sums equal alpha != 1.
     """
     _check_run(graph, population, horizon, mode, weight_scale, check_connectivity)
-    errors, series, opinions, states, spreads = _run_members(
-        [(graph, population, params, seed, weight_scale)], horizon, mode, record=True, spread=True
-    )
-    if errors[0] is not None:
-        raise errors[0]
-    # (horizon, 1, n) to (horizon, n) is a view, not a copy
-    opinions = opinions.reshape(horizon, graph.n)
-    states = states.reshape(horizon, graph.n)
-    return Trajectory(
-        opinions=opinions,
-        states=states,
-        event_fraction=series[0],
-        mean_opinion=opinions.mean(axis=1),
-        max_diversity=spreads[0],
-    )
-
-
-class RunSummary(NamedTuple):
-    """What a sweep's statistics read of one run, as its Trajectory records
-    them: event_fraction, max_diversity and the last row of opinions."""
-
-    event_fraction: np.ndarray
-    max_diversity: np.ndarray
-    final_opinions: np.ndarray
+    [run] = _run_members([(graph, population, params, seed, weight_scale)], horizon, mode, record=True, spread=True)
+    if isinstance(run, OpinionOverflowError):
+        raise run
+    return run
 
 
 def _replicate_inputs(graph_spec, pop_spec, params, seed) -> tuple[WeightedDigraph, Population, int]:
@@ -681,9 +671,7 @@ def _run_batch(batch: list, horizon: int, mode: str, spread: bool) -> list:
     if not members:
         return batch
     try:
-        errors, series, last, _, spreads = _run_members(members, horizon, mode, spread=spread)
-        runs = iter([error or RunSummary(series[k], spreads[k] if spread else None, last[k])
-                     for k, error in enumerate(errors)])
+        runs = iter(_run_members(members, horizon, mode, spread=spread))
     except Exception as exc:  # noqa: BLE001 - a failed batch fails its replicates, not the stream
         runs = iter([exc] * len(members))
     return [item if isinstance(item, Exception) else next(runs) for item in batch]

@@ -36,9 +36,14 @@ def _data_norm(data: np.ndarray) -> float:
     """||data||_2, or ValueError for data no relative distance is defined for."""
     if not np.isfinite(data).all():
         raise ValueError("data series has non-finite values; the relative distance is undefined")
-    norm = float(np.linalg.norm(data))
+    # the squares of values past about 1e154 leave the floats: the norm is
+    # then inf, without an overflow warning
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(data))
     if norm == 0.0:
         raise ValueError("data series has zero norm; the relative distance is undefined")
+    if norm == math.inf:
+        raise ValueError("data series norm overflows the floats; the relative distance is undefined")
     return norm
 
 
@@ -48,7 +53,8 @@ def scale_invariant_distance(data: np.ndarray, model: np.ndarray) -> tuple[float
     Returns (d, s) where s minimizes ||data - s * model||_2 over s >= 0,
     s = <data, model> / <model, model> clamped at zero (and zero for an
     all-zero model), and d is the residual norm divided by ||data||_2.
-    Raises ValueError for data with a non-finite value or zero norm.
+    Raises ValueError for data with a non-finite value, zero norm or a norm
+    past the floats.
     """
     data = np.asarray(data, dtype=np.float64)
     model = np.asarray(model, dtype=np.float64)
@@ -178,6 +184,12 @@ def _point_seed_parts(point: dict[str, float]) -> list:
     return parts
 
 
+def _surrogate_graph(config: FitConfig, r: float) -> GraphGenSpec:
+    """The two-block sbm spec of a surrogate at inter-block probability r."""
+    return GraphGenSpec(family="sbm", n=config.n, cluster_ratios=config.cluster_ratios, intra_prob=config.intra_prob,
+                        inter_prob=r)
+
+
 def _replicates(point: dict[str, float], config: FitConfig) -> list[tuple]:
     """The replicate_summaries tasks that score point: one two-block sbm
     surrogate per replicate, seeded from (config.seed, point, replicate)."""
@@ -187,8 +199,7 @@ def _replicates(point: dict[str, float], config: FitConfig) -> list[tuple]:
         cluster_positive_fractions=config.cluster_positive_fractions,
         stubborn_fraction=float(point.get("p", 0.0)),
     )
-    graph_spec = GraphGenSpec(family="sbm", n=config.n, cluster_ratios=config.cluster_ratios,
-                              intra_prob=config.intra_prob, inter_prob=float(point["r"]))
+    graph_spec = _surrogate_graph(config, float(point["r"]))
     point_key = _point_seed_parts(point)
     return [
         (graph_spec, pop_spec, params, derive_seed(config.seed, "evaluate", *point_key, rep), 1.0)
@@ -474,8 +485,9 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
     jobs.
 
     Raises ValueError for fewer than 2 samples, a non-finite value or an
-    all-zero series, which no cell could score, and FitError if every grid
-    cell fails.
+    all-zero series, which no cell could score, GraphError for a surrogate
+    spec that GraphGenSpec rejects at the box's largest r, such as one past
+    its edge cap, and FitError if every grid cell fails.
     """
     space = space or ParamSpace()
     config = config or FitConfig()
@@ -483,6 +495,9 @@ def fit(data: np.ndarray, space: ParamSpace | None = None, config: FitConfig | N
     if data.size < 2:
         raise ValueError(f"need at least 2 samples to fit, got {data.size}")
     _data_norm(data)
+    # a surrogate expects more edges at a larger r, so one past the graph
+    # edge cap at the box's largest r fails here, before any surrogate runs
+    _surrogate_graph(config, space.bounds["r"][1] if "r" in space.bounds else space.pinned["r"])
     grid = grid_explore(data, space, config, jobs=jobs)
     starts = _spread_starts(grid, space, config.restarts)
     if not starts:
@@ -563,7 +578,8 @@ def identifiability(
     chi = np.empty(n_q)
     noise = np.empty(n_q)
     for i, q in enumerate(qs):
-        k = math.floor(q * n_cells)
+        # logspace may round q_lo just below it, where q_lo * n_cells is 1
+        k = max(math.floor(q * n_cells), 1)
         best_disp = _dispersion(unit[order[:k]])
         boot = np.asarray([
             _dispersion(unit[rng.choice(n_cells, size=k, replace=False)])

@@ -26,6 +26,12 @@ NORMALIZATION_TOL = 1e-12
 _MAX_ATTEMPTS = 100
 _MAX_MIX_ROUNDS = 40
 _MAX_NODES = 10**6
+# The most undirected edges a spec may expect (_expected_edges). Measured on
+# a 2-core Xeon VM, one generate per fresh process, peak RSS above the import
+# baseline per expected edge: Watts-Strogatz 333 B at k = 10 and 445 B at n =
+# 10**6, k = 6 (Python sets), Barabasi-Albert 257-329 B, sbm and Erdos-Renyi
+# 149-153 B; so a spec at the cap generates within about 1.7 GB.
+_MAX_EDGES = 5 * 10**6
 _DENSE_BLOCK = 2048
 
 
@@ -81,6 +87,9 @@ class GraphGenSpec:
             if len(ratios) != 2 or abs(sum(ratios) - 1.0) > 1e-9:
                 raise GraphError(f"cluster_ratios must be two positive fractions summing to 1, got {self.cluster_ratios!r}")
             self.cluster_ratios = ratios
+        edges = _expected_edges(self)
+        if edges > _MAX_EDGES:
+            raise GraphError(f"this {self.family} graph expects {edges:.7g} edges, more than the {_MAX_EDGES} allowed")
 
 
 @dataclass
@@ -103,7 +112,10 @@ class WeightedDigraph:
         return np.diff(self.matrix.indptr)
 
     def incoming_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
+        # weights far past 1 may sum past the largest float: inf, which the
+        # normalization checks reject, without an overflow warning
+        with np.errstate(over="ignore"):
+            return np.asarray(self.matrix.sum(axis=1)).ravel()
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield (source, target, weight) sorted by source then target."""
@@ -139,7 +151,7 @@ def from_edges(n: int, edges) -> WeightedDigraph:
     sums = graph.incoming_sums()
     if np.max(np.abs(sums - 1.0)) > NORMALIZATION_TOL:
         worst = int(np.argmax(np.abs(sums - 1.0)))
-        raise GraphError(f"incoming weights of node {worst} sum to {sums[worst]!r}, not 1")
+        raise GraphError(f"incoming weights of node {worst} sum to {float(sums[worst])}, not 1")
     return graph
 
 
@@ -449,6 +461,19 @@ def _gnp_pairs(n: int, p: float, rng: random.Random) -> np.ndarray:
 def _first_block(spec: GraphGenSpec) -> int:
     """Size of the first sbm block; the second holds the other nodes."""
     return int(spec.cluster_ratios[0] * spec.n)
+
+
+def _expected_edges(spec: GraphGenSpec) -> float:
+    """The expected count of undirected edges in a structure sample of spec."""
+    n = spec.n
+    if spec.family == "barabasi-albert":
+        return spec.m * (n - spec.m)
+    if spec.family == "watts-strogatz":
+        return n * (spec.k // 2)
+    if spec.family == "erdos-renyi":
+        return spec.edge_prob * math.comb(n, 2)
+    s1 = _first_block(spec)
+    return spec.intra_prob * (math.comb(s1, 2) + math.comb(n - s1, 2)) + spec.inter_prob * s1 * (n - s1)
 
 
 def _sbm_pairs(n: int, s1: int, rho: float, r: float, rng: np.random.Generator) -> np.ndarray:

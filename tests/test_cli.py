@@ -97,6 +97,26 @@ def test_a_graph_past_the_size_limit_exits_2_naming_the_field(tmp_path, capsys):
     assert "config field fit.surrogate.n: must be <= 1000000, got 1000001" in capsys.readouterr().err
 
 
+def test_a_graph_past_the_edge_cap_exits_2_or_fails_its_sweep_cell(tmp_path, capsys):
+    too_many = "this sbm graph expects 1.493925e+08 edges, more than the 5000000 allowed"
+    config = write_config(tmp_path, {"graph": {"family": "sbm", "n": 30_000}})
+    for command in ("gen-graph", "simulate"):
+        assert main([command, "--config", config, "--out", str(tmp_path / command)]) == 2
+        assert capsys.readouterr().err == f"error: config field graph: {too_many}\n"
+    sweep = {"graph": {"family": "sbm", "n": 30}, "horizon": 5,
+             "sweep": {"axes": [{"name": "network-size", "lo": 30, "hi": 30_000, "cells": 2}], "replicates": 1,
+                       "statistics": ["D_max"]}}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, sweep), "--out", str(out)]) == 0
+    assert (out / "failures.csv").read_text() == f'axis1,axis2,error\n30000.0,,"GraphError: {too_many}"\n'
+    assert capsys.readouterr().err == "1 of 2 cells failed; see failures.csv\n"
+    # the default box reaches r = 0.5, where a surrogate of 30000 nodes expects 2.2e8 edges
+    fit_config = write_config(tmp_path, {"fit": dict(FIT_SECTION, data=decaying_series(tmp_path), pinned={},
+                                                     surrogate={"n": 30_000})})
+    assert main(["fit", "--config", fit_config, "--out", str(tmp_path / "fit")]) == 2
+    assert capsys.readouterr().err == "error: this sbm graph expects 2.249925e+08 edges, more than the 5000000 allowed\n"
+
+
 def test_bad_flag_values_exit_2(tmp_path):
     config = write_config(tmp_path, {})
     assert main(["gen-graph", "--config", config, "--jobs", "0", "--out", str(tmp_path / "o")]) == 2
@@ -266,17 +286,98 @@ FAMILY_DRAWS = {
 }
 AXIS_DRAWS = {"mu": st.floats(-50.0, 50.0), "gamma": st.floats(0.0, 10.0), "beta": unit, "alpha": st.floats(0.0, 2.0),
               "network-size": st.floats(1.0, 60.0)}
+# graphs on both sides of the edge cap (5 * 10**6 expected edges), none of
+# which draws a sample: past the cap a spec fails validation, and below it an
+# sbm at inter_prob 0 fails in generate before its first draw
+LARGE_GRAPHS = st.one_of(
+    st.fixed_dictionaries({"family": st.just("sbm"), "n": st.integers(2_000, 8_000), "intra_prob": edge_prob,
+                           "inter_prob": st.just(0.0), "cluster_ratios": st.sampled_from([[0.5, 0.5], [0.9, 0.1]])}),
+    st.fixed_dictionaries({"family": st.just("barabasi-albert"), "n": st.just(10**6), "m": st.integers(6, 10**3)}),
+    st.fixed_dictionaries({"family": st.just("watts-strogatz"), "n": st.integers(5 * 10**5 + 1, 10**6),
+                           "k": st.integers(20, 10**5)}),
+    st.fixed_dictionaries({"family": st.just("erdos-renyi"), "n": st.integers(10**4, 10**6), "edge_prob": edge_prob}),
+)
+
+
+def mostly(inside, edges):
+    """A draw of inside three times in four, else one of the values edges."""
+    return st.one_of(inside, inside, inside, st.sampled_from(edges))
+
+
+def write_lines(path, lines):
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return str(path)
+
+
+# the range ParamSpace and ModelParams accept of each fit axis
+FIT_RANGES = {"mu": (-500.0, 500.0), "gamma": (0.0, 50.0), "r": (0.0, 0.5)}
+
+
+def fit_box(draw, axis, inside):
+    """[lo, hi, cells] of a fit axis: lo < hi inside its range, else bounds
+    at or past its ends, and 2 or 3 cells."""
+    lo, hi = FIT_RANGES[axis]
+    span = hi - lo
+    bounds = st.lists(st.sampled_from([lo, lo + span / 4, lo + span / 2, hi - span / 4, hi]), min_size=2,
+                      max_size=2, unique=True).map(sorted)
+    if not inside:
+        bounds = st.sampled_from([(lo - span / 10, hi), (lo, hi + span / 10), (hi, hi), (hi, lo)])
+    return [*draw(bounds), draw(st.integers(2, 3))]
+
+
+def fit_section(draw, folder):
+    """A fit on a drawn series of 2 to 40 samples, at most one of them
+    negative, nan or huge: a box of 2 or 3 cells an axis, at most one of them
+    at or past the ends of its range, some axes pinned, a surrogate of 2 to 30 nodes or one past the edge cap, and at most 3
+    anneal steps."""
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40))
+    values[draw(st.integers(0, len(values) - 1))] = draw(mostly(st.floats(0.0, 1.0), [-1.0, float("nan"), 1e300]))
+    data = write_lines(folder / "series.csv", ["timestamp,value", *(f"{t},{v!r}" for t, v in enumerate(values))])
+    pinned = {axis: draw(st.floats(*FIT_RANGES[axis])) for axis in draw(st.sets(st.sampled_from(["gamma", "r"])))}
+    outside = draw(mostly(st.none(), list(FIT_RANGES)))  # the one axis, if any, whose box is not inside
+    return {"data": data, "space": {axis: fit_box(draw, axis, axis != outside) for axis in FIT_RANGES},
+            "pinned": pinned,
+            "surrogate": {"n": draw(mostly(st.integers(2, 30), [6_000, 10**6]))},
+            "replicates": draw(st.integers(1, 2)), "mode": draw(st.sampled_from(["stochastic", "expected"])),
+            "restarts": draw(st.integers(1, 2)), "anneal_iters": draw(st.integers(0, 3))}
+
+
+def identify_section(draw, folder):
+    """identify on a drawn grid.csv of 1 to 50 rows, some scores nan, with q
+    bounds inside 1 / (valid rows) <= q_min <= q_max <= 1, else at or past
+    the ends of 0 < q_min <= q_max."""
+    axes = [f"a{i}" for i in range(draw(st.integers(1, 3)))]
+    rows = draw(st.lists(st.tuples(st.lists(st.floats(-10.0, 10.0), min_size=len(axes), max_size=len(axes)),
+                                   mostly(st.floats(0.0, 1.0), [float("nan")])), min_size=1, max_size=50))
+    grid = write_lines(folder / "grid.csv", [",".join([*axes, "score"]),
+                                             *(",".join(map(repr, [*point, score])) for point, score in rows)])
+    valid = sum(score == score for _, score in rows)
+    q = mostly(st.floats(1.0 / max(valid, 1), 1.0), [-1.0, 0.0, 1e-300, 1e-4, 1.0, 1.5])
+    q_min, q_max = draw(mostly(st.lists(q, min_size=2, max_size=2).map(sorted), [(0.5, 0.1)]))
+    return {"grid": grid, "q_min": q_min, "q_max": q_max, "points": draw(st.integers(1, 4)),
+            "bootstrap": draw(st.integers(1, 3))}
 
 
 @st.composite
-def drawn_configs(draw, command):
+def drawn_configs(draw, command, folder):
     """A small config of command: any family, n and horizon up to 60, and
-    params and population keys in range or at the edge of their range."""
+    params and population keys in range or at the edge of their range; one
+    in five draws a graph from LARGE_GRAPHS instead. A fit or identify
+    config holds its section alone, and its input file is written to
+    folder."""
+    config = {"seed": draw(st.integers(0, 2**64 - 1))}
+    if command in ("fit", "identify"):
+        config[command] = (fit_section if command == "fit" else identify_section)(draw, folder)
+        return config
     family, n = draw(st.sampled_from(sorted(FAMILY_DRAWS))), draw(st.integers(3, 60))
     knobs, family_param = FAMILY_DRAWS[family]
     graph = {"family": family, "n": n, "weight_rounds": draw(st.sampled_from([0, 1, 10, 40])),
              "ensure_self_loops": draw(st.booleans()), **draw(st.fixed_dictionaries(knobs(n)))}
-    config = {"seed": draw(st.integers(0, 2**64 - 1)), "graph": graph}
+    large = draw(st.integers(0, 4)) == 0
+    if large:
+        graph = draw(LARGE_GRAPHS)
+        family = graph["family"]
+    config["graph"] = graph
     if command == "gen-graph":
         return config
     fractions = st.fixed_dictionaries({}, optional={
@@ -294,6 +395,8 @@ def drawn_configs(draw, command):
         return config
     axes = []
     axis_draws = {**AXIS_DRAWS, "family-param": family_param, **({"r": unit} if family == "sbm" else {})}
+    if large:  # an r axis would give the inter_prob 0 sbm edges to draw
+        axis_draws.pop("r", None)
     for name in draw(st.lists(st.sampled_from(sorted(axis_draws)), min_size=1, max_size=2, unique=True)):
         lo, hi = sorted(draw(st.lists(axis_draws[name], min_size=2, max_size=2)))
         cells = draw(st.integers(1, 2))
@@ -303,12 +406,12 @@ def drawn_configs(draw, command):
     return config
 
 
-@pytest.mark.parametrize("command", ["gen-graph", "simulate", "sweep"])
+@pytest.mark.parametrize("command", ["gen-graph", "simulate", "sweep", "fit", "identify"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_a_drawn_config_ends_in_an_exit_code(tmp_path_factory, command, data):
-    config = data.draw(drawn_configs(command))
     folder = tmp_path_factory.getbasetemp()
+    config = data.draw(drawn_configs(command, folder))
     path = write_config(folder, config, name=f"{command}.yaml")
     assert main([command, "--config", path, "--out", str(folder / f"drawn-{command}")]) in (0, 2, 3, 4)
 

@@ -738,9 +738,8 @@ def member_runs(members, horizon, mode, spread=False, scales=None):
     """The RunSummary of each member from one _run_members call, or its
     OpinionOverflowError; member k runs at weight scale scales[k], 1.0 by default."""
     scales = scales or [1.0] * len(members)
-    errors, series, last, _, spreads = dynamics._run_members(
-        [(*member, scale) for member, scale in zip(members, scales)], horizon, mode, spread=spread)
-    return [error or RunSummary(series[k], spreads[k] if spread else None, last[k]) for k, error in enumerate(errors)]
+    return dynamics._run_members([(*member, scale) for member, scale in zip(members, scales)], horizon, mode,
+                                 spread=spread)
 
 
 def member_fractions(members, horizon, mode):
@@ -775,6 +774,18 @@ def test_members_of_different_weight_scales_keep_their_bytes_in_one_batch(batch_
         assert got.event_fraction.tobytes() == want.event_fraction.tobytes()
         assert got.max_diversity.tobytes() == want.max_diversity.tobytes()
         assert got.final_opinions.tobytes() == want.opinions[-1].tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_recorded_members_are_trajectories_over_views_of_the_batch_rows(batch_graphs, mode):
+    members = [(*batch_member(batch_graphs[k % 3], k), 1.0) for k in range(3)]
+    runs = dynamics._run_members(members, 150, mode, record=True, spread=True)
+    # member k's rows are opinions[:, k] of the batch's (horizon, K, n) record, not copies
+    assert runs[0].opinions.base is runs[2].opinions.base is not None
+    for member, got in zip(members, runs):
+        want = simulate(*member[:3], 150, seed=member[3], mode=mode)
+        for field in ("opinions", "states", "event_fraction", "mean_opinion", "max_diversity"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 @pytest.mark.parametrize("mode", MODES)

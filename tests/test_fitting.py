@@ -30,7 +30,7 @@ from gsm_degroot.fitting import (
     write_fit_csv,
     write_grid_csv,
 )
-from gsm_degroot.graph import GraphGenSpec, generate
+from gsm_degroot.graph import GraphError, GraphGenSpec, generate
 from gsm_degroot.seeds import derive_seed, rng_from
 
 
@@ -119,6 +119,13 @@ def test_closed_form_scale_beats_brute_force_scan():
 def test_zero_norm_data_rejected():
     with pytest.raises(ValueError, match="zero norm"):
         scale_invariant_distance(np.zeros(5), np.ones(5))
+
+
+@pytest.mark.parametrize("value", [1e300, 1e155])
+def test_data_whose_norm_overflows_is_rejected_without_a_warning(value):
+    # squared, either value leaves the floats; the warning once escaped the fit
+    with pytest.raises(ValueError, match="^data series norm overflows the floats"):
+        scale_invariant_distance(np.array([value, 0.0]), np.ones(2))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -622,6 +629,29 @@ def test_fit_rejects_non_finite_data_before_simulating(monkeypatch, value):
     assert sims == 1
 
 
+def sbm_inter_prob(n, edges):
+    """The inter_prob at which the default surrogate of n nodes, a two-block
+    sbm of ratios (0.7, 0.3) at intra_prob 0.5, expects edges edges."""
+    s1 = int(0.7 * n)
+    return (edges - 0.5 * (math.comb(s1, 2) + math.comb(n - s1, 2))) / (s1 * (n - s1))
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_fit_rejects_a_surrogate_past_the_edge_cap_at_its_largest_r_before_any_runs(monkeypatch, pinned):
+    # at n = 5400 the surrogate passes the graph edge cap from r = 0.126 on:
+    # the searched box's cell centres lie below it, and its top one edge past it
+    r = sbm_inter_prob(5400, 5_000_001)
+    box = {"mu": (-100.0, 100.0), "gamma": (0.0, 10.0)}
+    space = ParamSpace(bounds=box, pinned={"r": r}) if pinned else ParamSpace(bounds={**box, "r": (0.0, r)})
+
+    def no_surrogate(*args):
+        raise AssertionError("a surrogate was built")
+
+    monkeypatch.setattr(dynamics, "_replicate_inputs", no_surrogate)
+    with pytest.raises(GraphError, match="^this sbm graph expects 5000001 edges, more than the 5000000 allowed$"):
+        fit(np.linspace(0.4, 0.3, 20), space, FitConfig(n=5400, replicates=1, seed=3))
+
+
 def test_fit_aborts_when_every_cell_fails():
     space = ParamSpace(
         bounds={"mu": (-100.0, 100.0), "gamma": (0.0, 10.0)},
@@ -707,6 +737,15 @@ def test_failed_cells_do_not_count_towards_the_grid_size():
     scores[50:] = np.nan  # 50 of 10000 cells scored
     with pytest.raises(ValueError, match="50 valid cells of 10000.*need at least 10000 cells"):
         identifiability(points, scores, q_range=(1e-4, 1e-2))
+
+
+def test_a_q_min_of_one_cell_takes_one_cell_where_logspace_rounds_it_down():
+    # 10 ** log10(1 / 7) * 7 is 0.9999999999999998: the best set was empty
+    # and its mean warned, though the grid holds the one cell q_min asks for
+    points = np.linspace(0.0, 1.0, 7)[:, None]
+    curve = identifiability(points, points[:, 0] ** 2, q_range=(1 / 7, 1.0), n_q=1, bootstrap=2)
+    assert math.floor(curve.qs[0] * 7) == 0
+    assert np.isfinite(curve.chi).all()
 
 
 def test_identifiability_input_validation():

@@ -2,6 +2,7 @@
 stationary-distribution oracle."""
 
 import hashlib
+import math
 import random
 from collections import deque
 
@@ -113,6 +114,40 @@ def test_bad_specs_rejected():
         GraphGenSpec(family="erdos-renyi", n=1)
     with pytest.raises(GraphError, match=r"^n must be <= 1000000, got 1000001$"):
         GraphGenSpec(family="erdos-renyi", n=10**6 + 1)
+
+
+def sbm_fields(n, edges):
+    """An sbm of n nodes, ratios (0.7, 0.3) and intra_prob 0.5 whose inter_prob makes it expect edges edges."""
+    s1 = int(0.7 * n)
+    return dict(n=n, inter_prob=(edges - 0.5 * (math.comb(s1, 2) + math.comb(n - s1, 2))) / (s1 * (n - s1)))
+
+
+CAP = 5_000_000
+# per family: fields whose expected undirected edge count is the cap, then
+# fields one edge past it (5000001 = 47 x 106383)
+AT_AND_PAST_CAP = {
+    "barabasi-albert": (dict(n=100_050, m=50), dict(n=106_430, m=47)),  # m (n - m)
+    "watts-strogatz": (dict(n=10**6, k=10), dict(n=106_383, k=95)),  # n (k // 2)
+    "erdos-renyi": (dict(n=10_000, edge_prob=CAP / math.comb(10_000, 2)),  # edge_prob C(n, 2)
+                    dict(n=10_000, edge_prob=(CAP + 1) / math.comb(10_000, 2))),
+    "sbm": (sbm_fields(5_400, CAP), sbm_fields(5_400, CAP + 1)),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_spec_at_the_edge_cap_is_accepted_and_one_edge_past_it_rejected(family):
+    at, past = AT_AND_PAST_CAP[family]
+    assert graph_module._MAX_EDGES == CAP
+    # accepted, but not generated: a graph at the cap takes up to 1.7 GB
+    assert graph_module._expected_edges(GraphGenSpec(family=family, **at)) == CAP
+    with pytest.raises(GraphError, match=rf"^this {family} graph expects 5000001 edges, more than the 5000000 allowed$"):
+        GraphGenSpec(family=family, **past)
+
+
+def test_the_edge_cap_is_checked_after_the_field_rules():
+    # n past its own cap keeps its message, though the edges pass theirs too
+    with pytest.raises(GraphError, match=r"^n must be <= 1000000, got 1000001$"):
+        GraphGenSpec(family="erdos-renyi", n=10**6 + 1, edge_prob=1.0)
 
 
 @pytest.mark.parametrize("kwargs", [

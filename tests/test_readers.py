@@ -61,6 +61,8 @@ def mutate(text: str, steps) -> str:
 # a node id past int64 once escaped load_edge_list as OverflowError
 @example(steps=[("replace", 3, 1, "1" + "0" * 30)])
 @example(steps=[("replace", 3, 0, "-" + "9" * 30)])
+# two weights of 1e308 into node 0 overflowed their sum with a RuntimeWarning
+@example(steps=[("replace", 1, 2, "1e308"), ("replace", 2, 2, "1e308")])
 def test_a_mutated_file_parses_or_raises_the_readers_error(tmp_path_factory, name, steps):
     reader, error, text = READERS[name]
     path = tmp_path_factory.getbasetemp() / f"mutated-{name.replace(' ', '-')}.csv"
