@@ -9,7 +9,8 @@ from itertools import islice, product
 import numpy as np
 
 from .csvio import failure_text, write_csv, write_series_csv
-from .dynamics import ModelParams, PopulationSpec, RunSummary, Trajectory, fan_out, replicate_summaries
+from .dynamics import (ModelParams, PopulationSpec, RunSummary, Trajectory, fan_out, replicate_summaries,
+                       replicate_work)
 from .graph import GraphError, GraphGenSpec
 from .rules import check_rules, rule_of, ruled
 from .seeds import derive_seed
@@ -210,9 +211,9 @@ def run_sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
 
     Each cell's axes are applied once, here. fan_out splits the cells'
     plans into contiguous parts of about equal estimated work, the sum of
-    the cell's task sizes n times the horizon in node-ticks, one per worker
-    process: at most jobs, or with jobs None as many as that work pays for
-    (fan_out). The replicates of a part's cells run through one
+    replicate_work over the cell's tasks, one per worker process: at most
+    jobs, or with jobs None as many as that work pays for (fan_out). The
+    replicates of a part's cells run through one
     replicate_summaries stream, so its batches take members from several
     cells. Cell failures are recorded on the cell instead of aborting.
     Results are identical for any jobs value.
@@ -229,7 +230,7 @@ def run_sweep(spec: SweepSpec, jobs: int | None = None) -> SweepResult:
             continue
         plans.append((coords, None, [(graph_spec, pop_spec, params, derive_seed(spec.seed, "cell", cell_index, rep),
                                       alpha) for rep in range(spec.replicates)]))
-    work = [sum(task[0].n for task in tasks) * spec.horizon for _, _, tasks in plans]
+    work = [sum(replicate_work(task[0].n, spec.horizon) for task in tasks) for _, _, tasks in plans]
     return SweepResult(spec=spec, cells=fan_out(_run_cells, plans, spec, jobs=jobs, work=work,
                                                  members=spec.replicates))
 

@@ -216,7 +216,8 @@ class Trajectory:
 
     states is int8 for stochastic runs and float64 (per-agent event
     probabilities) in expected mode. event_fraction[t] is exactly
-    states[t].sum() / n.
+    states[t].sum() / n, and mean_opinion[t] exactly opinions[t].mean(): the
+    sum np.add.reduce(opinions[t]) over n, as mean itself takes it.
     """
 
     opinions: np.ndarray
@@ -333,6 +334,22 @@ def _block_diagonal(matrices: list, n: int) -> tuple:
 # n = 20000 run draws 6 ticks per call, with the same peak memory within
 # 0.2 MB.
 _DRAW_BYTES = 1 << 20
+# A recording loop sums the opinion rows that it has written since its last
+# sum once they fill this many bytes, and at the last tick, while they are
+# still in cache: every tick at n = 20000, every 327 at n = 100. On a 2-core
+# Xeon VM, a pass over the whole record after the loop took 17-18 ms of a
+# 1000-tick n = 20000 run, and a sum at every tick took a recorded n = 100
+# simulate, 2000 ticks in each mode, from 47.7 to 54.3 ms (medians of 40
+# alternating rounds).
+_MEAN_BYTES = 1 << 18
+# Where lam times the bound on |opinion| passes _EXP_EDGE, a sigmoid argument
+# may fall below -708.4, where np.exp's result leaves the normal doubles and
+# its time grows up to a hundredfold (9900 elements: 10 us normal, 167 us at
+# a result of 0, 965 us at a subnormal one). The loop then floors the argument
+# at _EXP_FLOOR: 1 + exp(z) rounds to exactly 1.0 for every z below -36.74, so
+# every probability keeps its bytes, and np.maximum passes nan on.
+_EXP_EDGE = 708.0
+_EXP_FLOOR = -40.0
 
 
 def _aligned_empty(size: int) -> np.ndarray:
@@ -380,19 +397,25 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
     which np.take puts back in order into the next row; each row sums in its
     own member's order, so every member keeps the bits of its lone product.
     At K = 1 the event fraction and feedback are Python floats, which cost
-    less than (1, 1) arrays; above, (K, 1) arrays, which cost less than a
-    loop. Each member's weight_scale, like its gamma, is a (K, 1) column,
-    applied only when some member's is not 1.0 (x * 1.0 is exactly x). The
-    loop carries one bound on |opinion| for the whole batch, the largest
-    over its members, and widens it at every update. It takes the exact
-    peaks only once the bound passes OVERFLOW_LIMIT, which happens no later
-    than the update that first carries an opinion past it, so every error's
-    step and magnitude are those a check at every tick would give. The
-    peaks then restart the bound. A stochastic member draws the uniforms of
-    a block of ticks, as many as keep the batch's draws within _DRAW_BYTES,
-    in one call on its own generator: the doubles that one call per tick
-    would draw, in the same order, so each member stays on its lone run's
-    stream.
+    less than (1, 1) arrays, and -lam is a 0-d array; above, (K, 1) arrays
+    and a (K, n) row, which cost less than a loop. Each member's weight_scale,
+    like its gamma, is a (K, 1) column, applied only when some member's is
+    not 1.0 (x * 1.0 is exactly x). The loop carries one bound on |opinion|
+    for the whole batch, the largest over its members, and widens it at
+    every update. It takes the exact peaks only once the bound passes
+    OVERFLOW_LIMIT, which happens no later than the update that first
+    carries an opinion past it, so every error's step and magnitude are
+    those a check at every tick would give. The peaks then restart the
+    bound. A stochastic member draws the uniforms of a block of ticks, as
+    many as keep the batch's draws within _DRAW_BYTES, in one call on its
+    own generator: the doubles that one call per tick would draw, in the
+    same order, so each member stays on its lone run's stream, and writes
+    its comparison into a bool view of its int8 state row, with no cast.
+    With record, the loop sums each member's opinion rows a block at a time
+    while they are in cache (_MEAN_BYTES), and a Trajectory's mean_opinion
+    is those sums over n, the bytes of opinions.mean(axis=1). Once lam times
+    the bound could carry a sigmoid argument below -708, it is floored at
+    _EXP_FLOOR, with the same probabilities.
     """
     graphs, pops, params, seeds, scales = zip(*members)
     size, n, dense = len(members), graphs[0].n, _dense_operator(graphs[0])
@@ -408,8 +431,14 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
         product = np.empty(flat)
     stochastic = mode == "stochastic"
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    # x * -lam is exactly -(x * lam): IEEE rounding is symmetric about zero
-    neg_lam = np.repeat(np.array([[-par.lam] for par in params], dtype=np.float64), n, axis=1)
+    # x * -lam is exactly -(x * lam): IEEE rounding is symmetric about zero.
+    # A lone member's is a 0-d array, which numpy broadcasts faster than a
+    # row or a Python float: 4.6 against 9.9 and 4.8 us at n = 20000, 0.37
+    # against 0.38 and 0.55 us at n = 100
+    neg_lam = np.array([[-par.lam] for par in params], dtype=np.float64)
+    neg_lam = neg_lam.reshape(()) if lone else np.repeat(neg_lam, n, axis=1)
+    # the bound on |opinion| past which the sigmoid's argument is floored
+    steep = _EXP_EDGE / max(par.lam for par in params)
     gamma = np.array([[par.gamma] for par in params], dtype=np.float64)
     scale = np.array([[s] for s in scales], dtype=np.float64) if set(scales) != {1.0} else None
     lone_gamma = params[0].gamma
@@ -445,6 +474,11 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
     # columns for np.matmul, or one (K * n) row for csr_matvec
     ys = opinions[..., None] if dense else opinions.reshape(len(opinions), flat)
     xs, ys, ss = (_tick_rows(rows, horizon) for rows in (opinions, ys, states))
+    # per tick and member, its opinions' sum: ticks done to due are summed at due
+    means, done, due = None, 0, -1
+    if record:
+        means, mean_rows = np.empty((horizon, size)), max(1, _MEAN_BYTES // (8 * flat))
+        due = min(mean_rows, horizon) - 1
     fractions = np.empty((horizon, size, 1))
     lone_fractions = fractions.reshape(-1)
     spreads = peak = trough = None
@@ -455,6 +489,7 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
         block = max(1, min(horizon, _DRAW_BYTES // (8 * size * n)))
         draws = np.empty((size, block, n))
         tick_draws = list(draws.swapaxes(0, 1))
+        events = _tick_rows(states.view(np.bool_), horizon)
     g = np.empty((size, 1))
     steer = np.empty((size, n))
     xs[0][...] = initial
@@ -464,8 +499,13 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
             if spread:
                 np.subtract(np.maximum.reduce(x, axis=1, out=peak), np.minimum.reduce(x, axis=1, out=trough),
                             out=spreads[t])
+            if t == due:
+                np.add.reduce(opinions[done:t + 1], axis=-1, out=means[done:t + 1])
+                done, due = t + 1, min(t + mean_rows, horizon - 1)
             p = probability if stochastic else s
             np.multiply(x, neg_lam, out=p)
+            if bound > steep:
+                np.maximum(p, _EXP_FLOOR, out=p)
             np.exp(p, out=p)
             p += 1.0
             np.divide(1.0, p, out=p)
@@ -474,7 +514,7 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
                 if b == 0:
                     for rng, rows in zip(rngs, draws[:, :horizon - t]):
                         rng.random(out=rows)
-                np.less(tick_draws[b], p, out=s)
+                np.less(tick_draws[b], p, out=events[t])
             # The batched branch gives a lone run the same bytes, and this one
             # is kept only for speed: on a (1, 20000) int8 row np.count_nonzero
             # took 2.1-2.7 us against 18.0-19.3 us for the float64 reduce, and
@@ -528,7 +568,7 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
         if runs[k] is None:
             fraction, diversity = fractions[:, k, 0].copy(), spreads[:, k].copy() if spread else None
             rows = opinions[:, k] if record else xs[horizon - 1][k]
-            runs[k] = (Trajectory(rows, states[:, k], fraction, rows.mean(axis=1), diversity) if record
+            runs[k] = (Trajectory(rows, states[:, k], fraction, means[:, k] / n, diversity) if record
                        else RunSummary(fraction, diversity, rows))
     return runs
 
@@ -677,18 +717,35 @@ def _run_batch(batch: list, horizon: int, mode: str, spread: bool) -> list:
     return [item if isinstance(item, Exception) else next(runs) for item in batch]
 
 
+# A replicate's inputs (_replicate_inputs: graph draw, population, checks)
+# cost about as much as this many ticks of its own run in a batch. Measured
+# on a 2-core Xeon VM, medians of 7 rounds of 18 replicates: Watts-Strogatz
+# n = 300, k = 6, 1.24-1.32 ms against 5.5-5.7 us per stochastic member-tick
+# (225-232 ticks); the default sbm n = 100, 0.71-0.79 ms against 3.5 us
+# expected and 4.3-5.1 us stochastic (148-223 ticks).
+_INPUT_TICKS = 200
+
+
+def replicate_work(n: int, horizon: int) -> int:
+    """The estimated cost of one replicate of an n-node graph for fan_out,
+    in node-ticks: n x (horizon + _INPUT_TICKS), its run and its inputs."""
+    return n * (horizon + _INPUT_TICKS)
+
+
 # With jobs unset, fan_out starts at most one worker per _PART_WORK estimated
-# node-ticks (n x replicates x horizon per run) and per _PART_MEMBERS lockstep
-# members. Measured on a 2-core Xeon VM, jobs 1 against 2 in alternating
-# rounds: two forked workers cost fan_out 10-15 ms (medians of 30 calls, two
-# runs). A 36-cell fit grid (sbm n = 100, expected mode, one replicate a cell)
-# lost at 0.9M node-ticks in all (69 against 106 ms, 9 of 10 rounds) and won
-# from 1.44M (122 against 88 ms, 10 of 10); a 36-cell Watts-Strogatz n = 300
-# sweep of 3 replicates, whose graph draws weigh more, lost at 0.32M and won
-# from 0.81M. K lockstep members cut into two equal parts for 20 steps of 2000
-# expected ticks (sbm n = 100) won 16 of 16 rounds at K = 6 (1057 against 873
-# ms) and 14 of 16 at K = 4, but gained nothing at K = 3 (649 against 655 ms):
-# a narrower batch costs more per member-tick (_BATCH_BYTES).
+# node-ticks (replicate_work per run) and per _PART_MEMBERS lockstep members.
+# Measured on a 2-core Xeon VM, jobs 1 against 2 in alternating rounds: two
+# forked workers cost fan_out 10-15 ms (medians of 30 calls, two runs). A
+# 36-cell fit grid (sbm n = 100, expected mode, one replicate a cell) lost at
+# 100 ticks (41 against 70 ms, 0 of 10 rounds), tied at 200 (49 against 61 ms,
+# 6 of 10) and won from 300 (67 against 62 ms, 8 of 10), where the estimate
+# cuts it from 356 ticks on; a 36-cell Watts-Strogatz n = 300 sweep of 3
+# replicates, whose graph draws weigh more, tied at 1 tick (192 against 195 ms,
+# 3 of 8) and won from 5 (216 against 144 ms, 8 of 8), and the estimate cuts it
+# at any horizon. K lockstep members cut into two equal parts for 20 steps of
+# 2000 expected ticks (sbm n = 100) won 16 of 16 rounds at K = 6 (1057 against
+# 873 ms) and 14 of 16 at K = 4, but gained nothing at K = 3 (649 against 655
+# ms): a narrower batch costs more per member-tick (_BATCH_BYTES).
 _PART_WORK = 1_000_000
 _PART_MEMBERS = 3
 

@@ -16,7 +16,7 @@ from itertools import islice
 import numpy as np
 
 from .csvio import failure_text, read_csv, write_csv
-from .dynamics import MODES, ModelParams, PopulationSpec, fan_out, replicate_summaries
+from .dynamics import MODES, ModelParams, PopulationSpec, fan_out, replicate_summaries, replicate_work
 from .graph import GenerationError, GraphGenSpec
 from .rules import check_rules, rule_of, ruled
 from .seeds import derive_seed
@@ -287,8 +287,8 @@ def _grid_part(points, data, config) -> list:
 
 
 def _point_work(data: np.ndarray, config: FitConfig) -> int:
-    """The estimated node-ticks of scoring one point: n x replicates x horizon."""
-    return config.n * config.replicates * np.size(data)
+    """The estimated node-ticks of scoring one point: replicates x replicate_work."""
+    return config.replicates * replicate_work(config.n, np.size(data))
 
 
 def grid_explore(data: np.ndarray, space: ParamSpace, config: FitConfig, jobs: int | None = None) -> GridResult:
@@ -298,9 +298,8 @@ def grid_explore(data: np.ndarray, space: ParamSpace, config: FitConfig, jobs: i
     evaluate_point would raise for it; the other cells keep their scores.
     fan_out splits the cells into contiguous parts, one per worker process:
     at most jobs, or with jobs None as many as the cells' work pays for, at
-    n x replicates x horizon node-ticks a cell (fan_out). Each part scores
-    its cells through one replicate_summaries stream; the scores do not
-    depend on jobs.
+    _point_work a cell (fan_out). Each part scores its cells through one
+    replicate_summaries stream; the scores do not depend on jobs.
     """
     axes = space.axes
     meshes = np.meshgrid(*[space.centers(name) for name in axes], indexing="ij")

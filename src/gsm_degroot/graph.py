@@ -385,15 +385,22 @@ def _ba_pairs(n: int, m: int, rng: random.Random) -> np.ndarray:
     Growth starts from the star on nodes 0..m. Each new node takes m
     distinct targets, drawn uniformly from a list that holds every node
     once per incident edge. The list is extended in the iteration order of
-    the target set, so every later draw sees the list networkx sees.
+    the target set, so every later draw sees the list networkx sees. Each
+    draw is random.Random.choice's own: getrandbits(size.bit_length()),
+    drawn again while it is not below the list's size, written out here
+    without choice's two Python calls per draw.
     """
     repeated = [0] * m + list(range(1, m + 1))
     targets = repeated[m:]
-    choice = rng.choice
+    getrandbits = rng.getrandbits
     for source in range(m + 1, n):
         picked = set()
+        size = len(repeated)
+        bits = size.bit_length()
         while len(picked) < m:
-            picked.add(choice(repeated))
+            index = getrandbits(bits)
+            if index < size:
+                picked.add(repeated[index])
         repeated.extend(picked)
         repeated.extend([source] * m)
         targets.extend(picked)

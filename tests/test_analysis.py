@@ -185,6 +185,27 @@ def test_sweep_jobs_do_not_change_results(tmp_path):
             assert sweep_files(run_sweep(spec, jobs=jobs), tmp_path / f"{name}-{jobs}") == want, f"{name} jobs {jobs}"
 
 
+def test_a_short_sweep_on_graphs_slow_to_draw_splits_without_jobs(tmp_path, monkeypatch):
+    # 108 Watts-Strogatz n = 300 replicates at horizon 25: 0.81M node-ticks of
+    # runs, but graph draws worth some 200 ticks each, so two parts pay
+    parts = []
+    cut = dynamics._parts
+
+    def counted(items, work, count):
+        parts.append(count)
+        return cut(items, work, count)
+
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dynamics, "_parts", counted)
+    spec = sweep_spec(graph=GraphGenSpec(family="watts-strogatz", n=300, k=6, rewire_prob=0.1), horizon=25,
+                      axes=[SweepAxis("gamma", 0.0, 2.0, 6), SweepAxis("beta", 0.1, 0.9, 6)],
+                      statistics=STATISTICS)
+    want = sweep_files(run_sweep(spec, jobs=1), tmp_path / "jobs-1")
+    assert parts == []
+    assert sweep_files(run_sweep(spec), tmp_path / "jobs-none") == want
+    assert parts == [2]
+
+
 def test_sweep_cells_keep_their_seeds():
     # taken from the code before sweeps ran through dynamics.replicate: a
     # changed seed label or derivation changes these digits
@@ -433,7 +454,8 @@ def test_curves_csv_equals_the_rows_of_csv_writer(tmp_path, case):
 
 def test_a_sweep_batches_its_replicates_across_cells(monkeypatch):
     # 108 Watts-Strogatz runs at n = 300 (31 kB of CSR each, so 33 to a
-    # batch) take 4 calls of the tick loop, not one per cell
+    # batch) take 4 calls of the tick loop, not one per cell; in one process,
+    # which the graph draws alone would pay to split
     sizes = []
     run_members = dynamics._run_members
 
@@ -444,7 +466,7 @@ def test_a_sweep_batches_its_replicates_across_cells(monkeypatch):
     monkeypatch.setattr(dynamics, "_run_members", counted)
     spec = sweep_spec(graph=GraphGenSpec(family="watts-strogatz", n=300, k=6, rewire_prob=0.1), horizon=5,
                       axes=[SweepAxis("gamma", 0.0, 2.0, 6), SweepAxis("beta", 0.1, 0.9, 6)])
-    assert not run_sweep(spec).failures()
+    assert not run_sweep(spec, jobs=1).failures()
     assert sum(sizes) == 108
     assert len(sizes) <= 4
 

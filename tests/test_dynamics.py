@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -292,22 +293,38 @@ def test_expected_mode_is_deterministic_and_smooth():
     assert a.states.dtype == np.float64
 
 
-def test_trajectory_recorded_series_are_consistent():
-    # a dense operator, a hub-heavy sparse one, and a start with no spread;
-    # bytes, because assert_array_equal takes -0.0 for 0.0
-    for family, n, sigma in [("erdos-renyi", 15, 1.0), ("barabasi-albert", 2000, 1.0), ("erdos-renyi", 15, 0.0)]:
+def test_trajectory_recorded_series_are_consistent(monkeypatch):
+    # a dense operator, a hub-heavy sparse one, and a start with no spread,
+    # each alone and as the first and last member of a batch of 3 whose
+    # middle member overflows mid-run. The loop sums its opinion rows in
+    # blocks; 62 ticks are no multiple of a block (16 rows at n = 2000 alone,
+    # 5 in the batch; 9 and 3 under the budget set below at n = 15, and one
+    # block that ends at the last tick under the default). Bytes, because
+    # assert_array_equal takes -0.0 for 0.0
+    default = dynamics._MEAN_BYTES
+    cases = [("erdos-renyi", 15, 1.0, 8 * 15 * 9), ("erdos-renyi", 15, 1.0, default),
+             ("barabasi-albert", 2000, 1.0, default), ("erdos-renyi", 15, 0.0, default)]
+    for mode, (family, n, sigma, mean_bytes) in product(MODES, cases):
+        monkeypatch.setattr(dynamics, "_MEAN_BYTES", mean_bytes)
         graph = generate(GraphGenSpec(family=family, n=n, edge_prob=0.4, seed=2))
         pop = PopulationSpec().build(n, rng_from(2, "pop"), mu=-1.0, sigma=sigma)
-        traj = simulate(graph, pop, ModelParams(lam=0.5, gamma=0.2), horizon=60, seed=3)
-        assert traj.opinions.shape == (60, n)
-        assert traj.states.shape == (60, n)
-        assert traj.states.dtype == np.int8
-        assert traj.event_fraction.tobytes() == (traj.states.sum(axis=1) / n).tobytes()
-        assert traj.mean_opinion.tobytes() == traj.opinions.mean(axis=1).tobytes()
-        spread = traj.opinions.max(axis=1) - traj.opinions.min(axis=1)
-        assert traj.max_diversity.dtype == spread.dtype and traj.max_diversity.tobytes() == spread.tobytes()
-        assert np.all(traj.max_diversity >= 0)
-        assert (traj.max_diversity[0] == 0.0) == (sigma == 0.0)
+        params = ModelParams(lam=0.5, gamma=0.2)
+        surge = (graph, Population(np.ones(n), np.zeros(n)), ModelParams(lam=1.0, gamma=1e11), 4)
+        lone = simulate(graph, pop, params, horizon=62, seed=3, mode=mode)
+        first, failed, last = member_runs([(graph, pop, params, 3), surge, (graph, pop, replace(params, gamma=0.3), 5)],
+                                          62, mode, spread=True, record=True)
+        assert isinstance(failed, OpinionOverflowError) and 1 < failed.step < 50
+        assert first.mean_opinion.tobytes() == lone.mean_opinion.tobytes()
+        for traj in (lone, first, last):
+            assert traj.opinions.shape == (62, n)
+            assert traj.states.shape == (62, n)
+            assert traj.states.dtype == (np.int8 if mode == "stochastic" else np.float64)
+            assert traj.event_fraction.tobytes() == (traj.states.sum(axis=1) / n).tobytes()
+            assert traj.mean_opinion.tobytes() == traj.opinions.mean(axis=1).tobytes()
+            spread = traj.opinions.max(axis=1) - traj.opinions.min(axis=1)
+            assert traj.max_diversity.dtype == spread.dtype and traj.max_diversity.tobytes() == spread.tobytes()
+            assert np.all(traj.max_diversity >= 0)
+            assert (traj.max_diversity[0] == 0.0) == (sigma == 0.0)
 
 
 def test_write_agent_csv_rejects_an_unknown_matrix(tmp_path):
@@ -555,6 +572,26 @@ def test_simulate_equals_the_step_helpers_bit_for_bit(mixing_graph, mode, varian
     assert run.horizon == 300
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_runaway_run_with_a_floored_sigmoid_equals_the_step_helpers(mode):
+    # sweep-regimes' cell at gamma 2, beta 0.9: the opinions climb past 745,
+    # so the sigmoid's arguments cross np.exp's subnormal band to below
+    # -745, and the tick floors them once lam times its bound passes 708
+    graph = generate(GraphGenSpec(family="watts-strogatz", n=300, k=6, rewire_prob=0.1, seed=4))
+    pop = PopulationSpec(positive_fraction=0.9).build(300, rng_from(4, "pop"), mu=0.0, sigma=1.0)
+    run = assert_same_run(graph, pop, ModelParams(lam=1.0, gamma=2.0), 1000, 9, mode)
+    assert run.opinions[-1].max() > 745.0
+
+
+def test_the_sigmoid_keeps_its_bytes_with_its_exponent_floored():
+    z = np.concatenate([np.linspace(-800.0, 40.0, 200_001), np.linspace(-745.2, -708.3, 100_001),
+                        np.linspace(-41.0, -36.0, 100_001), [-np.inf, np.inf, np.nan, -0.0, -1e308]])
+    with np.errstate(over="ignore"):
+        plain = 1.0 / (1.0 + np.exp(z))
+        floored = 1.0 / (1.0 + np.exp(np.maximum(z, dynamics._EXP_FLOOR)))
+    assert floored.tobytes() == plain.tobytes()
+
+
 def test_simulate_returns_its_rows_without_copying_them():
     graph = generate(GraphGenSpec(family="watts-strogatz", n=2000, k=6, seed=3))
     pop = PopulationSpec().build(2000, rng_from(3, "pop"), mu=0.0, sigma=1.0)
@@ -734,12 +771,13 @@ def assert_same_outcome(got, want):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def member_runs(members, horizon, mode, spread=False, scales=None):
-    """The RunSummary of each member from one _run_members call, or its
-    OpinionOverflowError; member k runs at weight scale scales[k], 1.0 by default."""
+def member_runs(members, horizon, mode, spread=False, scales=None, record=False):
+    """The RunSummary, or with record the Trajectory, of each member from one
+    _run_members call, or its OpinionOverflowError; member k runs at weight
+    scale scales[k], 1.0 by default."""
     scales = scales or [1.0] * len(members)
     return dynamics._run_members([(*member, scale) for member, scale in zip(members, scales)], horizon, mode,
-                                 spread=spread)
+                                 spread=spread, record=record)
 
 
 def member_fractions(members, horizon, mode):

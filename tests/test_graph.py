@@ -246,9 +246,15 @@ def edge_set(pairs):
     return {tuple(sorted(map(int, pair))) for pair in pairs}
 
 
-@pytest.mark.parametrize("n, m", [(4, 1), (10, 3), (100, 1), (500, 5)])
-def test_barabasi_albert_pairs_match_networkx(n, m):
-    for seed in SAMPLER_SEEDS:
+@pytest.mark.parametrize("n, m, seeds", [
+    (4, 1, SAMPLER_SEEDS),
+    (10, 3, SAMPLER_SEEDS),
+    (100, 1, SAMPLER_SEEDS),
+    (500, 5, SAMPLER_SEEDS),
+    (20000, 3, SAMPLER_SEEDS[:2]),  # the draws' list passes 2**15 entries
+], ids=["4-1", "10-3", "100-1", "500-5", "20000-3"])
+def test_barabasi_albert_pairs_match_networkx(n, m, seeds):
+    for seed in seeds:
         want = edge_set(nx.barabasi_albert_graph(n, m, seed=seed).edges())
         assert edge_set(graph_module._ba_pairs(n, m, random.Random(seed))) == want
 
