@@ -9,8 +9,8 @@ from itertools import islice, product
 import numpy as np
 
 from .csvio import failure_text, write_csv, write_series_csv
-from .dynamics import (ModelParams, PopulationSpec, RunSummary, Trajectory, fan_out, replicate_summaries,
-                       replicate_work)
+from .dynamics import (MAX_HORIZON, ModelParams, PopulationSpec, RunSummary, Trajectory, fan_out,
+                       replicate_summaries, replicate_work)
 from .graph import GraphError, GraphGenSpec
 from .rules import check_rules, rule_of, ruled
 from .seeds import derive_seed
@@ -107,8 +107,8 @@ class SweepSpec:
         check_rules(self)
         if not self.statistics:
             raise ValueError("a sweep needs at least one statistic")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {self.horizon}")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ValueError(f"horizon must lie in [1, {MAX_HORIZON}], got {self.horizon}")
 
 
 @dataclass

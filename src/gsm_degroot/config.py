@@ -21,7 +21,7 @@ from dataclasses import MISSING, fields
 import yaml
 
 from .analysis import SweepAxis, SweepSpec
-from .dynamics import MODES, ModelParams, PopulationSpec
+from .dynamics import MAX_HORIZON, MODES, ModelParams, PopulationSpec
 from .fitting import AXIS_ORDER, DEFAULT_BOUNDS, DEFAULT_RESOLUTION, FitConfig, ParamSpace, check_q_range
 from .graph import GraphGenSpec
 from .ingest import check_preprocess
@@ -86,7 +86,7 @@ _SHAPE = {
     "graph": _section_shape("graph"),
     "population": _section_shape("population"),
     "params": _section_shape("params"),
-    "horizon": _leaf(int, 300, ge=1),
+    "horizon": _leaf(int, 300, ge=1, le=MAX_HORIZON),
     "simulate": {"mode": _leaf(str, "stochastic", among=MODES), "write_agents": _leaf(bool, False)},
     "sweep": {
         "axes": [_shape_of(SweepAxis, {f.name: f for f in fields(SweepAxis)})],

@@ -37,8 +37,10 @@ def write_series_csv(path, header: list, series: Iterable[tuple[list, list[float
 
 
 def read_csv(path) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line, row) for each non-empty row of path; empty rows count as lines."""
-    with open(path, newline="") as fh:
+    """Yield (line, row) for each non-empty row of path; empty rows count as
+    lines. A UTF-8 byte-order mark at the start, as spreadsheet exports
+    write, is not part of the first field."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for line, row in enumerate(csv.reader(fh), start=1):
             if row:
                 yield line, row

@@ -39,6 +39,10 @@ from .rules import check_rules, ruled
 from .seeds import derive_seed, rng_from
 
 OVERFLOW_LIMIT = 1e12
+# The most ticks of a run, as many as graph nodes and filled samples: a sweep
+# batch allocates (horizon, K) series up front, and a recorded run 9 n bytes
+# per tick
+MAX_HORIZON = 10**6
 # Relative widening per step of the tick loop's bound on the opinion magnitude:
 # room for the rounding of a k-term dot product (below k * 2**-53, so any
 # k < 1e9) and of the few other operations in one step.
@@ -216,8 +220,9 @@ class Trajectory:
 
     states is int8 for stochastic runs and float64 (per-agent event
     probabilities) in expected mode. event_fraction[t] is exactly
-    states[t].sum() / n, and mean_opinion[t] exactly opinions[t].mean(): the
-    sum np.add.reduce(opinions[t]) over n, as mean itself takes it.
+    states[t].sum() / n, mean_opinion[t] exactly opinions[t].mean(): the
+    sum np.add.reduce(opinions[t]) over n, as mean itself takes it, and
+    max_diversity[t] exactly opinions[t].max() - opinions[t].min().
     """
 
     opinions: np.ndarray
@@ -262,8 +267,8 @@ def _check_run(graph, population, horizon, mode, weight_scale=1.0, check_connect
     """Raise ValueError for a run that simulate rejects."""
     if not 0.0 < weight_scale < math.inf:
         raise ValueError(f"weight_scale must be positive and finite, got {weight_scale!r}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if not 1 <= horizon <= MAX_HORIZON:
+        raise ValueError(f"horizon must lie in [1, {MAX_HORIZON}], got {horizon}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if population.n != graph.n:
@@ -334,13 +339,13 @@ def _block_diagonal(matrices: list, n: int) -> tuple:
 # n = 20000 run draws 6 ticks per call, with the same peak memory within
 # 0.2 MB.
 _DRAW_BYTES = 1 << 20
-# A recording loop sums the opinion rows that it has written since its last
-# sum once they fill this many bytes, and at the last tick, while they are
-# still in cache: every tick at n = 20000, every 327 at n = 100. On a 2-core
-# Xeon VM, a pass over the whole record after the loop took 17-18 ms of a
-# 1000-tick n = 20000 run, and a sum at every tick took a recorded n = 100
-# simulate, 2000 ticks in each mode, from 47.7 to 54.3 ms (medians of 40
-# alternating rounds).
+# A recording loop takes the sums and the spreads (max - min) of the opinion
+# rows that it has written since its last such step once they fill this many
+# bytes, and at the last tick, while they are still in cache: every tick at
+# n = 20000, every 327 at n = 100. On a 2-core Xeon VM, a pass over the whole
+# record after the loop took 17-18 ms of a 1000-tick n = 20000 run, and a sum
+# at every tick took a recorded n = 100 simulate, 2000 ticks in each mode,
+# from 47.7 to 54.3 ms (medians of 40 alternating rounds).
 _MEAN_BYTES = 1 << 18
 # Where lam times the bound on |opinion| passes _EXP_EDGE, a sigmoid argument
 # may fall below -708.4, where np.exp's result leaves the normal doubles and
@@ -384,10 +389,10 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
     Trajectory with record, whose rows are the views opinions[:, k] and
     states[:, k] of the batch's (horizon, K, n) records, and its RunSummary
     without. Its max_diversity, the spread max - min of its opinions at
-    every tick, is None without spread. A member that overflows is frozen
-    at zero, so it neither warns nor touches the others; the loop stops
-    once all have failed. A stubborn agent, of susceptibility 0, is pinned
-    by the blend alone.
+    every tick, is None only in a RunSummary without spread: record implies
+    spread. A member that overflows is frozen at zero, so it neither warns
+    nor touches the others; the loop stops once all have failed. A
+    stubborn agent, of susceptibility 0, is pinned by the blend alone.
 
     The kind is that of the first graph: where _dense_operator holds, the
     members are stacked for one np.matmul per tick, the same gemv per member
@@ -411,10 +416,12 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
     own generator: the doubles that one call per tick would draw, in the
     same order, so each member stays on its lone run's stream, and writes
     its comparison into a bool view of its int8 state row, with no cast.
-    With record, the loop sums each member's opinion rows a block at a time
-    while they are in cache (_MEAN_BYTES), and a Trajectory's mean_opinion
-    is those sums over n, the bytes of opinions.mean(axis=1). Once lam times
-    the bound could carry a sigmoid argument below -708, it is floored at
+    With record, the loop reduces each member's opinion rows a block at a
+    time while they are in cache (_MEAN_BYTES): their max and min give the
+    spread, and a Trajectory's mean_opinion is their sums over n, the bytes
+    of opinions.mean(axis=1). A RunSummary with spread reduces its current
+    row at every tick, and one without reduces none. Once lam times the
+    bound could carry a sigmoid argument below -708, it is floored at
     _EXP_FLOOR, with the same probabilities.
     """
     graphs, pops, params, seeds, scales = zip(*members)
@@ -474,20 +481,19 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
     # columns for np.matmul, or one (K * n) row for csr_matvec
     ys = opinions[..., None] if dense else opinions.reshape(len(opinions), flat)
     xs, ys, ss = (_tick_rows(rows, horizon) for rows in (opinions, ys, states))
-    # per tick and member, its opinions' sum: ticks done to due are summed at due
-    means, done, due = None, 0, -1
-    if record:
-        means, mean_rows = np.empty((horizon, size)), max(1, _MEAN_BYTES // (8 * flat))
-        due = min(mean_rows, horizon) - 1
+    # per tick and member, its opinions' spread and, with record, their sum:
+    # the rows of ticks done to due are reduced at due, a recorded block or
+    # the current row
+    spread, means = spread or record, np.empty((horizon, size)) if record else None
+    spreads, done, due = None, 0, -1
+    if spread:
+        stride = max(1, _MEAN_BYTES // (8 * flat)) if record else 1
+        spreads, trough, due = np.empty((horizon, size)), np.empty((stride, size)), min(stride, horizon) - 1
     fractions = np.empty((horizon, size, 1))
     lone_fractions = fractions.reshape(-1)
-    spreads = peak = trough = None
-    if spread:
-        spreads, peak, trough = np.empty((horizon, size)), np.empty(size), np.empty(size)
     probability = np.empty((size, n))
     if stochastic:
-        block = max(1, min(horizon, _DRAW_BYTES // (8 * size * n)))
-        draws = np.empty((size, block, n))
+        draws = np.empty((size, max(1, min(horizon, _DRAW_BYTES // (8 * flat))), n))
         tick_draws = list(draws.swapaxes(0, 1))
         events = _tick_rows(states.view(np.bool_), horizon)
     g = np.empty((size, 1))
@@ -496,12 +502,13 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon):
             x, s = xs[t], ss[t]
-            if spread:
-                np.subtract(np.maximum.reduce(x, axis=1, out=peak), np.minimum.reduce(x, axis=1, out=trough),
-                            out=spreads[t])
             if t == due:
-                np.add.reduce(opinions[done:t + 1], axis=-1, out=means[done:t + 1])
-                done, due = t + 1, min(t + mean_rows, horizon - 1)
+                block, span = opinions[done:t + 1] if record else x[None], spreads[done:t + 1]
+                np.subtract(np.maximum.reduce(block, axis=-1, out=span),
+                            np.minimum.reduce(block, axis=-1, out=trough[:t + 1 - done]), out=span)
+                if record:
+                    np.add.reduce(block, axis=-1, out=means[done:t + 1])
+                done, due = t + 1, min(t + stride, horizon - 1)
             p = probability if stochastic else s
             np.multiply(x, neg_lam, out=p)
             if bound > steep:
@@ -510,7 +517,7 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
             p += 1.0
             np.divide(1.0, p, out=p)
             if stochastic:
-                b = t % block
+                b = t % len(tick_draws)
                 if b == 0:
                     for rng, rows in zip(rngs, draws[:, :horizon - t]):
                         rng.random(out=rows)
@@ -567,9 +574,8 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
     for k in range(size):
         if runs[k] is None:
             fraction, diversity = fractions[:, k, 0].copy(), spreads[:, k].copy() if spread else None
-            rows = opinions[:, k] if record else xs[horizon - 1][k]
-            runs[k] = (Trajectory(rows, states[:, k], fraction, means[:, k] / n, diversity) if record
-                       else RunSummary(fraction, diversity, rows))
+            runs[k] = (Trajectory(opinions[:, k], states[:, k], fraction, means[:, k] / n, diversity) if record
+                       else RunSummary(fraction, diversity, xs[horizon - 1][k]))
     return runs
 
 
@@ -597,7 +603,7 @@ def simulate(
     step, for growth or decay protocols where the sums equal alpha != 1.
     """
     _check_run(graph, population, horizon, mode, weight_scale, check_connectivity)
-    [run] = _run_members([(graph, population, params, seed, weight_scale)], horizon, mode, record=True, spread=True)
+    [run] = _run_members([(graph, population, params, seed, weight_scale)], horizon, mode, record=True)
     if isinstance(run, OpinionOverflowError):
         raise run
     return run

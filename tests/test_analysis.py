@@ -145,6 +145,12 @@ def test_spec_rejects_zero_replicates():
         sweep_spec(replicates=0)
 
 
+def test_spec_caps_the_horizon():
+    assert sweep_spec(horizon=10**6).horizon == 10**6
+    with pytest.raises(ValueError, match=r"horizon must lie in \[1, 1000000\], got 1000001"):
+        sweep_spec(horizon=10**6 + 1)
+
+
 def test_spec_rejects_an_empty_statistics_list():
     with pytest.raises(ValueError, match="at least one statistic"):
         sweep_spec(statistics=())

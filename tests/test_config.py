@@ -116,6 +116,10 @@ def test_validate_accepts_resolved_defaults():
     validate_config(DEFAULTS)
 
 
+def test_a_horizon_at_the_cap_loads(tmp_path):
+    assert load_config(write_yaml(tmp_path, {"horizon": 10**6}))["horizon"] == 10**6
+
+
 def test_sweep_axis_shape_is_checked(tmp_path):
     payload = {"sweep": {"axes": [{"name": "gamma", "lo": 0.0, "hi": 1.0}]}}
     with pytest.raises(ConfigError, match="sweep.axes.0"):
@@ -277,6 +281,8 @@ REJECTED = [
     # axes whose cells coincide
     ("sweep.axes.0", _with("sweep", axes=[dict(_AXIS, lo=0.5, hi=0.5, cells=3)])),
     ("sweep.axes.1", _with("sweep", axes=[_AXIS, {"name": "mu", "lo": 1.0, "hi": 1.0 + 2**-52, "cells": 3}])),
+    # a horizon past the cap shared with graph.n
+    ("horizon", {"horizon": 10**6 + 1}),
 ]
 
 
@@ -299,6 +305,8 @@ def test_each_rule_rejects_with_its_field_path(tmp_path, path, payload):
     ("fit", _with("fit.surrogate", n=1), []),
     ("identify", _with("identify", points=0), []),
     ("gen-graph", {}, ["--seed", str(2**64)]),
+    ("simulate", {"horizon": 10**6 + 1}, []),
+    ("sweep", {"horizon": 10**6 + 1, "sweep": {"axes": [_AXIS]}}, []),
 ])
 def test_rejected_config_exits_2(tmp_path, capsys, command, payload, flags):
     from gsm_degroot.cli import main

@@ -4,6 +4,7 @@ simulation loop, and the model's pathwise guarantees."""
 import math
 import multiprocessing
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -18,6 +19,7 @@ from scipy.sparse._sparsetools import csr_matvec
 from gsm_degroot import dynamics
 from gsm_degroot import graph as graph_module
 from gsm_degroot.dynamics import (
+    MAX_HORIZON,
     MODES,
     OVERFLOW_LIMIT,
     ModelParams,
@@ -296,11 +298,12 @@ def test_expected_mode_is_deterministic_and_smooth():
 def test_trajectory_recorded_series_are_consistent(monkeypatch):
     # a dense operator, a hub-heavy sparse one, and a start with no spread,
     # each alone and as the first and last member of a batch of 3 whose
-    # middle member overflows mid-run. The loop sums its opinion rows in
-    # blocks; 62 ticks are no multiple of a block (16 rows at n = 2000 alone,
-    # 5 in the batch; 9 and 3 under the budget set below at n = 15, and one
-    # block that ends at the last tick under the default). Bytes, because
-    # assert_array_equal takes -0.0 for 0.0
+    # middle member overflows mid-run. The loop takes the sums and spreads
+    # of its opinion rows in blocks; 62 ticks are no multiple of a block (16
+    # rows at n = 2000 alone, 5 in the batch; 9 and 3 under the budget set
+    # below at n = 15, and one block that ends at the last tick under the
+    # default). The same batch without record takes each spread from the
+    # current row. Bytes, because assert_array_equal takes -0.0 for 0.0
     default = dynamics._MEAN_BYTES
     cases = [("erdos-renyi", 15, 1.0, 8 * 15 * 9), ("erdos-renyi", 15, 1.0, default),
              ("barabasi-albert", 2000, 1.0, default), ("erdos-renyi", 15, 0.0, default)]
@@ -311,10 +314,14 @@ def test_trajectory_recorded_series_are_consistent(monkeypatch):
         params = ModelParams(lam=0.5, gamma=0.2)
         surge = (graph, Population(np.ones(n), np.zeros(n)), ModelParams(lam=1.0, gamma=1e11), 4)
         lone = simulate(graph, pop, params, horizon=62, seed=3, mode=mode)
-        first, failed, last = member_runs([(graph, pop, params, 3), surge, (graph, pop, replace(params, gamma=0.3), 5)],
-                                          62, mode, spread=True, record=True)
+        batch = [(graph, pop, params, 3), surge, (graph, pop, replace(params, gamma=0.3), 5)]
+        first, failed, last = member_runs(batch, 62, mode, record=True)
         assert isinstance(failed, OpinionOverflowError) and 1 < failed.step < 50
         assert first.mean_opinion.tobytes() == lone.mean_opinion.tobytes()
+        summaries = member_runs(batch, 62, mode, spread=True)
+        assert str(summaries[1]) == str(failed)
+        for traj, summary in zip((first, last), summaries[::2]):
+            assert summary.max_diversity.tobytes() == traj.max_diversity.tobytes()
         for traj in (lone, first, last):
             assert traj.opinions.shape == (62, n)
             assert traj.states.shape == (62, n)
@@ -325,6 +332,19 @@ def test_trajectory_recorded_series_are_consistent(monkeypatch):
             assert traj.max_diversity.dtype == spread.dtype and traj.max_diversity.tobytes() == spread.tobytes()
             assert np.all(traj.max_diversity >= 0)
             assert (traj.max_diversity[0] == 0.0) == (sigma == 0.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_recorded_run_always_keeps_its_spread(tmp_path, mode):
+    # record implies the spread: a Trajectory's max_diversity is never None,
+    # so its summary file can always be written
+    graph = generate(GraphGenSpec(family="watts-strogatz", n=40, k=4, seed=6))
+    pop = PopulationSpec().build(40, rng_from(6, "pop"), mu=0.0, sigma=1.0)
+    members = [(graph, pop, ModelParams(lam=1.0, gamma=gamma), seed) for seed, gamma in enumerate([0.2, 0.5])]
+    for run in member_runs(members, 30, mode, record=True):
+        spread = run.opinions.max(axis=1) - run.opinions.min(axis=1)
+        assert run.max_diversity.tobytes() == spread.tobytes()
+        run.write_summary_csv(tmp_path / "trajectory.csv")
 
 
 def test_write_agent_csv_rejects_an_unknown_matrix(tmp_path):
@@ -372,6 +392,24 @@ def test_simulate_validates_inputs():
     for scale in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="weight_scale must be positive"):
             simulate(graph, pop, params, horizon=10, seed=0, check_connectivity=False, weight_scale=scale)
+
+
+def test_a_horizon_is_capped_before_the_tick_loop_allocates(monkeypatch):
+    # the tick loop is replaced, so a horizon at the cap is only checked
+    ran = []
+    monkeypatch.setattr(dynamics, "_run_members", lambda members, horizon, mode, **kwargs: (
+        ran.append(horizon) or [f"ran {horizon}"] * len(members)))
+    graph, pop, params = identity_graph(3), uniform_population(3), ModelParams()
+    tasks = [(GraphGenSpec(family="watts-strogatz", n=20, k=4), PopulationSpec(), params, 1, 1.0)]
+    assert MAX_HORIZON == 10**6
+    assert simulate(graph, pop, params, horizon=MAX_HORIZON, seed=0, check_connectivity=False) == "ran 1000000"
+    assert list(replicate_summaries(tasks, MAX_HORIZON)) == ["ran 1000000"]
+    message = "horizon must lie in [1, 1000000], got 1000001"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate(graph, pop, params, horizon=MAX_HORIZON + 1, seed=0, check_connectivity=False)
+    [rejected] = replicate_summaries(tasks, MAX_HORIZON + 1)
+    assert isinstance(rejected, ValueError) and str(rejected) == message
+    assert ran == [MAX_HORIZON, MAX_HORIZON]
 
 
 def test_replicate_ignores_the_spec_seed():

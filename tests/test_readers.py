@@ -77,3 +77,34 @@ def test_the_unmutated_files_parse(tmp_path, name):
     path = tmp_path / "valid.csv"
     path.write_text(text)
     reader(path)
+
+
+# Excel's "CSV UTF-8" export starts a file with a byte-order mark, which the
+# readers must not take as part of the first field
+def marked_and_plain(tmp_path, text):
+    """Two files of text, the first with a UTF-8 byte-order mark."""
+    marked, plain = tmp_path / "marked.csv", tmp_path / "plain.csv"
+    marked.write_text(text, encoding="utf-8-sig")
+    plain.write_text(text, encoding="utf-8")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    return marked, plain
+
+
+def test_an_edge_list_with_a_byte_order_mark_keeps_its_header(tmp_path):
+    marked, plain = marked_and_plain(tmp_path, READERS["edges"][2])
+    got, want = load_edge_list(marked), load_edge_list(plain)
+    assert got.n == want.n and (got.matrix != want.matrix).nnz == 0
+
+
+def test_a_headerless_series_with_a_byte_order_mark_reads_its_first_tick(tmp_path):
+    marked, plain = marked_and_plain(tmp_path, "0,0.5\n1,0.4\n2,0.3\n4,0.2\n")
+    got, want = load_series(marked), load_series(plain)
+    assert got.timestamps == want.timestamps == (0, 1, 2, 4)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_a_grid_with_a_byte_order_mark_names_its_first_axis(tmp_path):
+    marked, plain = marked_and_plain(tmp_path, READERS["grid"][2])
+    (axes, points, scores), want = read_grid_csv(marked), read_grid_csv(plain)
+    assert axes == want[0] == ["mu", "gamma"]
+    assert points.tobytes() == want[1].tobytes() and scores.tobytes() == want[2].tobytes()
