@@ -83,6 +83,16 @@ class SweepAxis:
         return np.linspace(self.lo, self.hi, self.cells)
 
 
+def check_distinct(kind: str, names) -> None:
+    """Raise ValueError naming the first of names, a sweep's axis names or
+    its statistics, that repeats an earlier one: a repeated axis would
+    share the first one's coordinate, and a repeated statistic would write
+    its rows twice."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"{kind} {name!r} is repeated")
+
+
 @dataclass
 class SweepSpec:
     """One or two swept axes over a common base configuration.
@@ -107,6 +117,8 @@ class SweepSpec:
         check_rules(self)
         if not self.statistics:
             raise ValueError("a sweep needs at least one statistic")
+        check_distinct("axis", [axis.name for axis in self.axes])
+        check_distinct("statistic", self.statistics)
         if not 1 <= self.horizon <= MAX_HORIZON:
             raise ValueError(f"horizon must lie in [1, {MAX_HORIZON}], got {self.horizon}")
 

@@ -20,7 +20,7 @@ from dataclasses import MISSING, fields
 
 import yaml
 
-from .analysis import SweepAxis, SweepSpec
+from .analysis import SweepAxis, SweepSpec, check_distinct
 from .dynamics import MAX_HORIZON, MODES, ModelParams, PopulationSpec
 from .fitting import AXIS_ORDER, DEFAULT_BOUNDS, DEFAULT_RESOLUTION, FitConfig, ParamSpace, check_q_range
 from .graph import GraphGenSpec
@@ -201,22 +201,24 @@ def validate_config(config: dict) -> None:
         raise _error("sweep.axes", f"holds at most 2 axes, got {len(sweep['axes'])}")
     if not sweep["statistics"]:
         raise _error("sweep.statistics", "needs at least one statistic")
+    _attempt("sweep.statistics", check_distinct, "statistic", sweep["statistics"])
     for axis, (_, _, cells) in config["fit"]["space"].items():
         if cells < 2:  # pinned axes too, which the search box leaves out
             raise _error(f"fit.space.{axis}", f"needs at least 2 cells, got {cells}")
     for i, axis in enumerate(sweep["axes"]):
         _attempt(f"sweep.axes.{i}", SweepAxis, **axis)
+    _attempt("sweep.axes", check_distinct, "axis", [axis["name"] for axis in sweep["axes"]])
     for section, cls in _SECTIONS.items():
         _attempt(section, build, cls, config)
     _attempt("fit.space", param_space, config)
     # the argument checks of preprocess and identifiability, called so that
     # each call can fail only on the key it names: fill with a valid smooth
-    # width first, and q_min against a q_max that cannot undercut it
+    # width first, and q_min as a range of its own
     prep = config["fit"]["preprocess"]
     _attempt("fit.preprocess.fill", check_preprocess, 1, prep["fill"])
     _attempt("fit.preprocess.smooth", check_preprocess, prep["smooth"], prep["fill"])
     q_min, q_max = config["identify"]["q_min"], config["identify"]["q_max"]
-    _attempt("identify.q_min", check_q_range, q_min, max(q_min, q_max))
+    _attempt("identify.q_min", check_q_range, q_min, q_min)
     _attempt("identify.q_max", check_q_range, q_min, q_max)
 
 

@@ -382,8 +382,10 @@ def _tick_rows(buffer: np.ndarray, horizon: int):
 
 def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = False, spread: bool = False) -> list:
     """Advance K checked (graph, population, params, seed, weight_scale)
-    members of one size n and one operator kind through one tick loop:
-    event_probability and _advance, written into preallocated rows.
+    members of one size n, one operator kind and one params.lam through one
+    tick loop: event_probability and _advance, written into preallocated
+    rows. The caller keeps that contract, unchecked: the loop reads the
+    lam of the first member alone.
 
     Returns one outcome per member: its OpinionOverflowError, or else its
     Trajectory with record, whose rows are the views opinions[:, k] and
@@ -402,12 +404,12 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
     which np.take puts back in order into the next row; each row sums in its
     own member's order, so every member keeps the bits of its lone product.
     At K = 1 the event fraction and feedback are Python floats, which cost
-    less than (1, 1) arrays, and -lam is a 0-d array; above, (K, 1) arrays
-    and a (K, n) row, which cost less than a loop. Each member's weight_scale,
-    like its gamma, is a (K, 1) column, applied only when some member's is
-    not 1.0 (x * 1.0 is exactly x). The loop carries one bound on |opinion|
-    for the whole batch, the largest over its members, and widens it at
-    every update. It takes the exact peaks only once the bound passes
+    less than (1, 1) arrays; above, (K, 1) arrays, which cost less than a
+    loop. Each member's weight_scale, like its gamma, is a (K, 1) column,
+    applied only when some member's is not 1.0 (x * 1.0 is exactly x). The
+    loop carries one bound on |opinion| for the whole batch, the largest
+    over its members, and widens it at every update. It takes the exact
+    peaks only once the bound passes
     OVERFLOW_LIMIT, which happens no later than the update that first
     carries an opinion past it, so every error's step and magnitude are
     those a check at every tick would give. The peaks then restart the
@@ -439,13 +441,13 @@ def _run_members(members: list[tuple], horizon: int, mode: str, record: bool = F
     stochastic = mode == "stochastic"
     rngs = [np.random.default_rng(seed) for seed in seeds]
     # x * -lam is exactly -(x * lam): IEEE rounding is symmetric about zero.
-    # A lone member's is a 0-d array, which numpy broadcasts faster than a
-    # row or a Python float: 4.6 against 9.9 and 4.8 us at n = 20000, 0.37
-    # against 0.38 and 0.55 us at n = 100
-    neg_lam = np.array([[-par.lam] for par in params], dtype=np.float64)
-    neg_lam = neg_lam.reshape(()) if lone else np.repeat(neg_lam, n, axis=1)
+    # The batch's one -lam is a 0-d array, which numpy broadcasts faster than
+    # a (K, n) row or a Python float (timeit on a 2-core Xeon VM): 2.7 against
+    # 5.5 and 2.9 us at (33, 300), 5.5 against 10.4 and 7.2 us at (1, 20000),
+    # 0.41 against 0.42 and 0.59 us at (3, 100)
+    neg_lam = np.array(-params[0].lam, dtype=np.float64)
     # the bound on |opinion| past which the sigmoid's argument is floored
-    steep = _EXP_EDGE / max(par.lam for par in params)
+    steep = _EXP_EDGE / params[0].lam
     gamma = np.array([[par.gamma] for par in params], dtype=np.float64)
     scale = np.array([[s] for s in scales], dtype=np.float64) if set(scales) != {1.0} else None
     lone_gamma = params[0].gamma
@@ -683,15 +685,17 @@ def replicate_summaries(replicates: list[tuple], horizon: int, mode: str = "stoc
 
     A batch holds as many consecutive built replicates as keep their
     operators within _BATCH_BYTES, and at least one; it closes where the
-    size or the operator kind (_dense_operator) changes, and a member above
-    _BATCH_MAX_N nodes runs alone. Batches are built and run one at a time
-    as the items are taken, so only one batch of summaries is held at once.
+    size, the operator kind (_dense_operator) or params.lam changes, and a
+    member above _BATCH_MAX_N nodes runs alone. No sweep axis or fit
+    parameter varies lam, so a sweep's or a fit's batches never close on
+    it. Batches are built and run one at a time as the items are taken, so
+    only one batch of summaries is held at once.
     No run records its (horizon, n) opinions and states. generate has
     checked that each graph is strongly connected, so the runs do not check
     it again.
     """
     batch: list = []  # per replicate since the last batch ran: its failure, or its member
-    load, last = 0, None  # the batch's size and operator kind
+    load, last = 0, None  # the batch's size, operator kind and lam
     for graph_spec, pop_spec, params, seed, weight_scale in replicates:
         try:
             graph, population, sim_seed = _replicate_inputs(graph_spec, pop_spec, params, seed)
@@ -699,7 +703,7 @@ def replicate_summaries(replicates: list[tuple], horizon: int, mode: str = "stoc
         except Exception as exc:  # noqa: BLE001 - a failed replicate is an outcome, not a crash
             batch.append(exc)
             continue
-        cost, key = _operator_bytes(graph), (graph.n, _dense_operator(graph))
+        cost, key = _operator_bytes(graph), (graph.n, _dense_operator(graph), params.lam)
         if load + cost > _BATCH_BYTES or graph.n > _BATCH_MAX_N or key != last:
             yield from _run_batch(batch, horizon, mode, spread)
             batch, load = [], 0
@@ -710,8 +714,8 @@ def replicate_summaries(replicates: list[tuple], horizon: int, mode: str = "stoc
 
 def _run_batch(batch: list, horizon: int, mode: str, spread: bool) -> list:
     """batch with each checked (graph, population, params, seed,
-    weight_scale) member, all of one size and operator kind, replaced by its
-    RunSummary or OpinionOverflowError from one _run_members call; an
+    weight_scale) member, all of one size, operator kind and lam, replaced
+    by its RunSummary or OpinionOverflowError from one _run_members call; an
     exception raised by that call replaces each."""
     members = [item for item in batch if not isinstance(item, Exception)]
     if not members:

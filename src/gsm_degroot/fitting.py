@@ -87,6 +87,8 @@ class ParamSpace:
         for name in ("mu", "gamma", "r"):
             if name not in self.bounds and name not in self.pinned:
                 raise ValueError(f"parameter {name!r} needs bounds or a pinned value")
+        if not self.bounds:
+            raise ValueError("a fit needs at least one searched parameter; mu, gamma and r are all pinned")
         for name, (lo, hi) in self.bounds.items():
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
                 raise ValueError(f"bounds for {name!r} must satisfy lo < hi, got ({lo}, {hi})")
@@ -529,9 +531,10 @@ class IdentifiabilityCurve:
 
 
 def check_q_range(q_lo: float, q_hi: float) -> None:
-    """Raise ValueError unless 0 < q_lo <= q_hi."""
-    if not 0.0 < q_lo <= q_hi:
-        raise ValueError(f"invalid q range ({q_lo}, {q_hi})")
+    """Raise ValueError unless 0 < q_lo <= q_hi <= 1: a quantile past 1
+    would ask for more best cells than the grid holds."""
+    if not 0.0 < q_lo <= q_hi <= 1.0:
+        raise ValueError(f"invalid q range ({q_lo}, {q_hi}); need 0 < q_lo <= q_hi <= 1")
 
 
 def identifiability(

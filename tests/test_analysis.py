@@ -156,6 +156,20 @@ def test_spec_rejects_an_empty_statistics_list():
         sweep_spec(statistics=())
 
 
+def test_spec_rejects_a_repeated_axis():
+    # run_sweep keys a cell's coordinates by axis name: the second gamma
+    # axis would overwrite the first, whose values would never run
+    axes = [SweepAxis("gamma", 0.0, 1.0, 2), SweepAxis("gamma", 2.0, 3.0, 3)]
+    with pytest.raises(ValueError, match="axis 'gamma' is repeated"):
+        sweep_spec(axes=axes)
+
+
+def test_spec_rejects_a_repeated_statistic():
+    # each statistic's values would be collected, and written, twice
+    with pytest.raises(ValueError, match="statistic 'D_max' is repeated"):
+        sweep_spec(statistics=("D_max", "D_max_inf", "D_max"))
+
+
 # ---------------------------------------------------------------------------
 # run_sweep
 

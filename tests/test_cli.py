@@ -658,6 +658,41 @@ def test_identify_on_a_grid_field_that_is_not_a_number_exits_2_naming_the_line(t
     assert f"{grid_path} line 3: could not convert string to float: 'x'" in capsys.readouterr().err
 
 
+def test_identify_takes_q_max_up_to_one(tmp_path, capsys):
+    grid_path = planted_grid_csv(tmp_path)
+    config = write_config(tmp_path, {"identify": {"grid": grid_path, "q_min": 0.01, "q_max": 1.0, "points": 3}})
+    assert main(["identify", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "chi.csv", newline="") as fh:
+        assert list(csv.reader(fh))[-1] == ["1.0", "0.0"]
+    # past 1 a quantile asks for more best cells than the grid holds
+    config = write_config(tmp_path, {"identify": {"grid": grid_path, "q_min": 0.01, "q_max": 2.0}})
+    assert main(["identify", "--config", config, "--out", str(tmp_path / "out2")]) == 2
+    assert ("config field identify.q_max: invalid q range (0.01, 2.0); need 0 < q_lo <= q_hi <= 1"
+            in capsys.readouterr().err)
+
+
+_GAMMA_AXIS = {"name": "gamma", "lo": 0.0, "hi": 1.0, "cells": 2}
+
+
+@pytest.mark.parametrize("command, payload, error", [
+    # run_sweep would key both axes' coordinates as gamma and run only the second's values
+    ("sweep", {"sweep": {"axes": [_GAMMA_AXIS, dict(_GAMMA_AXIS, lo=2.0, hi=3.0, cells=3)]}},
+     "config field sweep.axes: axis 'gamma' is repeated"),
+    # sweep_long.csv would hold each value twice
+    ("sweep", {"sweep": {"axes": [_GAMMA_AXIS], "statistics": ["D_max", "D_max"]}},
+     "config field sweep.statistics: statistic 'D_max' is repeated"),
+    # grid_explore would stack zero axes
+    ("fit", {"fit": {"pinned": {"mu": 0.0, "gamma": 1.0, "r": 0.1}}},
+     "config field fit.space: a fit needs at least one searched parameter; mu, gamma and r are all pinned"),
+], ids=["repeated-axis", "repeated-statistic", "all-pinned"])
+def test_a_repeated_sweep_name_or_a_fully_pinned_fit_exits_2_naming_its_field(tmp_path, capsys, command, payload, error):
+    config = write_config(tmp_path, {"graph": {"family": "watts-strogatz", "n": 30, "k": 4}, "horizon": 20,
+                                     **payload})
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected as it loads, before anything runs
+
+
 def test_identify_without_grid_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, {})
     assert main(["identify", "--config", config, "--out", str(tmp_path / "out")]) == 2

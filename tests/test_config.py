@@ -283,6 +283,12 @@ REJECTED = [
     ("sweep.axes.1", _with("sweep", axes=[_AXIS, {"name": "mu", "lo": 1.0, "hi": 1.0 + 2**-52, "cells": 3}])),
     # a horizon past the cap shared with graph.n
     ("horizon", {"horizon": 10**6 + 1}),
+    # a repeated axis or statistic, every fit parameter pinned, a quantile past 1
+    ("sweep.axes", _with("sweep", axes=[_AXIS, dict(_AXIS, lo=2.0, hi=3.0)])),
+    ("sweep.statistics", _with("sweep", statistics=["D_max", "D_max"])),
+    ("fit.space", _with("fit.pinned", mu=0.0, gamma=1.0, r=0.1)),
+    ("identify.q_max", _with("identify", q_max=2.0)),
+    ("identify.q_min", _with("identify", q_min=2.0, q_max=3.0)),
 ]
 
 

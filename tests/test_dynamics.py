@@ -312,7 +312,7 @@ def test_trajectory_recorded_series_are_consistent(monkeypatch):
         graph = generate(GraphGenSpec(family=family, n=n, edge_prob=0.4, seed=2))
         pop = PopulationSpec().build(n, rng_from(2, "pop"), mu=-1.0, sigma=sigma)
         params = ModelParams(lam=0.5, gamma=0.2)
-        surge = (graph, Population(np.ones(n), np.zeros(n)), ModelParams(lam=1.0, gamma=1e11), 4)
+        surge = (graph, Population(np.ones(n), np.zeros(n)), replace(params, gamma=1e11), 4)
         lone = simulate(graph, pop, params, horizon=62, seed=3, mode=mode)
         batch = [(graph, pop, params, 3), surge, (graph, pop, replace(params, gamma=0.3), 5)]
         first, failed, last = member_runs(batch, 62, mode, record=True)
@@ -772,10 +772,12 @@ def test_the_overflow_guard_matches_the_step_helpers(family, n, graph_seed, weig
 
 
 VARIANTS = ("plain", "stubborn", "susceptibility", "susceptibility_per_agent")
+BATCH_LAM = 1.3
 
 
 def batch_member(graph, k):
-    """Member k of a mixed batch: its variant, opinions, params and seed vary with k."""
+    """Member k of a mixed batch: its variant, opinions, gamma and seed vary
+    with k; lam is the batch's, shared as _run_members requires."""
     n = graph.n
     variant = VARIANTS[k % len(VARIANTS)]
     spec = PopulationSpec(
@@ -786,7 +788,7 @@ def batch_member(graph, k):
     pop = spec.build(n, rng_from(5, "pop", k), mu=0.3 * k - 2.0, sigma=1.5)
     if variant == "susceptibility_per_agent":
         pop = Population(pop.reactions, pop.initial_opinions, susceptibility=np.linspace(0.4, 1.0, n))
-    return graph, pop, ModelParams(lam=1.3 - 0.02 * k, gamma=0.8 + 0.1 * k), 17 + k
+    return graph, pop, ModelParams(lam=BATCH_LAM, gamma=0.8 + 0.1 * k), 17 + k
 
 
 def simulate_outcome(member, horizon, mode):
@@ -814,6 +816,7 @@ def member_runs(members, horizon, mode, spread=False, scales=None, record=False)
     _run_members call, or its OpinionOverflowError; member k runs at weight
     scale scales[k], 1.0 by default."""
     scales = scales or [1.0] * len(members)
+    assert len({member[2].lam for member in members}) == 1, "a batch shares one lam"
     return dynamics._run_members([(*member, scale) for member, scale in zip(members, scales)], horizon, mode,
                                  spread=spread, record=record)
 
@@ -905,7 +908,7 @@ def test_failed_members_fail_alone_with_the_error_of_simulate(mode):
     members = [batch_member(graph, k) for k in range(6)]
     # all reactions +1 under a huge feedback: the opinions pass 1e12 mid-run
     surge = Population(np.ones(30), np.zeros(30))
-    members[1] = (graph, surge, ModelParams(lam=1.0, gamma=1e11), 3)
+    members[1] = (graph, surge, ModelParams(lam=BATCH_LAM, gamma=1e11), 3)
     # one start past the limit, which its half blend keeps there at step 1
     far_start = members[2][1].initial_opinions.copy()
     far_start[7] = 4e12
@@ -913,7 +916,7 @@ def test_failed_members_fail_alone_with_the_error_of_simulate(mode):
     # 18 of 30 reactions +1: the bound passes 1e12 near step 100, the
     # opinions only some 250 steps later, after many exact checks
     drift = Population(np.where(np.arange(30) < 18, 1.0, -1.0), np.zeros(30))
-    members.append((graph, drift, ModelParams(lam=1.0, gamma=1e10), 5))
+    members.append((graph, drift, ModelParams(lam=BATCH_LAM, gamma=1e10), 5))
     wants = [simulate_outcome(member, 400, mode) for member in members]
     assert isinstance(wants[1], OpinionOverflowError) and 1 < wants[1].step < 50
     assert isinstance(wants[2], OpinionOverflowError) and wants[2].step == 1
@@ -936,7 +939,7 @@ def test_a_batch_on_both_sides_of_the_density_threshold_equals_lone_runs(mode):
     assert [_dense_operator(graph) for graph in graphs] == [False, True, False, True, False, False]
     members = [batch_member(graph, k) for k, graph in enumerate(graphs)]
     # all reactions +1 under a huge feedback: a sparse member that overflows
-    members[2] = (graphs[2], Population(np.ones(n), np.zeros(n)), ModelParams(lam=1.0, gamma=1e11), 3)
+    members[2] = (graphs[2], Population(np.ones(n), np.zeros(n)), ModelParams(lam=BATCH_LAM, gamma=1e11), 3)
     for dense in (True, False):
         batch = [member for member in members if _dense_operator(member[0]) == dense]
         for member, got in zip(batch, member_fractions(batch, 150, mode)):
@@ -976,7 +979,7 @@ def test_blocked_draws_keep_every_members_bytes(monkeypatch, block, draws):
     assert not any(_dense_operator(graph) for graph in graphs)
     members = [batch_member(graph, k) for k, graph in enumerate(graphs)]
     # all reactions +1 under a huge feedback: overflows at step 11, inside a block of 7
-    members[2] = (graphs[2], Population(np.ones(n), np.zeros(n)), ModelParams(lam=1.0, gamma=1e11), 3)
+    members[2] = (graphs[2], Population(np.ones(n), np.zeros(n)), ModelParams(lam=BATCH_LAM, gamma=1e11), 3)
     row = 8 * len(members) * n
     monkeypatch.setattr(dynamics, "_DRAW_BYTES", (block + 1) * row - 1)
     calls = []
@@ -1102,13 +1105,16 @@ _DRAWN_GRAPHS = [GraphGenSpec(family="watts-strogatz", n=n, k=4) for n in (20, 3
 # for the operator kind, a pair the draw below makes only now and then
 _KINDS_PAIR = [(spec, PopulationSpec(), ModelParams(lam=1.0, gamma=0.5), 0, 1.0)
                for spec in (_DRAWN_GRAPHS[1], _DRAWN_GRAPHS[5])]
+# two members that fit one batch but for lam
+_LAMS_PAIR = [(_DRAWN_GRAPHS[0], PopulationSpec(), ModelParams(lam=lam, gamma=0.5), 0, 1.0) for lam in (1.0, 0.5)]
 
 
 @st.composite
 def replicate_tasks(draw):
     """Runs of tasks that share a graph spec and a weight_scale, so that
-    consecutive members can batch; weight_scale 1e300 and gamma 1e300
-    overflow the opinions in a run, sigma 1e308 their draw."""
+    consecutive members can batch, each with its own lam, where a batch
+    closes; weight_scale 1e300 and gamma 1e300 overflow the opinions in a
+    run, sigma 1e308 their draw."""
     tasks = []
     for _ in range(draw(st.integers(1, 3))):
         spec = draw(st.sampled_from(_DRAWN_GRAPHS))
@@ -1117,7 +1123,8 @@ def replicate_tasks(draw):
             population = PopulationSpec(positive_fraction=draw(st.sampled_from([0.2, 0.8])),
                                         stubborn_fraction=draw(st.sampled_from([0.0, 0.2])),
                                         susceptibility=draw(st.sampled_from([1.0, 0.6])))
-            params = ModelParams(lam=1.0, gamma=draw(st.sampled_from([0.0, 0.5, 0.5, 0.5, 1e300])),
+            params = ModelParams(lam=draw(st.sampled_from([1.0, 0.5])),
+                                 gamma=draw(st.sampled_from([0.0, 0.5, 0.5, 0.5, 1e300])),
                                  mu=draw(st.sampled_from([0.0, -1.0])),
                                  sigma=draw(st.sampled_from([1.0] * 5 + [1e308])))
             tasks.append((spec, population, params, draw(st.integers(0, 2**32)), weight_scale))
@@ -1126,6 +1133,7 @@ def replicate_tasks(draw):
 
 @given(tasks=replicate_tasks(), mode=st.sampled_from(MODES), spread=st.booleans())
 @example(tasks=_KINDS_PAIR, mode="stochastic", spread=False)
+@example(tasks=_LAMS_PAIR, mode="expected", spread=True)
 @settings(max_examples=60, deadline=None)
 def test_replicate_summaries_equal_replicate_on_drawn_tasks(tasks, mode, spread):
     with pytest.MonkeyPatch.context() as patch:
@@ -1153,7 +1161,9 @@ def test_replicate_summaries_close_a_batch_where_size_or_operator_kind_changes(m
     run_members = dynamics._run_members
 
     def spied(members, horizon, mode, **kwargs):
-        batches.append((len(members), members[0][0].n))
+        lams = {member[2].lam for member in members}
+        assert len(lams) == 1
+        batches.append((len(members), members[0][0].n, *lams))
         return run_members(members, horizon, mode, **kwargs)
 
     monkeypatch.setattr(dynamics, "_run_members", spied)
@@ -1162,13 +1172,15 @@ def test_replicate_summaries_close_a_batch_where_size_or_operator_kind_changes(m
     # the sbm at r = 0 fails in generate, between two members of one batch;
     # Watts-Strogatz k = 6 mixes densely at n = 40 and sparsely at n = 100,
     # the default sbm densely, so the last one runs apart; the weight scale
-    # changes inside the batch of n = 100
+    # changes inside the batch of n = 100, and lam after it
     specs = [ws[40], ws[40], ws[100], GraphGenSpec(family="sbm", n=100, inter_prob=0.0), ws[100], ws[100],
-             GraphGenSpec(family="sbm", n=100)]
-    scales = [1.0, 1.0, 1.0, 1.0, 1.0, 0.97, 0.97]
-    tasks = [(spec, PopulationSpec(), params, k, scale) for k, (spec, scale) in enumerate(zip(specs, scales))]
+             ws[100], ws[100], GraphGenSpec(family="sbm", n=100)]
+    scales = [1.0, 1.0, 1.0, 1.0, 1.0, 0.97, 0.97, 0.97, 0.97]
+    lams = [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5]
+    tasks = [(spec, PopulationSpec(), replace(params, lam=lam), k, scale)
+             for k, (spec, scale, lam) in enumerate(zip(specs, scales, lams))]
     outcomes = list(replicate_summaries(tasks, 30))
-    assert batches == [(2, 40), (3, 100), (1, 100)]
+    assert batches == [(2, 40, 1.0), (3, 100, 1.0), (2, 100, 0.5), (1, 100, 0.5)]
     for task, got in zip(tasks, outcomes):
         try:
             want = replicate(*task[:3], 30, task[3], weight_scale=task[4])[1]

@@ -192,6 +192,9 @@ def test_full_point_merges_pinned_values():
         (dict(bounds={"gamma": (0.0, 1.0), "r": (0.0, 0.5)}, pinned={"mu": math.nan}), "'mu' must be finite"),
         # a pinned name no evaluation reads
         (dict(pinned={"lam": 2.0}), r"unknown parameter 'lam'; choose from \('mu', 'gamma', 'r', 'p'\)"),
+        # nothing left to search: grid_explore would stack zero axes
+        (dict(bounds={}, pinned={"mu": 0.0, "gamma": 1.0, "r": 0.1}),
+         "a fit needs at least one searched parameter; mu, gamma and r are all pinned"),
     ],
 )
 def test_invalid_spaces_are_rejected(kwargs, message):
@@ -753,6 +756,17 @@ def test_identifiability_input_validation():
         identifiability(np.zeros((5, 2)), np.zeros(4))
     with pytest.raises(ValueError, match="invalid q range"):
         identifiability(np.zeros((5, 2)), np.zeros(5), q_range=(1e-2, 1e-3))
+
+
+def test_identifiability_takes_quantiles_up_to_one():
+    # a quantile past 1 asks for more best cells than the grid holds
+    points = np.linspace(0.0, 1.0, 20)[:, None]
+    with pytest.raises(ValueError, match=r"invalid q range \(0.1, 2.0\); need 0 < q_lo <= q_hi <= 1"):
+        identifiability(points, points[:, 0], q_range=(0.1, 2.0))
+    curve = identifiability(points, points[:, 0], q_range=(0.1, 1.0), n_q=2, bootstrap=2)
+    # the best cells at q = 1 are every cell, as is any draw of them, so
+    # chi there is zero up to the rounding of their mean
+    assert curve.qs[-1] == 1.0 and abs(curve.chi[-1]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
